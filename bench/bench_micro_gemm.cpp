@@ -15,11 +15,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "axnn/approx/kernels.hpp"
 #include "axnn/axmul/registry.hpp"
+#include "axnn/core/profile.hpp"
 #include "axnn/ge/monte_carlo.hpp"
 #include "axnn/kernels/isa.hpp"
 #include "axnn/kernels/plan.hpp"
@@ -119,6 +121,62 @@ void BM_GemmApproxLutResNet20(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmApproxLutResNet20)->Arg(0)->Arg(1)->ArgNames({"backend"});
 
+// Narrow shapes: before plans covered every int GEMM, a size cut-over sent
+// all of these to the naive loop. ResNet-20's 4-output-channel leaves (27-
+// and 36-deep patches at batch 1 and 8), its 1x1 downsample convs and the
+// FC head; then depthwise-like 1- and 2-row GEMMs, where the plan binds the
+// scalar slices kernel instead of the vector strips.
+struct Dims {
+  int64_t m, k, n;
+};
+constexpr Dims kResNet20Narrow[] = {{4, 27, 2048}, {4, 36, 256}, {4, 36, 2048},
+                                    {8, 4, 512},   {16, 8, 128}, {10, 16, 8}};
+constexpr Dims kDepthwise[] = {{1, 9, 16}, {1, 9, 256}, {1, 9, 2048}, {2, 9, 256}};
+
+void run_int_dims(benchmark::State& state, const Dims& d, bool lut) {
+  Rng rng(8);
+  const TensorI8 w = random_i8(Shape{d.m, d.k}, rng, -7, 7);
+  const TensorI8 x = random_i8(Shape{d.k, d.n}, rng, -127, 127);
+  TensorI32 c(Shape{d.m, d.n});
+  const approx::SignedMulTable tab(axmul::make_lut("trunc5"));
+  kernels::PlanMemo memo;  // as a layer resolves its plan
+  state.SetLabel(std::string(kernels::backend_name(backend_arg(state))) + " " +
+                 std::to_string(d.m) + "x" + std::to_string(d.k) + "x" + std::to_string(d.n));
+  for (auto _ : state) {
+    if (lut)
+      kernels::gemm_approx({}, w.data(), x.data(), c.data(), d.m, d.k, d.n, tab,
+                           backend_arg(state), nullptr, &memo);
+    else
+      kernels::gemm_exact({}, w.data(), x.data(), c.data(), d.m, d.k, d.n,
+                          backend_arg(state), nullptr, &memo);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * d.m * d.k * d.n);
+}
+
+void BM_GemmApproxLutResNet20Narrow(benchmark::State& state) {
+  run_int_dims(state, kResNet20Narrow[state.range(1)], /*lut=*/true);
+}
+BENCHMARK(BM_GemmApproxLutResNet20Narrow)
+    ->ArgsProduct({{0, 1}, {0, 1, 2, 3, 4, 5}})
+    ->ArgNames({"backend", "shape"});
+
+// The exact int kernel on the same shapes: what the LUT lookups cost.
+void BM_GemmExactI32ResNet20Narrow(benchmark::State& state) {
+  run_int_dims(state, kResNet20Narrow[state.range(1)], /*lut=*/false);
+}
+BENCHMARK(BM_GemmExactI32ResNet20Narrow)
+    ->ArgsProduct({{0, 1}, {0, 1, 2, 3, 4, 5}})
+    ->ArgNames({"backend", "shape"});
+
+void BM_GemmApproxLutDepthwise(benchmark::State& state) {
+  run_int_dims(state, kDepthwise[state.range(1)], /*lut=*/true);
+}
+BENCHMARK(BM_GemmApproxLutDepthwise)
+    ->ArgsProduct({{0, 1}, {0, 1, 2, 3}})
+    ->ArgNames({"backend", "shape"});
+
 // Plan lifecycle on the acceptance shape. ColdPlan clears the global cache
 // every iteration, so each run pays the full acquire: key fingerprinting,
 // LUT re-layout into nibble slices + transposed lines, tile derivation.
@@ -191,6 +249,27 @@ void BM_Im2col(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.patch_rows() * g.out_cols());
 }
 BENCHMARK(BM_Im2col)->Arg(8)->Arg(16);
+
+// The int8 lowering at ResNet-20 (fast profile) conv inputs, batch 8:
+// 3x16x16 stem, then 4x16x16, 8x8x8 and 16x4x4 stages; 3x3, pad 1.
+void BM_Im2colI8ResNet20(benchmark::State& state) {
+  const int64_t c = state.range(0), hw = state.range(1);
+  Rng rng(9);
+  const TensorI8 x = random_i8(Shape{8, c, hw, hw}, rng, -127, 127);
+  const nn::ConvGeom g = nn::ConvGeom::of(x.shape(), 3, 1, 1);
+  for (auto _ : state) {
+    TensorI8 cols = nn::im2col_i8(x, g);
+    benchmark::DoNotOptimize(cols.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * g.patch_rows() * g.out_cols());
+}
+BENCHMARK(BM_Im2colI8ResNet20)
+    ->Args({3, 16})
+    ->Args({4, 16})
+    ->Args({8, 8})
+    ->Args({16, 4})
+    ->ArgNames({"c", "hw"});
 
 void BM_FakeQuantize(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -287,17 +366,18 @@ private:
   obs::RunReport& report_;
 };
 
-/// CI gate: the vectorized blocked int kernels must be bit-identical to the
-/// naive golden reference. Checked on the acceptance shape plus odd shapes
-/// that stress remainder handling, for both the LUT and exact paths.
-/// Returns false (and prints the first mismatch) on divergence.
+/// CI gate: the blocked int plans must be bit-identical to the naive golden
+/// reference. Checked on the acceptance shape, odd shapes that stress
+/// remainder handling, and the narrow shapes above (which cross the scalar/
+/// vector kernel switch), for both the LUT and exact paths. Returns false
+/// (and prints the first mismatch) on divergence.
 bool verify_simd_bit_identity() {
   const approx::SignedMulTable tab(axmul::make_lut("trunc5"));
-  const struct {
-    int64_t m, k, n;
-  } shapes[] = {{64, 576, 1024}, {7, 13, 17}, {1, 576, 1024}, {33, 65, 31}};
+  std::vector<Dims> shapes = {{64, 576, 1024}, {7, 13, 17}, {1, 576, 1024}, {33, 65, 31}};
+  shapes.insert(shapes.end(), std::begin(kResNet20Narrow), std::end(kResNet20Narrow));
+  shapes.insert(shapes.end(), std::begin(kDepthwise), std::end(kDepthwise));
   Rng rng(11);
-  for (const auto& s : shapes) {
+  for (const Dims& s : shapes) {
     const TensorI8 w = random_i8(Shape{s.m, s.k}, rng, -7, 7);
     const TensorI8 x = random_i8(Shape{s.k, s.n}, rng, -127, 127);
     TensorI32 naive(Shape{s.m, s.n}), blocked(Shape{s.m, s.n});
@@ -390,6 +470,7 @@ void add_summary_metrics(obs::RunReport& report) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  core::BenchProfile::from_env().apply();  // AXNN_THREADS pins the pool
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
 

@@ -6,9 +6,12 @@
 //
 //   kNaive   — the original triple-loop kernels, kept verbatim as the golden
 //              reference for tests and debugging.
-//   kBlocked — prepared-plan execution: cache-blocked, register-tiled
-//              kernels behind kernels::PlanCache, vectorized for the ISA
-//              selected at startup (axnn/kernels/isa.hpp). Default.
+//   kBlocked — prepared-plan execution behind kernels::PlanCache. Each plan
+//              binds the micro-kernel that suits its shape when it is built
+//              (axnn/kernels/plan.hpp): vectorized int strips for the ISA
+//              selected at startup (axnn/kernels/isa.hpp), register-tiled
+//              float blocks, or the plain loops where packing would not pay
+//              for itself. Default.
 //
 // The process-wide default backend is kBlocked; override it with
 // set_default_backend() or the environment variable AXNN_GEMM_BACKEND
@@ -42,12 +45,10 @@ const char* backend_name(Backend b);
 Backend default_backend();
 void set_default_backend(Backend b);
 
-/// Backend the no-backend overloads actually run for an m×k×n problem:
-/// kBlocked only pays for its packing once the problem is big enough, so
-/// tiny GEMMs (depthwise-conv groups, single-row batches) cut over to
-/// kNaive. A kNaive default is always honoured; an explicitly passed
-/// backend bypasses this heuristic entirely.
-Backend auto_backend(int64_t m, int64_t k, int64_t n);
+/// Backend for an m×k×n problem: the default backend at every shape. The
+/// per-shape kernel choice lives inside the plan the backend resolves, so
+/// callers never pick kernels by size.
+inline Backend auto_backend(int64_t, int64_t, int64_t) { return default_backend(); }
 
 /// Describes C = op(A)·op(B) (or += with accumulate). All matrices are
 /// row-major; `m, k, n` are the *logical* GEMM dimensions, so A holds m×k
@@ -70,9 +71,10 @@ void gemm(const GemmDesc& desc, const float* a, const float* b, float* c, int64_
           int64_t k, int64_t n, Backend backend, ThreadPool* pool = nullptr,
           PlanMemo* memo = nullptr);
 
+/// The same on the default backend — what layers and tensor ops call.
 inline void gemm(const GemmDesc& desc, const float* a, const float* b, float* c,
-                 int64_t m, int64_t k, int64_t n) {
-  gemm(desc, a, b, c, m, k, n, auto_backend(m, k, n), nullptr);
+                 int64_t m, int64_t k, int64_t n, PlanMemo* memo = nullptr) {
+  gemm(desc, a, b, c, m, k, n, default_backend(), nullptr, memo);
 }
 
 /// Rows-per-task grain so each parallel_for task carries enough MACs

@@ -7,10 +7,13 @@
 // otherwise); `accumulate` is honoured.
 //
 // The kBlocked path runs through a prepared GemmPlan (axnn/kernels/plan.hpp)
-// acquired from the global PlanCache: the plan owns the re-laid-out LUT
+// acquired from the global PlanCache at every shape: the plan binds its
+// micro-kernel when it is built (approx: vector strips from 4 output rows up,
+// the scalar slices kernel below; exact: vector strips at every shape) and
+// owns the LUT re-laid-out for that kernel
 // (per-weight-nibble slices for the scalar kernel, a transposed
-// 64-byte-per-activation layout for the vector kernels) and the tile
-// geometry, so per-call work is just operand packing into pooled scratch.
+// 64-byte-per-activation layout for the vector kernels), so per-call work is
+// just operand packing into pooled scratch.
 // Integer addition is exact and order-free, so every backend/ISA combination
 // is bit-identical to the naive reference.
 #pragma once
@@ -35,8 +38,8 @@ void gemm_approx(const GemmDesc& desc, const int8_t* w, const int8_t* x, int32_t
                  Backend backend, ThreadPool* pool = nullptr, PlanMemo* memo = nullptr);
 inline void gemm_approx(const GemmDesc& desc, const int8_t* w, const int8_t* x,
                         int32_t* c, int64_t m, int64_t k, int64_t n,
-                        const approx::SignedMulTable& tab) {
-  gemm_approx(desc, w, x, c, m, k, n, tab, auto_backend(m, k, n), nullptr);
+                        const approx::SignedMulTable& tab, PlanMemo* memo = nullptr) {
+  gemm_approx(desc, w, x, c, m, k, n, tab, default_backend(), nullptr, memo);
 }
 
 /// C[M,N] (=|+=) W · X with exact int arithmetic (error-measurement baseline).
@@ -44,8 +47,8 @@ void gemm_exact(const GemmDesc& desc, const int8_t* w, const int8_t* x, int32_t*
                 int64_t m, int64_t k, int64_t n, Backend backend,
                 ThreadPool* pool = nullptr, PlanMemo* memo = nullptr);
 inline void gemm_exact(const GemmDesc& desc, const int8_t* w, const int8_t* x, int32_t* c,
-                       int64_t m, int64_t k, int64_t n) {
-  gemm_exact(desc, w, x, c, m, k, n, auto_backend(m, k, n), nullptr);
+                       int64_t m, int64_t k, int64_t n, PlanMemo* memo = nullptr) {
+  gemm_exact(desc, w, x, c, m, k, n, default_backend(), nullptr, memo);
 }
 
 /// Approximate GEMM whose partial sums are combined through an adder model

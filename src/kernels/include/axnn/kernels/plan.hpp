@@ -2,10 +2,11 @@
 //
 // A GemmPlan is everything about executing one GEMM configuration that does
 // not depend on the operand *values*: tile geometry, the micro-kernel chosen
-// for the active ISA, scratch sizes, and (for the approximate path) the
-// re-laid-out LUT sub-tables. Executing a plan packs operands into pooled
-// scratch and runs the micro-kernels — no per-call derivation, no heap
-// allocation in steady state.
+// from the key (shape, op kind, ISA) when the plan is built, scratch sizes,
+// and (for the approximate path) the LUT re-laid-out for that kernel.
+// Executing a plan packs operands into pooled scratch and runs the
+// micro-kernel — no per-call derivation, no heap allocation in steady state.
+// Every per-shape kernel decision lives here; callers only pick a backend.
 //
 // Plans are immutable once built and shared by handle
 // (shared_ptr<const GemmPlan>), so lanes, sessions and threads can execute
@@ -36,6 +37,19 @@ namespace axnn::kernels {
 enum class OpKind : uint8_t { kF32, kApprox, kExactInt };
 
 const char* op_kind_name(OpKind op);
+
+/// The micro-kernel a plan binds, chosen from its key when it is built:
+///   kNaiveF32   — the plain float loops (same bits as Backend::kNaive), for
+///                 problems too small to amortise packing: m < 8, n < 16 or
+///                 m·k·n < 2^16;
+///   kBlockedF32 — the cache-blocked, register-tiled float kernel, above that;
+///   kScalarInt  — the scalar int kernels (per-nibble LUT slices for approx):
+///                 approx plans under 4 output rows, and every int plan on
+///                 the scalar ISA;
+///   kVectorInt  — the AVX2/NEON column-strip int kernels: approx plans from
+///                 4 rows up, exact-int plans at every row count.
+/// The int kernels are all bit-identical to the naive reference.
+enum class MicroKernel : uint8_t { kNaiveF32, kBlockedF32, kScalarInt, kVectorInt };
 
 struct PlanKey {
   OpKind op = OpKind::kF32;
@@ -87,8 +101,7 @@ public:
 
   const PlanKey& key() const { return key_; }
   const Tile& tile() const { return tile_; }
-  /// ISA the bound micro-kernels actually use (== key().isa).
-  Isa isa() const { return key_.isa; }
+  MicroKernel kernel() const { return kernel_; }
 
   /// Execute the plan. Operand pointers follow the conventions of
   /// kernels::gemm / gemm_approx / gemm_exact for the plan's op kind; dims
@@ -110,10 +123,11 @@ private:
 
   PlanKey key_;
   Tile tile_;
-  /// Approx plans: LUT re-laid-out twice. `slices_` = 16 per-nibble slices of
-  /// 256 (scalar kernel); `lines_` = 256 activation lines of 16 (vector
-  /// kernels, one 64-byte cache line per activation byte). Nibble 0 is
-  /// forced to zero in both so the zero-weight skip of the naive kernel is
+  MicroKernel kernel_;
+  /// Approx plans: the LUT in the bound kernel's layout. `slices_` = 16
+  /// per-nibble slices of 256 (kScalarInt); `lines_` = 256 activation lines
+  /// of 16 (kVectorInt, one 64-byte cache line per activation byte). Nibble
+  /// 0 is forced to zero so the zero-weight skip of the naive kernel is
   /// reproduced bit-for-bit.
   int32_t* slices_ = nullptr;
   int32_t* lines_ = nullptr;

@@ -181,6 +181,18 @@ void micro_kernel(const float* __restrict ap, const float* __restrict bp, int64_
 
 namespace detail {
 
+void naive_f32(const GemmDesc& desc, const float* a, const float* b, float* c, int64_t m,
+               int64_t k, int64_t n, ThreadPool& pool) {
+  if (!desc.trans_a && !desc.trans_b)
+    naive_nn(a, b, c, m, k, n, desc.accumulate, pool);
+  else if (!desc.trans_a)
+    naive_nt(a, b, c, m, k, n, desc.accumulate, pool);
+  else if (!desc.trans_b)
+    naive_tn(a, b, c, m, k, n, desc.accumulate, pool);
+  else
+    naive_tt(a, b, c, m, k, n, desc.accumulate, pool);
+}
+
 void blocked_f32(const GemmDesc& desc, const float* a, const float* b, float* c,
                  int64_t m, int64_t k, int64_t n, ThreadPool& pool) {
   // Whole zero-padded strips: round the block edge up to MR/NR.
@@ -234,16 +246,6 @@ Backend default_backend() { return default_backend_slot().load(); }
 
 void set_default_backend(Backend b) { default_backend_slot().store(b); }
 
-Backend auto_backend(int64_t m, int64_t k, int64_t n) {
-  if (default_backend() == Backend::kNaive) return Backend::kNaive;
-  // Cutover tuned so packing + per-call panel buffers stay under a few
-  // percent of the MAC count: need enough rows to fill register tiles and
-  // enough total work to amortise the B panel pack (whose cost is ~k·n, i.e.
-  // 1/m of the GEMM).
-  if (m < 2 * 4 || n < 16 || m * k * n < (int64_t{1} << 16)) return Backend::kNaive;
-  return Backend::kBlocked;
-}
-
 int64_t row_grain(int64_t k, int64_t n) {
   // ~32k MACs per task keeps dispatch overhead under ~1% on small matrices
   // while still splitting anything worth splitting.
@@ -265,17 +267,12 @@ void gemm(const GemmDesc& desc, const float* a, const float* b, float* c, int64_
   const int64_t t0 = obs_time ? obs::now_ns() : 0;
   if (backend == Backend::kBlocked) {
     const PlanKey key = make_f32_key(desc, m, k, n, backend);
-    const PlanHandle plan =
-        memo != nullptr ? memo->find_or_acquire(key) : PlanCache::global().acquire(key);
-    plan->run(a, b, c, &p);
-  } else if (!desc.trans_a && !desc.trans_b) {
-    naive_nn(a, b, c, m, k, n, desc.accumulate, p);
-  } else if (!desc.trans_a && desc.trans_b) {
-    naive_nt(a, b, c, m, k, n, desc.accumulate, p);
-  } else if (desc.trans_a && !desc.trans_b) {
-    naive_tn(a, b, c, m, k, n, desc.accumulate, p);
+    if (memo != nullptr)
+      memo->find_or_acquire(key)->run(a, b, c, &p);
+    else
+      PlanCache::global().acquire(key)->run(a, b, c, &p);
   } else {
-    naive_tt(a, b, c, m, k, n, desc.accumulate, p);
+    detail::naive_f32(desc, a, b, c, m, k, n, p);
   }
   if (obs_on) obs::record_gemm("gemm_f32", m * k * n, obs_time ? obs::now_ns() - t0 : -1);
 }

@@ -99,6 +99,7 @@ namespace detail {
 namespace {
 constexpr int64_t MR_I = 4;    // weight rows per pass
 constexpr int64_t NC_I = 512;  // output columns per block (2 KiB of C per row)
+constexpr int64_t KF_I = 8;    // k-steps per pass of a remainder row
 }  // namespace
 
 void blocked_approx_scalar(const int8_t* w, const int8_t* x, int32_t* c, int64_t m,
@@ -144,14 +145,33 @@ void blocked_approx_scalar(const int8_t* w, const int8_t* x, int32_t* c, int64_t
             }
           }
           for (; i < r1; ++i) {  // remainder rows, one at a time
+            // Up to KF_I k-steps per pass: each output element sums their
+            // lookups in a register and touches C once per pass, not once
+            // per k-step (this is the whole GEMM for 1- and 2-row plans).
+            // A zero weight looks up the zero nibble-0 slice.
             int32_t* crow = c + i * n + jc;
             if (!accumulate) std::memset(crow, 0, static_cast<size_t>(nc) * sizeof(int32_t));
-            for (int64_t kk = 0; kk < k; ++kk) {
-              const size_t wn = static_cast<size_t>(w[i * k + kk]) & 0xF;
-              if (wn == 0) continue;
-              const int32_t* tw = t0 + wn * 256;
-              const uint8_t* xrow = xu + kk * n + jc;
-              for (int64_t j = 0; j < nc; ++j) crow[j] += tw[xrow[j]];
+            for (int64_t kb = 0; kb < k; kb += KF_I) {
+              const int64_t kf = std::min(KF_I, k - kb);
+              const int32_t* tw[KF_I];
+              const uint8_t* xr[KF_I];
+              for (int64_t f = 0; f < kf; ++f) {
+                tw[f] = t0 + (static_cast<size_t>(w[i * k + kb + f]) & 0xF) * 256;
+                xr[f] = xu + (kb + f) * n + jc;
+              }
+              if (kf == KF_I) {
+                for (int64_t j = 0; j < nc; ++j) {
+                  int32_t sum = crow[j];
+                  for (int64_t f = 0; f < KF_I; ++f) sum += tw[f][xr[f][j]];
+                  crow[j] = sum;
+                }
+              } else {
+                for (int64_t j = 0; j < nc; ++j) {
+                  int32_t sum = crow[j];
+                  for (int64_t f = 0; f < kf; ++f) sum += tw[f][xr[f][j]];
+                  crow[j] = sum;
+                }
+              }
             }
           }
         }
@@ -227,10 +247,12 @@ void gemm_approx(const GemmDesc& desc, const int8_t* w, const int8_t* x, int32_t
   const bool obs_time = obs_on && obs::collector()->config().timing;
   const int64_t t0 = obs_time ? obs::now_ns() : 0;
   if (backend == Backend::kBlocked) {
+    // A memo hit hands back its own handle: no shared_ptr copy per call.
     const PlanKey key = make_int_key(OpKind::kApprox, desc, m, k, n, backend, &tab);
-    const PlanHandle plan = memo != nullptr ? memo->find_or_acquire(key, &tab)
-                                            : PlanCache::global().acquire(key, &tab);
-    plan->run_int(w, x, c, &p);
+    if (memo != nullptr)
+      memo->find_or_acquire(key, &tab)->run_int(w, x, c, &p);
+    else
+      PlanCache::global().acquire(key, &tab)->run_int(w, x, c, &p);
   } else {
     naive_approx(w, x, c, m, k, n, tab, desc.accumulate, p);
   }
@@ -248,9 +270,10 @@ void gemm_exact(const GemmDesc& desc, const int8_t* w, const int8_t* x, int32_t*
   const int64_t t0 = obs_time ? obs::now_ns() : 0;
   if (backend == Backend::kBlocked) {
     const PlanKey key = make_int_key(OpKind::kExactInt, desc, m, k, n, backend, nullptr);
-    const PlanHandle plan = memo != nullptr ? memo->find_or_acquire(key)
-                                            : PlanCache::global().acquire(key);
-    plan->run_int(w, x, c, &p);
+    if (memo != nullptr)
+      memo->find_or_acquire(key)->run_int(w, x, c, &p);
+    else
+      PlanCache::global().acquire(key)->run_int(w, x, c, &p);
   } else {
     naive_exact(w, x, c, m, k, n, desc.accumulate, p);
   }

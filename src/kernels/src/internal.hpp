@@ -17,6 +17,11 @@ struct GemmDesc;
 
 namespace axnn::kernels::detail {
 
+// The original triple-loop float kernels: the kNaive golden reference, and
+// the kernel a float plan binds for problems too small to amortise packing.
+void naive_f32(const GemmDesc& desc, const float* a, const float* b, float* c, int64_t m,
+               int64_t k, int64_t n, ThreadPool& pool);
+
 // Cache-blocked float kernel (scalar arithmetic, packs into per-thread
 // scratch arenas). Called through GemmPlan::run.
 void blocked_f32(const GemmDesc& desc, const float* a, const float* b, float* c,

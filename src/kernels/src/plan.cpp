@@ -136,9 +136,39 @@ void free_lut(int32_t* p) {
   if (p != nullptr) ::operator delete(p, std::align_val_t{64});
 }
 
+/// Whether this binary carries the column-strip kernels for `isa`.
+bool has_vector_kernels([[maybe_unused]] Isa isa) {
+#if defined(AXNN_HAVE_AVX2_TU)
+  if (isa == Isa::kAvx2) return true;
+#endif
+#if defined(AXNN_HAVE_NEON_TU)
+  if (isa == Isa::kNeon) return true;
+#endif
+  return false;
+}
+
+MicroKernel choose_kernel(const PlanKey& key) {
+  if (key.op == OpKind::kF32) {
+    // Packing pays off only with rows to fill the 4x8 register tiles and
+    // enough work to amortise the B panel; below that the plain loops are
+    // faster (4x36x8192: 266 us naive vs 451 us blocked) and keep the bits
+    // every float caller has always seen at these shapes.
+    const bool small = key.m < 8 || key.n < 16 || key.m * key.k * key.n < (int64_t{1} << 16);
+    return small ? MicroKernel::kNaiveF32 : MicroKernel::kBlockedF32;
+  }
+  // The LUT strip kernel builds a 16-entry product file per activation byte
+  // and k-step and shares it across the output rows: it needs 4 rows to beat
+  // the scalar slices kernel (at 3 rows it is 1.1-1.3x slower, at 1 row 3x).
+  // The exact strip kernel has no such set-up and wins at every row count.
+  const int64_t min_rows = key.op == OpKind::kApprox ? 4 : 1;
+  return key.m >= min_rows && has_vector_kernels(key.isa) ? MicroKernel::kVectorInt
+                                                          : MicroKernel::kScalarInt;
+}
+
 }  // namespace
 
-GemmPlan::GemmPlan(const PlanKey& key, const approx::SignedMulTable* tab) : key_(key) {
+GemmPlan::GemmPlan(const PlanKey& key, const approx::SignedMulTable* tab)
+    : key_(key), kernel_(choose_kernel(key)) {
   if (key_.op == OpKind::kF32) {
     tile_ = Tile{4, 8, 64, 256, 256, 0};
     return;
@@ -147,20 +177,18 @@ GemmPlan::GemmPlan(const PlanKey& key, const approx::SignedMulTable* tab) : key_
   if (key_.op == OpKind::kApprox) {
     if (tab == nullptr)
       throw std::invalid_argument("kernels::GemmPlan: approx plan needs a table");
-    // Two bakes of the multiplier table, nibble-0 forced to zero in both so
-    // the zero-weight skip of the naive kernel is exactly an add of 0:
+    // Bake the multiplier table for the bound kernel, nibble 0 forced to
+    // zero so the zero-weight skip of the naive kernel is exactly an add of 0:
     //   slices_[wn*256 + a] — per-nibble slices, scalar kernel;
     //   lines_[a*16 + wn]   — per-activation lines (one 64B cache line
     //                         each), vector kernels.
     const int32_t* t = tab->data();
-    slices_ = alloc_lut(16 * 256);
-    lines_ = alloc_lut(256 * 16);
+    const bool vector = kernel_ == MicroKernel::kVectorInt;
+    int32_t*& lut = vector ? lines_ : slices_;
+    lut = alloc_lut(16 * 256);
     for (size_t a = 0; a < 256; ++a)
-      for (size_t wn = 0; wn < 16; ++wn) {
-        const int32_t v = wn == 0 ? 0 : t[(a << 4) | wn];
-        slices_[wn * 256 + a] = v;
-        lines_[a * 16 + wn] = v;
-      }
+      for (size_t wn = 0; wn < 16; ++wn)
+        lut[vector ? a * 16 + wn : wn * 256 + a] = wn == 0 ? 0 : t[(a << 4) | wn];
   }
 }
 
@@ -172,7 +200,10 @@ GemmPlan::~GemmPlan() {
 void GemmPlan::run(const float* a, const float* b, float* c, ThreadPool* pool) const {
   ThreadPool& p = pool != nullptr ? *pool : ThreadPool::global();
   const GemmDesc desc{key_.trans_a, key_.trans_b, key_.accumulate};
-  detail::blocked_f32(desc, a, b, c, key_.m, key_.k, key_.n, p);
+  if (kernel_ == MicroKernel::kNaiveF32)
+    detail::naive_f32(desc, a, b, c, key_.m, key_.k, key_.n, p);
+  else
+    detail::blocked_f32(desc, a, b, c, key_.m, key_.k, key_.n, p);
 }
 
 size_t GemmPlan::packed_weights_size() const {
@@ -211,9 +242,10 @@ void GemmPlan::run_int(const int8_t* w, const int8_t* x, int32_t* c,
   ThreadPool& p = pool != nullptr ? *pool : ThreadPool::global();
   const int64_t m = key_.m, k = key_.k, n = key_.n;
   const bool acc = key_.accumulate;
-  if (key_.isa == Isa::kScalar) {
-    // Scalar kernels consume the row-major weights directly — no packing.
-    if (key_.op == OpKind::kApprox)
+  const bool lut = key_.op == OpKind::kApprox;
+  if (kernel_ == MicroKernel::kScalarInt) {
+    // The scalar kernel consumes the row-major weights directly — no packing.
+    if (lut)
       detail::blocked_approx_scalar(w, x, c, m, k, n, slices_, acc, p);
     else
       detail::blocked_exact_scalar(w, x, c, m, k, n, acc, p);
@@ -229,42 +261,24 @@ void GemmPlan::run_int(const int8_t* w, const int8_t* x, int32_t* c,
   p.parallel_for(
       nstrips,
       [&](int64_t s0, int64_t s1) {
-        const int64_t j0 = s0 * detail::kStrip;
-        const int64_t j1 = std::min(n, s1 * detail::kStrip);
+        [[maybe_unused]] const int64_t j0 = s0 * detail::kStrip;
+        [[maybe_unused]] const int64_t j1 = std::min(n, s1 * detail::kStrip);
 #if defined(AXNN_HAVE_AVX2_TU)
         if (key_.isa == Isa::kAvx2) {
-          if (key_.op == OpKind::kApprox)
+          if (lut)
             detail::avx2_approx_cols(wq, x, c, m, k, n, lines_, acc, j0, j1);
           else
             detail::avx2_exact_cols(wq, x, c, m, k, n, acc, j0, j1);
-          return;
         }
 #endif
 #if defined(AXNN_HAVE_NEON_TU)
         if (key_.isa == Isa::kNeon) {
-          if (key_.op == OpKind::kApprox)
+          if (lut)
             detail::neon_approx_cols(wq, x, c, m, k, n, lines_, acc, j0, j1);
           else
             detail::neon_exact_cols(wq, x, c, m, k, n, acc, j0, j1);
-          return;
         }
 #endif
-        // Unreachable when keys are built via make_int_key (isa is clamped
-        // to what this binary carries); degrade to a scalar column walk on a
-        // hand-built key rather than crash.
-        const bool lut = key_.op == OpKind::kApprox;
-        for (int64_t j = j0; j < j1; ++j)
-          for (int64_t i = 0; i < m; ++i) {
-            int32_t sum = acc ? c[i * n + j] : 0;
-            for (int64_t kk = 0; kk < k; ++kk) {
-              const int8_t qw = w[i * k + kk];
-              if (qw == 0) continue;
-              const size_t ua = static_cast<size_t>(static_cast<uint8_t>(x[kk * n + j]));
-              sum += lut ? slices_[(static_cast<size_t>(qw) & 0xF) * 256 + ua]
-                         : static_cast<int32_t>(qw) * x[kk * n + j];
-            }
-            c[i * n + j] = sum;
-          }
       },
       detail::strip_grain(m, k));
 }

@@ -1,24 +1,20 @@
 // axnn — small quantization helpers shared by the GEMM layers.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
-
 #include "axnn/quant/quantizer.hpp"
 #include "axnn/tensor/tensor.hpp"
 
 namespace axnn::nn {
 
-/// Quantize a float tensor directly into int8 storage (values are clamped to
-/// the symmetric range of `p`, which always fits int8 for bits <= 8).
+/// Quantize a float tensor directly into int8 storage: quant::quantize's
+/// levels (saturating, NaN -> 0), narrowed to int8, which always holds the
+/// symmetric range of `p` for bits <= 8.
 inline TensorI8 quantize_i8(const Tensor& x, const quant::QuantParams& p) {
   TensorI8 q(x.shape());
   const float inv = 1.0f / p.step;
   const int32_t lo = p.qmin(), hi = p.qmax();
-  for (int64_t i = 0; i < x.numel(); ++i) {
-    const int32_t v = static_cast<int32_t>(std::lrintf(x[i] * inv));
-    q[i] = static_cast<int8_t>(std::clamp(v, lo, hi));
-  }
+  for (int64_t i = 0; i < x.numel(); ++i)
+    q[i] = static_cast<int8_t>(quant::quantize_level(x[i], inv, lo, hi));
   return q;
 }
 

@@ -88,8 +88,7 @@ Tensor Conv2d::run_gemm_float(const Tensor& w_mat, const Tensor& cols) const {
   Tensor out(Shape{o, p});
   for (int64_t g = 0; g < grp; ++g)
     kernels::gemm({}, w_mat.data() + g * og * kg, cols.data() + g * kg * p,
-                  out.data() + g * og * p, og, kg, p,
-                  kernels::auto_backend(og, kg, p), nullptr, &plan_memo_);
+                  out.data() + g * og * p, og, kg, p, &plan_memo_);
   return out;
 }
 
@@ -186,11 +185,9 @@ Tensor Conv2d::forward(const Tensor& x, const ExecContext& ctx) {
         if (ex.adder != nullptr)
           kernels::gemm_approx_accum({}, wg, xg, cg, og, kg, p, *mul, *ex.adder);
         else if (forced_exact)
-          kernels::gemm_exact({}, wg, xg, cg, og, kg, p,
-                              kernels::auto_backend(og, kg, p), nullptr, &plan_memo_);
+          kernels::gemm_exact({}, wg, xg, cg, og, kg, p, &plan_memo_);
         else
-          kernels::gemm_approx({}, wg, xg, cg, og, kg, p, *mul,
-                               kernels::auto_backend(og, kg, p), nullptr, &plan_memo_);
+          kernels::gemm_approx({}, wg, xg, cg, og, kg, p, *mul, &plan_memo_);
         if (ctx.monitor != nullptr && ex.adder == nullptr)
           ctx.monitor->on_leaf_gemm(*this, g, !forced_exact, wg, xg, cg, og, kg, p,
                                     forced_exact ? nullptr : mul);
@@ -218,8 +215,7 @@ Tensor Conv2d::forward(const Tensor& x, const ExecContext& ctx) {
           TensorI32 exact(Shape{o, p});
           for (int64_t g = 0; g < grp; ++g)
             kernels::gemm_exact({}, qw.data() + g * og * kg, qcols.data() + g * kg * p,
-                                exact.data() + g * og * p, og, kg, p,
-                                kernels::auto_backend(og, kg, p), nullptr, &plan_memo_);
+                                exact.data() + g * og * p, og, kg, p, &plan_memo_);
           detail::record_ge_residual(obs_path_, ex.fit, acc.data(), exact.data(), acc.numel());
         }
       }
@@ -265,15 +261,14 @@ Tensor Conv2d::backward(const Tensor& dy) {
   for (int64_t g = 0; g < grp; ++g)
     kernels::gemm({.trans_b = true}, dyw->data() + g * og * p,
                   cached_cols_.data() + g * kg * p, dw_mat.data() + g * og * kg, og, p, kg,
-                  kernels::auto_backend(og, p, kg), nullptr, &plan_memo_);
+                  &plan_memo_);
   ops::add_inplace(weight_.grad, dw_mat.reshaped(weight_.grad.shape()));
 
   Tensor dcols(Shape{grp * kg, p}, 0.0f);
   for (int64_t g = 0; g < grp; ++g)
     kernels::gemm({.trans_a = true, .accumulate = true},
                   cached_w_mat_.data() + g * og * kg, dy_mat.data() + g * og * p,
-                  dcols.data() + g * kg * p, kg, og, p,
-                  kernels::auto_backend(kg, og, p), nullptr, &plan_memo_);
+                  dcols.data() + g * kg * p, kg, og, p, &plan_memo_);
   Tensor dx = col2im(dcols, geom_);
 
   // Clipped STE on activations: gradients are blocked where the input

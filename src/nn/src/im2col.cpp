@@ -1,7 +1,10 @@
 #include "axnn/nn/im2col.hpp"
 
+#include <cstring>
 #include <stdexcept>
+#include <vector>
 
+#include "axnn/tensor/buffer_pool.hpp"
 #include "axnn/tensor/threadpool.hpp"
 
 namespace axnn::nn {
@@ -26,34 +29,42 @@ namespace {
 
 template <typename T>
 BasicTensor<T> im2col_impl(const BasicTensor<T>& x, const ConvGeom& g) {
-  const int64_t rows = g.patch_rows();
   const int64_t cols_n = g.out_cols();
-  BasicTensor<T> cols(Shape{rows, cols_n});
-  const T* xd = x.data();
-  T* cd = cols.data();
+  BasicTensor<T> cols(Shape{g.patch_rows(), cols_n});
+  const int64_t pad = g.padding;
+  const int64_t pw = g.w + 2 * pad;
+  const size_t plane = static_cast<size_t>((g.h + 2 * pad) * pw);
+  const size_t in_row = static_cast<size_t>(g.w) * sizeof(T);
+  const size_t out_row = static_cast<size_t>(g.ow) * sizeof(T);
 
-  parallel_for(rows, [&](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      const int64_t kw = r % g.kernel;
-      const int64_t kh = (r / g.kernel) % g.kernel;
-      const int64_t c = r / (g.kernel * g.kernel);
-      T* crow = cd + r * cols_n;
-      for (int64_t n = 0; n < g.n; ++n) {
-        const T* xplane = xd + (n * g.c + c) * g.h * g.w;
-        for (int64_t i = 0; i < g.oh; ++i) {
-          const int64_t ih = i * g.stride - g.padding + kh;
-          T* cpos = crow + (n * g.oh + i) * g.ow;
-          if (ih < 0 || ih >= g.h) {
-            for (int64_t j = 0; j < g.ow; ++j) cpos[j] = T{};
-            continue;
-          }
-          const T* xrow = xplane + ih * g.w;
-          for (int64_t j = 0; j < g.ow; ++j) {
-            const int64_t iw = j * g.stride - g.padding + kw;
-            cpos[j] = (iw >= 0 && iw < g.w) ? xrow[iw] : T{};
+  // One task per input plane (n, c): copy the plane into a zero-padded
+  // buffer once, then every patch row of channel c reads image n's output
+  // rows out of it with one fixed-width copy each — out-of-image taps land
+  // on the zero border, so no element is bounds-tested. The buffer is
+  // pooled storage, so steady-state forwards stay allocation-free.
+  parallel_for(g.n * g.c, [&](int64_t p0, int64_t p1) {
+    std::vector<T, PoolAllocator<T>> padded(pad > 0 ? plane : 0, T{});
+    for (int64_t pc = p0; pc < p1; ++pc) {
+      const int64_t n = pc / g.c, c = pc % g.c;
+      const T* src = x.data() + pc * g.h * g.w;
+      if (pad > 0) {
+        for (int64_t ih = 0; ih < g.h; ++ih)
+          std::memcpy(padded.data() + (ih + pad) * pw + pad, src + ih * g.w, in_row);
+        src = padded.data();
+      }
+      for (int64_t kh = 0; kh < g.kernel; ++kh)
+        for (int64_t kw = 0; kw < g.kernel; ++kw) {
+          const int64_t r = (c * g.kernel + kh) * g.kernel + kw;
+          T* dst = cols.data() + r * cols_n + n * g.oh * g.ow;
+          for (int64_t i = 0; i < g.oh; ++i, dst += g.ow) {
+            const T* row = src + (i * g.stride + kh) * pw + kw;
+            if (g.stride == 1) {
+              std::memcpy(dst, row, out_row);
+            } else {
+              for (int64_t j = 0; j < g.ow; ++j) dst[j] = row[j * g.stride];
+            }
           }
         }
-      }
     }
   });
   return cols;

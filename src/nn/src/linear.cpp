@@ -52,8 +52,7 @@ Tensor linear_forward_float(const Tensor& x, const Tensor& w, const Tensor* bias
                             kernels::PlanMemo* memo) {
   const int64_t n = x.shape()[0], f = x.shape()[1], o = w.shape()[0];
   Tensor y(Shape{n, o});
-  kernels::gemm({.trans_b = true}, x.data(), w.data(), y.data(), n, f, o,
-                kernels::auto_backend(n, f, o), nullptr, memo);
+  kernels::gemm({.trans_b = true}, x.data(), w.data(), y.data(), n, f, o, memo);
   if (bias != nullptr)
     for (int64_t i = 0; i < n; ++i)
       for (int64_t j = 0; j < o; ++j) y(i, j) += (*bias)[j];
@@ -130,10 +129,10 @@ Tensor Linear::forward(const Tensor& x, const ExecContext& ctx) {
                                    *mul, *ex.adder);
       else if (forced_exact)
         kernels::gemm_exact({}, qw.data(), qxt.data(), acc.data(), out_, in_, n,
-                            kernels::auto_backend(out_, in_, n), nullptr, &plan_memo_);
+                            &plan_memo_);
       else
         kernels::gemm_approx({}, qw.data(), qxt.data(), acc.data(), out_, in_, n, *mul,
-                             kernels::auto_backend(out_, in_, n), nullptr, &plan_memo_);
+                             &plan_memo_);
       if (ctx.monitor != nullptr && ex.adder == nullptr)
         ctx.monitor->on_leaf_gemm(*this, 0, !forced_exact, qw.data(), qxt.data(), acc.data(),
                                   out_, in_, n, forced_exact ? nullptr : mul);
@@ -159,7 +158,7 @@ Tensor Linear::forward(const Tensor& x, const ExecContext& ctx) {
         if (c != nullptr && c->config().ge_residual) {
           TensorI32 exact(Shape{out_, n});
           kernels::gemm_exact({}, qw.data(), qxt.data(), exact.data(), out_, in_, n,
-                              kernels::auto_backend(out_, in_, n), nullptr, &plan_memo_);
+                              &plan_memo_);
           detail::record_ge_residual(obs_path_, ex.fit, acc.data(), exact.data(), acc.numel());
         }
       }
@@ -194,13 +193,11 @@ Tensor Linear::backward(const Tensor& dy) {
 
   // dW[O,F] += dyᵀ · x
   kernels::gemm({.trans_a = true, .accumulate = true}, dyw->data(), cached_x_.data(),
-                weight_.grad.data(), out_, n, in_,
-                kernels::auto_backend(out_, n, in_), nullptr, &plan_memo_);
+                weight_.grad.data(), out_, n, in_, &plan_memo_);
 
   // dx[N,F] = dy · W
   Tensor dx(Shape{n, in_});
-  kernels::gemm({}, dy.data(), cached_w_.data(), dx.data(), n, out_, in_,
-                kernels::auto_backend(n, out_, in_), nullptr, &plan_memo_);
+  kernels::gemm({}, dy.data(), cached_w_.data(), dx.data(), n, out_, in_, &plan_memo_);
   if (!cached_act_mask_.empty())
     for (int64_t i = 0; i < dx.numel(); ++i) dx[i] *= cached_act_mask_[i];
   return dx;

@@ -7,6 +7,8 @@
 //  * 8-bit activations, 4-bit weights ("8A4W").
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 #include "axnn/tensor/tensor.hpp"
@@ -38,7 +40,20 @@ float round_to_pow2(float step);
 /// (i.e. the next power of two >= max_abs / qmax).
 QuantParams params_for_max_abs(float max_abs, int bits);
 
-/// Integer quantization: q = clamp(round(x / step), qmin, qmax).
+/// One integer level: round(x · inv) clamped to [lo, hi] (inv = 1/step).
+/// The clamp happens in float, before the integer conversion, so values
+/// past the int32 range and ±inf saturate to lo/hi exactly as
+/// fake_quantize does; NaN maps to 0. Shared by quantize() and the int8
+/// quantizer of the approximate GEMM path so the two cannot drift apart.
+inline int32_t quantize_level(float x, float inv, int32_t lo, int32_t hi) {
+  const float v = x * inv;
+  return v == v ? static_cast<int32_t>(std::nearbyintf(
+                      std::clamp(v, static_cast<float>(lo), static_cast<float>(hi))))
+                : 0;
+}
+
+/// Integer quantization: q = clamp(round(x / step), qmin, qmax), per
+/// quantize_level.
 TensorI32 quantize(const Tensor& x, const QuantParams& p);
 
 /// Dequantization: x~ = q * step.

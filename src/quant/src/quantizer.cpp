@@ -53,10 +53,7 @@ TensorI32 quantize(const Tensor& x, const QuantParams& p) {
   TensorI32 q(x.shape());
   const float inv = 1.0f / p.step;
   const int32_t lo = p.qmin(), hi = p.qmax();
-  for (int64_t i = 0; i < x.numel(); ++i) {
-    const int32_t v = static_cast<int32_t>(std::lrintf(x[i] * inv));
-    q[i] = std::clamp(v, lo, hi);
-  }
+  for (int64_t i = 0; i < x.numel(); ++i) q[i] = quantize_level(x[i], inv, lo, hi);
   if (obs::enabled()) record_clip_rate("quantize.clip_rate", x, p);
   return q;
 }

@@ -314,11 +314,12 @@ bool Sentinel::on_leaf_gemm(const nn::Layer& leaf, int64_t group, bool approx, c
   std::vector<int64_t, PoolAllocator<int64_t>> actual(static_cast<size_t>(n));
   std::vector<int64_t, PoolAllocator<int64_t>> predicted(static_cast<size_t>(n));
   std::vector<int64_t, PoolAllocator<int64_t>> wsum(static_cast<size_t>(k));
-  // Probe through the prepared plan when the leaf just executed one — the
-  // weight column sums then walk the plan's column-major nibble panel at
-  // unit stride instead of striding the row-major operand. The key below
-  // matches the one the leaf's GEMM built, so the acquire is a cache hit.
-  const kernels::Backend abft_be = kernels::auto_backend(m, k, n);
+  // Probe through the prepared plan the leaf just executed (every int GEMM
+  // on the blocked backend runs one) — the weight column sums then walk the
+  // plan's column-major nibble panel at unit stride instead of striding the
+  // row-major operand. The key below matches the one the leaf's GEMM built,
+  // so the acquire is a cache hit.
+  const kernels::Backend abft_be = kernels::default_backend();
   if (abft_be == kernels::Backend::kBlocked && (!approx || tab != nullptr)) {
     const kernels::PlanKey key = kernels::make_int_key(
         approx ? kernels::OpKind::kApprox : kernels::OpKind::kExactInt, {}, m, k, n,

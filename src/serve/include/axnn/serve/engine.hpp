@@ -157,9 +157,11 @@ struct ModelSpec {
   /// Pre-warm the kernel plan cache at load: forward one zero batch of every
   /// size in [1, max_batch] through each (lane, operating point) before the
   /// dispatcher starts, so every GEMM shape served traffic can produce has
-  /// its prepared plan resolved into the per-leaf memos. Steady-state
-  /// forwards then never take the plan-cache mutex, never build a plan, and
-  /// never allocate. Off = plans build lazily on first use.
+  /// its prepared plan resolved into the per-leaf memos. The global
+  /// PlanCache's capacity is raised, if needed, to hold every plan the
+  /// warm-up touched. Steady-state forwards then never take the plan-cache
+  /// mutex, never build a plan, and never allocate. Off = plans build lazily
+  /// on first use.
   bool prewarm = true;
 };
 

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "axnn/energy/energy.hpp"
+#include "axnn/kernels/plan.hpp"
 #include "axnn/nn/serialize.hpp"
 #include "axnn/obs/telemetry.hpp"
 #include "axnn/train/evaluate.hpp"
@@ -577,15 +578,31 @@ void Engine::prewarm_points(const std::vector<std::vector<Session::Lane>>& point
   // shape and multiplier, never by operand values. The warm-up context
   // drops the sentinel monitor so calibrated check counters stay clean.
   const data::Dataset& test = wb_->data().test;
-  for (const auto& point : points) {
-    for (size_t lane = 0; lane < lanes_.size(); ++lane) {
-      nn::ExecContext warm_ctx = point[lane].ctx;
-      warm_ctx.monitor = nullptr;
-      for (int b = 1; b <= spec_.batching.max_batch; ++b) {
-        const Tensor warm(Shape{b, test.channels(), test.height(), test.width()}, 0.0f);
-        (void)lanes_[lane]->forward(warm, warm_ctx);
+  const auto warm_all = [&] {
+    for (const auto& point : points) {
+      for (size_t lane = 0; lane < lanes_.size(); ++lane) {
+        nn::ExecContext warm_ctx = point[lane].ctx;
+        warm_ctx.monitor = nullptr;
+        for (int b = 1; b <= spec_.batching.max_batch; ++b) {
+          const Tensor warm(Shape{b, test.channels(), test.height(), test.width()}, 0.0f);
+          (void)lanes_[lane]->forward(warm, warm_ctx);
+        }
       }
     }
+  };
+  // The global plan cache must hold the whole warm set, or served traffic
+  // would miss and build plans again. When the warm-up evicted, every plan
+  // it touched is either still cached or was evicted after its last use, so
+  // size + evictions bounds the set: grow the capacity to that (never
+  // shrink it) and warm again.
+  kernels::PlanCache& cache = kernels::PlanCache::global();
+  const int64_t evicted_before = cache.stats().evictions;
+  warm_all();
+  const kernels::PlanCacheStats after = cache.stats();
+  if (after.evictions > evicted_before) {
+    cache.set_capacity(static_cast<size_t>(
+        std::max(after.capacity, after.size + after.evictions - evicted_before)));
+    warm_all();
   }
 }
 

@@ -9,7 +9,6 @@
 // per-chunk heap allocation or std::function indirection.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -105,13 +104,16 @@ private:
   using ChunkFn = void (*)(const void*, int64_t, int64_t);
 
   /// One parallel_for invocation; lives on the caller's stack for its
-  /// duration, so queued tasks only carry {job, begin, end}.
+  /// duration, so queued tasks only carry {job, begin, end}. A finishing
+  /// chunk decrements `remaining` and notifies while holding `mu`, and never
+  /// touches the Job after unlocking: the submitter may return (destroying
+  /// the Job) as soon as it observes remaining == 0 under the same mutex.
   struct Job {
     ChunkFn invoke;
     const void* ctx;
-    std::atomic<int64_t> remaining;
     std::mutex mu;
     std::condition_variable cv;
+    int64_t remaining;         ///< chunks not yet finished (guarded by mu)
     std::exception_ptr error;  ///< first chunk exception (guarded by mu)
   };
   struct Task {
@@ -125,6 +127,7 @@ private:
   }
 
   void run_chunks(int64_t n, int64_t chunk, int64_t chunks, ChunkFn invoke, const void* ctx);
+  static void finish_chunk(Job& job, const std::exception_ptr& error);
   void worker_loop();
 
   // Pending tasks live in a grow-once ring buffer (guarded by mu_). A single

@@ -1,6 +1,7 @@
 #include "axnn/tensor/threadpool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 #include <string>
 
@@ -82,19 +83,23 @@ void ThreadPool::worker_loop() {
       if (stop_ && queue_empty()) return;
       task = pop_locked();
     }
+    std::exception_ptr error;
     try {
       task.job->invoke(task.job->ctx, task.begin, task.end);
     } catch (...) {
-      // Keep the first exception; the submitting thread rethrows it after
-      // the whole invocation drains (the Job lives on its stack).
-      std::lock_guard<std::mutex> elk(task.job->mu);
-      if (!task.job->error) task.job->error = std::current_exception();
+      error = std::current_exception();
     }
-    if (task.job->remaining.fetch_sub(1) == 1) {
-      std::lock_guard<std::mutex> dlk(task.job->mu);
-      task.job->cv.notify_one();
-    }
+    finish_chunk(*task.job, error);
   }
+}
+
+void ThreadPool::finish_chunk(Job& job, const std::exception_ptr& error) {
+  // Keep the first exception; the submitting thread rethrows it after the
+  // whole invocation drains. The Job lives on the submitter's stack, so it
+  // may be gone the moment this lock is released.
+  std::lock_guard<std::mutex> lk(job.mu);
+  if (error && !job.error) job.error = error;
+  if (--job.remaining == 0) job.cv.notify_one();
 }
 
 ThreadPool& ThreadPool::global() {
@@ -118,7 +123,7 @@ void ThreadPool::set_global_threads(int threads) {
 
 void ThreadPool::run_chunks(int64_t n, int64_t chunk, int64_t chunks, ChunkFn invoke,
                             const void* ctx) {
-  Job job{invoke, ctx, {chunks}, {}, {}, nullptr};
+  Job job{invoke, ctx, {}, {}, chunks, nullptr};
   {
     std::lock_guard<std::mutex> lk(mu_);
     for (int64_t c = 1; c < chunks; ++c) {
@@ -131,16 +136,15 @@ void ThreadPool::run_chunks(int64_t n, int64_t chunk, int64_t chunks, ChunkFn in
 
   // The calling thread takes the first chunk. Its exception is captured too
   // so the wait below always happens — queued tasks point at this frame.
+  std::exception_ptr error;
   try {
     invoke(ctx, 0, std::min<int64_t>(n, chunk));
   } catch (...) {
-    std::lock_guard<std::mutex> elk(job.mu);
-    if (!job.error) job.error = std::current_exception();
+    error = std::current_exception();
   }
-  if (job.remaining.fetch_sub(1) != 1) {
-    std::unique_lock<std::mutex> lk(job.mu);
-    job.cv.wait(lk, [&] { return job.remaining.load() == 0; });
-  }
+  finish_chunk(job, error);
+  std::unique_lock<std::mutex> lk(job.mu);
+  job.cv.wait(lk, [&] { return job.remaining == 0; });
   // All chunks are done; rethrow the first failure on the submitting thread.
   if (job.error) std::rethrow_exception(job.error);
 }

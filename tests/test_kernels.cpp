@@ -15,6 +15,7 @@
 #include "axnn/axmul/adder.hpp"
 #include "axnn/axmul/registry.hpp"
 #include "axnn/kernels/isa.hpp"
+#include "axnn/kernels/plan.hpp"
 #include "axnn/tensor/gemm.hpp"
 #include "axnn/tensor/kernels.hpp"
 #include "axnn/tensor/rng.hpp"
@@ -27,7 +28,10 @@ using namespace axnn;
 using kernels::Backend;
 using kernels::GemmDesc;
 
-constexpr int64_t kDims[] = {1, 3, 17, 64, 129};
+// 1..4 straddle the approx plans' scalar/vector kernel switch at M=4 (and
+// the scalar kernel's 4-row groups); 8 and 16 sit on the vector kernels' 8-
+// and 16-column strip edges.
+constexpr int64_t kDims[] = {1, 2, 3, 4, 8, 16, 17, 64, 129};
 
 std::vector<float> random_floats(int64_t n, uint64_t seed) {
   Rng rng(seed);
@@ -307,12 +311,64 @@ TEST(BackendConfig, NamesAndDefaultRoundTrip) {
   kernels::set_default_backend(saved);
 }
 
-TEST(BackendConfig, AutoBackendCutsOverOnSmallProblems) {
+TEST(BackendConfig, PlansBindKernelByShape) {
   const Backend saved = kernels::default_backend();
   kernels::set_default_backend(Backend::kBlocked);
-  EXPECT_EQ(Backend::kNaive, kernels::auto_backend(1, 576, 1024));  // depthwise row
-  EXPECT_EQ(Backend::kNaive, kernels::auto_backend(64, 3, 4));      // tiny
-  EXPECT_EQ(Backend::kBlocked, kernels::auto_backend(64, 576, 1024));
+  // The backend does not depend on the shape; the plan does the choosing.
+  EXPECT_EQ(Backend::kBlocked, kernels::auto_backend(1, 576, 1024));
+  EXPECT_EQ(Backend::kBlocked, kernels::auto_backend(64, 3, 4));
+
+  // Int plans: approx binds the vector strip kernels from 4 output rows up
+  // and the scalar slices kernel below; exact binds the vector kernels at
+  // every M. The scalar ISA binds the scalar kernels everywhere.
+  const approx::SignedMulTable tab(axmul::make_lut("trunc5"));
+  const bool vector_isa = kernels::active_isa() != kernels::Isa::kScalar;
+  for (const kernels::OpKind op : {kernels::OpKind::kApprox, kernels::OpKind::kExactInt}) {
+    for (int64_t m : {1, 2, 3, 4, 64}) {
+      const auto* t = op == kernels::OpKind::kApprox ? &tab : nullptr;
+      const kernels::PlanHandle plan = kernels::PlanCache::global().acquire(
+          kernels::make_int_key(op, {}, m, 36, 256, Backend::kBlocked, t), t);
+      const int64_t min_rows = op == kernels::OpKind::kApprox ? 4 : 1;
+      EXPECT_EQ(vector_isa && m >= min_rows ? kernels::MicroKernel::kVectorInt
+                                            : kernels::MicroKernel::kScalarInt,
+                plan->kernel())
+          << kernels::op_kind_name(op) << " m=" << m;
+    }
+  }
+
+  // Float plans bind the plain loops exactly where float GEMMs always ran
+  // them (m < 8, n < 16 or m*k*n < 2^16), so those results keep their bits.
+  const struct {
+    int64_t m, k, n;
+    kernels::MicroKernel kernel;
+  } shapes[] = {{4, 36, 8192, kernels::MicroKernel::kNaiveF32},
+                {1, 576, 1024, kernels::MicroKernel::kNaiveF32},
+                {64, 3, 4, kernels::MicroKernel::kNaiveF32},
+                {64, 64, 15, kernels::MicroKernel::kNaiveF32},
+                {8, 16, 511, kernels::MicroKernel::kNaiveF32},
+                {8, 16, 512, kernels::MicroKernel::kBlockedF32},
+                {64, 576, 1024, kernels::MicroKernel::kBlockedF32}};
+  for (const auto& s : shapes) {
+    for (const bool trans_a : {false, true}) {
+      for (const bool trans_b : {false, true}) {
+        const GemmDesc desc{.trans_a = trans_a, .trans_b = trans_b, .accumulate = trans_a};
+        const kernels::PlanHandle plan = kernels::PlanCache::global().acquire(
+            kernels::make_f32_key(desc, s.m, s.k, s.n, Backend::kBlocked));
+        EXPECT_EQ(s.kernel, plan->kernel()) << "m=" << s.m << " k=" << s.k << " n=" << s.n;
+        if (s.kernel != kernels::MicroKernel::kNaiveF32) continue;
+        const auto a = random_floats(s.m * s.k, 61 * s.m + s.k);
+        const auto b = random_floats(s.k * s.n, 63 * s.k + s.n);
+        const auto c0 = random_floats(s.m * s.n, 65 * s.m + s.n);
+        std::vector<float> c_naive = c0, c_plan = c0;
+        kernels::gemm(desc, a.data(), b.data(), c_naive.data(), s.m, s.k, s.n,
+                      Backend::kNaive);
+        kernels::gemm(desc, a.data(), b.data(), c_plan.data(), s.m, s.k, s.n);
+        ASSERT_EQ(0, std::memcmp(c_naive.data(), c_plan.data(), c_plan.size() * sizeof(float)))
+            << "m=" << s.m << " k=" << s.k << " n=" << s.n << " ta=" << trans_a
+            << " tb=" << trans_b;
+      }
+    }
+  }
   kernels::set_default_backend(saved);
 }
 

@@ -14,6 +14,7 @@
 #include "axnn/nn/linear.hpp"
 #include "axnn/nn/loss.hpp"
 #include "axnn/nn/pooling.hpp"
+#include "axnn/nn/qutils.hpp"
 #include "axnn/nn/sequential.hpp"
 #include "axnn/nn/serialize.hpp"
 #include "axnn/nn/sgd.hpp"
@@ -48,6 +49,40 @@ TEST(Im2col, ValuesAndPadding) {
   EXPECT_FLOAT_EQ(cols(0, 0), 0.0f);
   // Output (2,2) with (kh=0,kw=0) reads x(1,1) = 5.
   EXPECT_FLOAT_EQ(cols(0, 8), 5.0f);
+}
+
+TEST(Im2col, Int8MatchesQuantizedFloatAndDirectTaps) {
+  // The float and int8 lowerings share one implementation; the oracle ties
+  // them together and checks every element against the direct tap formula
+  // (out-of-image taps are zero) across the geometries the layers use.
+  const quant::QuantParams qp{1.0f / 32.0f, 8};
+  Rng rng(7);
+  for (int64_t kernel : {1, 3})
+    for (int64_t stride : {1, 2})
+      for (int64_t pad : {0, 1})
+        for (int64_t hw = 1; hw <= 17; ++hw)
+          for (int64_t batch : {1, 3}) {
+            if (hw + 2 * pad < kernel) continue;  // no output position
+            const Tensor x = randn(Shape{batch, 2, hw, hw}, rng);
+            const ConvGeom g = ConvGeom::of(x.shape(), kernel, stride, pad);
+            const Tensor cols = im2col(x, g);
+            const TensorI8 qcols = im2col_i8(quantize_i8(x, qp), g);
+            const TensorI8 ref = quantize_i8(cols, qp);
+            SCOPED_TRACE(::testing::Message() << "k=" << kernel << " s=" << stride
+                                              << " p=" << pad << " hw=" << hw
+                                              << " n=" << batch);
+            ASSERT_EQ(qcols.shape(), ref.shape());
+            for (int64_t i = 0; i < ref.numel(); ++i) ASSERT_EQ(ref[i], qcols[i]) << i;
+            for (int64_t r = 0; r < g.patch_rows(); ++r)
+              for (int64_t col = 0; col < g.out_cols(); ++col) {
+                const int64_t kw = r % kernel, kh = r / kernel % kernel, c = r / kernel / kernel;
+                const int64_t n = col / (g.oh * g.ow), oi = col / g.ow % g.oh, oj = col % g.ow;
+                const int64_t ih = oi * stride - pad + kh, iw = oj * stride - pad + kw;
+                const bool inside = ih >= 0 && ih < hw && iw >= 0 && iw < hw;
+                ASSERT_EQ(inside ? x[((n * 2 + c) * hw + ih) * hw + iw] : 0.0f, cols(r, col))
+                    << "r=" << r << " col=" << col;
+              }
+          }
 }
 
 TEST(Im2col, Col2imIsAdjoint) {

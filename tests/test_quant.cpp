@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
+#include "axnn/nn/qutils.hpp"
 #include "axnn/quant/calibration.hpp"
 #include "axnn/quant/quantizer.hpp"
 #include "axnn/tensor/ops.hpp"
@@ -64,6 +66,32 @@ TEST(Quantize, ClampsToRange) {
   EXPECT_EQ(q[0], 7);
   EXPECT_EQ(q[1], -7);
   EXPECT_EQ(q[2], 0);
+}
+
+TEST(Quantize, SaturatesHugeAndInfiniteValues) {
+  // Activation bit flips produce values far past the int32 range; they must
+  // saturate like fake_quantize does, not wrap (1e8 -> -127) or collapse to
+  // 0 (1e30, inf) through an out-of-range integer conversion.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float vals[] = {1e8f, -1e8f, 1e30f, -1e30f, inf, -inf, 3.0f, -0.02f};
+  Tensor x(Shape{8});
+  for (int64_t i = 0; i < 8; ++i) x[i] = vals[i];
+  const QuantParams p{1.0f / 32.0f, 8};
+  const Tensor fq = fake_quantize(x, p);
+  const TensorI8 q8 = nn::quantize_i8(x, p);
+  const TensorI32 q32 = quantize(x, p);
+  for (int64_t i = 0; i < 8; ++i) {
+    const auto level = static_cast<int32_t>(fq[i] / p.step);
+    EXPECT_EQ(level, q8[i]) << "x=" << x[i];
+    EXPECT_EQ(level, q32[i]) << "x=" << x[i];
+  }
+  EXPECT_EQ(127, q8[0]);
+  EXPECT_EQ(-127, q8[5]);
+
+  // NaN has no level; it maps to 0 so it contributes nothing to a GEMM.
+  Tensor nan(Shape{1}, std::numeric_limits<float>::quiet_NaN());
+  EXPECT_EQ(0, nn::quantize_i8(nan, p)[0]);
+  EXPECT_EQ(0, quantize(nan, p)[0]);
 }
 
 TEST(FakeQuantize, MatchesQuantizeDequantize) {

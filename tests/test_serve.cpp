@@ -224,6 +224,46 @@ TEST_F(ServeFixture, BatchedForwardIsAllocationFreeAfterWarmup) {
   EXPECT_EQ(t_alloc_count, 0) << "batched forward allocated on the steady state";
 }
 
+TEST(EnginePlanCache, LoadGrowsCapacityToHoldThePrewarmSet) {
+  // Three points with distinct multipliers need more plans than the tiny
+  // capacity below, and more per leaf than a PlanMemo keeps, so served
+  // batches go to the global cache. Load must grow it to hold everything
+  // its prewarm touched; traffic at every point then never builds a plan.
+  kernels::PlanCache& cache = kernels::PlanCache::global();
+  const int64_t saved_capacity = cache.stats().capacity;
+  cache.clear();
+  cache.set_capacity(8);
+  ModelSpec spec = micro_spec();
+  spec.qos_points =
+      "point t5 = default=trunc5\npoint t4 = default=trunc4\npoint t3 = default=trunc3\n";
+  spec.qos_holdout = 16;
+  spec.qos_latency_probes = 1;
+  spec.governor.react_to_backpressure = false;  // only the manual flips below
+  spec.batching.max_delay_us = 2000;
+  const std::unique_ptr<Engine> engine = Engine::load(spec);
+  const kernels::PlanCacheStats loaded = cache.stats();
+  EXPECT_GT(loaded.capacity, 8);
+  EXPECT_LE(loaded.size, loaded.capacity);
+
+  cache.reset_stats();
+  Session& s = engine->session();
+  const data::Dataset& test = engine->data().test;
+  for (int point = 0; point < 3; ++point) {
+    engine->drain();
+    s.set_active_point(point);
+    for (int b = 1; b <= kMaxBatch; ++b) {
+      std::vector<Ticket> tickets;
+      for (int i = 0; i < b; ++i) tickets.push_back(s.submit(test.slice(i, 1).first));
+      for (const Ticket& t : tickets) EXPECT_EQ(Outcome::kServed, s.await(t).outcome);
+    }
+  }
+  engine->drain();
+  const kernels::PlanCacheStats served = cache.stats();
+  EXPECT_GT(served.hits, 0);
+  EXPECT_EQ(served.misses, 0) << "served traffic built plans after load";
+  cache.set_capacity(static_cast<size_t>(saved_capacity));
+}
+
 TEST_F(ServeFixture, DoubleAwaitThrows) {
   Session& s = engine_->session();
   const Ticket t = s.submit(engine_->data().test.slice(0, 1).first);

@@ -336,6 +336,29 @@ TEST(ThreadPool, ManyInvocationsStable) {
   }
 }
 
+TEST(ThreadPool, TinyJobsFromTwoSubmittersStress) {
+  // Each parallel_for keeps its Job on the submitter's stack, and the next
+  // call reuses that stack slot at once. A worker finishing the last chunk
+  // must be done with the Job before the submitter can see it complete —
+  // many tiny jobs from two submitters make the window as wide as it gets
+  // (the ThreadSanitizer CI job runs this).
+  ThreadPool pool(4);
+  constexpr int kJobs = 20000;
+  const auto submitter = [&pool](int64_t* covered) {
+    for (int j = 0; j < kJobs; ++j) {
+      std::atomic<int64_t> items{0};
+      pool.parallel_for(4, [&](int64_t b, int64_t e) { items += e - b; });
+      *covered += items.load();
+    }
+  };
+  int64_t covered_a = 0, covered_b = 0;
+  std::thread a(submitter, &covered_a), b(submitter, &covered_b);
+  a.join();
+  b.join();
+  EXPECT_EQ(covered_a, int64_t{4} * kJobs);
+  EXPECT_EQ(covered_b, int64_t{4} * kJobs);
+}
+
 TEST(ThreadPool, WorkerExceptionRethrownOnSubmittingThread) {
   ThreadPool pool(4);
   // Every chunk throws; exactly one exception (the first) must surface, as a
