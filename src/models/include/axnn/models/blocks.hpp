@@ -25,7 +25,7 @@ public:
 private:
   nn::Sequential main_;
   std::unique_ptr<nn::Sequential> shortcut_;  ///< null = identity
-  Tensor relu_mask_;
+  std::optional<Tensor> relu_mask_;  ///< kept only by a training forward
 };
 
 /// MobileNetV2 inverted residual: optional skip over

@@ -35,33 +35,33 @@ BasicBlock::BasicBlock(int64_t in_channels, int64_t out_channels, int64_t stride
 
 Tensor BasicBlock::forward(const Tensor& x, const ExecContext& ctx) {
   // Telemetry path segments match children() order (plan paths; the names
-  // are unique siblings, so no "#k" suffix is ever needed here).
-  Tensor a;
+  // are unique siblings, so no "#k" suffix is ever needed here). The
+  // shortcut sum and the ReLU run in place on the main path's output.
+  Tensor y;
   {
     obs::ScopedPath scope("basic_block_main");
-    a = main_.forward(x, ctx);
+    y = main_.forward(x, ctx);
   }
-  Tensor b;
   if (shortcut_) {
     obs::ScopedPath scope("basic_block_shortcut");
-    b = shortcut_->forward(x, ctx);
+    ops::add_inplace(y, shortcut_->forward(x, ctx));
   } else {
-    b = x;
+    ops::add_inplace(y, x);
   }
-  Tensor y = ops::add(a, b);
-  relu_mask_ = Tensor(y.shape());
-  for (int64_t i = 0; i < y.numel(); ++i) {
-    const bool pos = y[i] > 0.0f;
-    relu_mask_[i] = pos ? 1.0f : 0.0f;
-    if (!pos) y[i] = 0.0f;
+  relu_mask_.reset();
+  if (ctx.training) {
+    Tensor& m = relu_mask_.emplace(y.shape());
+    for (int64_t i = 0; i < y.numel(); ++i) m[i] = y[i] > 0.0f ? 1.0f : 0.0f;
   }
+  for (int64_t i = 0; i < y.numel(); ++i) y[i] = y[i] > 0.0f ? y[i] : 0.0f;
   return y;
 }
 
 Tensor BasicBlock::backward(const Tensor& dy) {
-  if (dy.shape() != relu_mask_.shape())
+  if (!relu_mask_) nn::throw_no_backward_state(*this);
+  if (dy.shape() != relu_mask_->shape())
     throw std::invalid_argument("BasicBlock::backward: dy shape mismatch");
-  Tensor dz = ops::mul(dy, relu_mask_);
+  Tensor dz = ops::mul(dy, *relu_mask_);
   Tensor da = main_.backward(dz);
   Tensor db = shortcut_ ? shortcut_->backward(dz) : dz;
   return ops::add(da, db);

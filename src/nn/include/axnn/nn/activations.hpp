@@ -1,6 +1,8 @@
 // axnn — activation layers (ReLU, ReLU6).
 #pragma once
 
+#include <optional>
+
 #include "axnn/nn/layer.hpp"
 
 namespace axnn::nn {
@@ -13,7 +15,7 @@ public:
   Tensor backward(const Tensor& dy) override;
 
 private:
-  Tensor mask_;
+  std::optional<Tensor> mask_;  ///< gradient gate, kept only by a training forward
 };
 
 /// y = min(max(x, 0), 6) — MobileNetV2's bounded activation; the bound keeps
@@ -25,7 +27,7 @@ public:
   Tensor backward(const Tensor& dy) override;
 
 private:
-  Tensor mask_;
+  std::optional<Tensor> mask_;  ///< gradient gate, kept only by a training forward
 };
 
 }  // namespace axnn::nn

@@ -5,6 +5,8 @@
 // quantization — see fold_into() and models::fold_batchnorms().
 #pragma once
 
+#include <optional>
+
 #include "axnn/nn/conv2d.hpp"
 #include "axnn/nn/layer.hpp"
 
@@ -39,11 +41,13 @@ private:
   Param gamma_, beta_;
   Tensor running_mean_, running_var_;
 
-  // Backward caches.
-  bool cached_training_ = false;
-  Tensor cached_x_;
-  Tensor cached_xhat_;
-  Tensor cached_mean_, cached_invstd_;
+  /// What backward needs, kept only by a training forward (batch
+  /// statistics; an eval-mode forward is inference only).
+  struct BackwardState {
+    Tensor xhat{};    ///< normalized input, same shape as x
+    Tensor invstd{};  ///< [C] 1/sqrt(batch var + eps)
+  };
+  std::optional<BackwardState> bwd_;
 };
 
 }  // namespace axnn::nn

@@ -78,7 +78,6 @@ public:
 
 private:
   Tensor run_gemm_float(const Tensor& w_mat, const Tensor& cols) const;
-  Tensor output_from_mat(const Tensor& out_mat, const ConvGeom& g) const;
 
   Conv2dConfig cfg_;
   Param weight_;  ///< [O, C/groups, k, k]
@@ -94,21 +93,25 @@ private:
   std::optional<Tensor> calib_cols_;    ///< cached cols for MinPropQE
   std::optional<Tensor> calib_out_fp_;  ///< cached FP out_mat for MinPropQE
 
-  // Forward caches for backward.
+  /// What backward needs, kept only by a training forward.
+  struct BackwardState {
+    Tensor cols{};      ///< effective (possibly fake-quantized) cols [K, P]
+    Tensor w_mat{};     ///< effective weight matrix [O, K/groups-block]
+    Tensor act_mask{};  ///< STE clip mask in input layout (quant modes)
+    Tensor acc{};       ///< integer accumulators [O, P] (GE only)
+    const ge::ErrorFit* fit = nullptr;
+  };
+  std::optional<BackwardState> bwd_;
+
+  // Per-forward state.
   ConvGeom geom_{};
-  Tensor cached_cols_;     ///< effective (possibly fake-quantized) cols [K, P]
-  Tensor cached_w_mat_;    ///< effective weight matrix [O, K/groups-block]
-  Tensor cached_act_mask_; ///< STE clip mask in input layout (quant modes)
-  Tensor cached_acc_;      ///< integer accumulators [O, P] (GE only)
-  const ge::ErrorFit* cached_fit_ = nullptr;
-  ExecMode cached_mode_ = ExecMode::kFloat;
   int64_t last_macs_ = 0;
   std::string obs_path_;  ///< telemetry path captured at forward (backward reuses it)
 
   /// Per-leaf plan memo: the forward/backward GEMMs of this layer resolve
   /// their prepared plans here without touching the global cache's mutex.
-  /// mutable because run_gemm_float is const; layers are single-threaded at
-  /// a time (the serving lanes each own a model replica).
+  /// mutable because run_gemm_float is const; a layer runs one forward at a
+  /// time (the serving lanes each own a model replica).
   mutable kernels::PlanMemo plan_memo_;
 };
 

@@ -1,11 +1,12 @@
 // axnn — layer interface and parameter container.
 //
-// Autograd model: an explicit layer graph. Each layer caches what its own
-// backward needs during forward; Network/Sequential calls backward in
-// reverse order. Composite blocks (residual, inverted-residual) are layers
-// themselves and wire their internal data flow explicitly. This mirrors the
-// structure of approximate-DNN simulators (ProxSim): one conv/FC GEMM choke
-// point per layer where quantization and approximation attach.
+// Autograd model: an explicit layer graph. Each layer keeps what its own
+// backward needs during a training forward (ExecContext::training);
+// Network/Sequential calls backward in reverse order. Composite blocks
+// (residual, inverted-residual) are layers themselves and wire their
+// internal data flow explicitly. This mirrors the structure of
+// approximate-DNN simulators (ProxSim): one conv/FC GEMM choke point per
+// layer where quantization and approximation attach.
 #pragma once
 
 #include <cstdint>
@@ -40,12 +41,18 @@ public:
 
   virtual std::string name() const = 0;
 
-  /// Forward pass; caches whatever backward needs (valid until next forward).
+  /// Forward pass. With ctx.training set it also keeps the state backward
+  /// needs (valid until the next forward); any other forward is inference
+  /// only: it keeps no backward state and drops what an earlier training
+  /// forward kept.
   virtual Tensor forward(const Tensor& x, const ExecContext& ctx) = 0;
 
   /// Backward pass: consumes dL/d(output), returns dL/d(input) and
-  /// accumulates parameter gradients. Must follow a forward with the same
-  /// batch.
+  /// accumulates parameter gradients. Must follow a training forward with
+  /// the same batch; a layer that keeps tensors for backward (Conv2d,
+  /// Linear, BatchNorm2d, ReLU, ReLU6, BasicBlock) throws std::logic_error
+  /// after any other forward. The pools keep only their input shape and
+  /// differentiate after any forward.
   virtual Tensor backward(const Tensor& dy) = 0;
 
   /// Trainable parameters (empty for stateless layers).
@@ -85,6 +92,10 @@ public:
     for (Layer* c : children()) c->zero_grad();
   }
 };
+
+/// Throws the std::logic_error a backward raises when the last forward was
+/// not a training forward, naming `layer`.
+[[noreturn]] void throw_no_backward_state(const Layer& layer);
 
 /// Depth-first collection of all parameters in a layer tree.
 std::vector<Param*> collect_params(Layer& root);

@@ -60,11 +60,16 @@ private:
   std::optional<Tensor> calib_x_;
   std::optional<Tensor> calib_out_fp_;
 
-  Tensor cached_x_;        ///< effective input [N, F]
-  Tensor cached_w_;        ///< effective weights [O, F]
-  Tensor cached_act_mask_;
-  Tensor cached_acc_;      ///< integer accumulators [N, O] (GE only)
-  const ge::ErrorFit* cached_fit_ = nullptr;
+  /// What backward needs, kept only by a training forward.
+  struct BackwardState {
+    Tensor x{};         ///< effective input [N, F]
+    Tensor w{};         ///< effective weights [O, F]
+    Tensor act_mask{};  ///< STE clip mask (quant modes)
+    Tensor acc{};       ///< integer accumulators [N, O] (GE only)
+    const ge::ErrorFit* fit = nullptr;
+  };
+  std::optional<BackwardState> bwd_;
+
   int64_t last_macs_ = 0;
   std::string obs_path_;  ///< telemetry path captured at forward (backward reuses it)
 

@@ -25,10 +25,9 @@ Tensor BatchNorm2d::forward(const Tensor& x, const ExecContext& ctx) {
   const int64_t m = n * h * w;  // samples per channel
   const int64_t hw = h * w;
 
-  cached_training_ = ctx.training;
-  cached_x_ = x;
-  cached_mean_ = Tensor(Shape{channels_});
-  cached_invstd_ = Tensor(Shape{channels_});
+  bwd_.reset();  // only a training forward keeps backward state
+  Tensor ch_mean(Shape{channels_});
+  Tensor ch_invstd(Shape{channels_});
 
   if (ctx.training) {
     for (int64_t c = 0; c < channels_; ++c) {
@@ -47,51 +46,59 @@ Tensor BatchNorm2d::forward(const Tensor& x, const ExecContext& ctx) {
         }
       }
       var /= static_cast<double>(m);
-      cached_mean_[c] = static_cast<float>(mean);
-      cached_invstd_[c] = static_cast<float>(1.0 / std::sqrt(var + eps_));
+      ch_mean[c] = static_cast<float>(mean);
+      ch_invstd[c] = static_cast<float>(1.0 / std::sqrt(var + eps_));
       running_mean_[c] = (1.0f - momentum_) * running_mean_[c] +
                          momentum_ * static_cast<float>(mean);
       running_var_[c] = (1.0f - momentum_) * running_var_[c] + momentum_ * static_cast<float>(var);
     }
   } else {
     for (int64_t c = 0; c < channels_; ++c) {
-      cached_mean_[c] = running_mean_[c];
-      cached_invstd_[c] = 1.0f / std::sqrt(running_var_[c] + eps_);
+      ch_mean[c] = running_mean_[c];
+      ch_invstd[c] = 1.0f / std::sqrt(running_var_[c] + eps_);
     }
   }
 
   Tensor y(x.shape());
-  cached_xhat_ = Tensor(x.shape());
+  Tensor xhat = ctx.training ? Tensor(x.shape()) : Tensor{};
   for (int64_t b = 0; b < n; ++b)
     for (int64_t c = 0; c < channels_; ++c) {
-      const float mu = cached_mean_[c], is = cached_invstd_[c];
+      const float mu = ch_mean[c], is = ch_invstd[c];
       const float g = gamma_.value[c], be = beta_.value[c];
-      const float* px = x.data() + (b * channels_ + c) * hw;
-      float* ph = cached_xhat_.data() + (b * channels_ + c) * hw;
-      float* py = y.data() + (b * channels_ + c) * hw;
+      const int64_t off = (b * channels_ + c) * hw;
+      const float* px = x.data() + off;
+      float* ph = ctx.training ? xhat.data() + off : nullptr;
+      float* py = y.data() + off;
       for (int64_t i = 0; i < hw; ++i) {
-        ph[i] = (px[i] - mu) * is;
-        py[i] = g * ph[i] + be;
+        const float xh = (px[i] - mu) * is;
+        if (ph != nullptr) ph[i] = xh;
+        py[i] = g * xh + be;
       }
     }
+  if (ctx.training) bwd_ = BackwardState{.xhat = std::move(xhat), .invstd = std::move(ch_invstd)};
   return y;
 }
 
+// The training-mode backward: batch statistics couple every element of a
+// channel, hence the two correction sums.
 Tensor BatchNorm2d::backward(const Tensor& dy) {
-  if (dy.shape() != cached_x_.shape())
+  if (!bwd_) throw_no_backward_state(*this);
+  const BackwardState& st = *bwd_;
+  if (dy.shape() != st.xhat.shape())
     throw std::invalid_argument("BatchNorm2d::backward: dy shape mismatch");
   const int64_t n = dy.shape()[0], h = dy.shape()[2], w = dy.shape()[3];
   const int64_t hw = h * w;
   const int64_t m = n * hw;
+  const double inv_m = 1.0 / static_cast<double>(m);
 
   Tensor dx(dy.shape());
   for (int64_t c = 0; c < channels_; ++c) {
-    const float g = gamma_.value[c], is = cached_invstd_[c];
-    // Accumulate dgamma/dbeta and the train-mode correction sums.
+    const float g = gamma_.value[c], is = st.invstd[c];
+    // Accumulate dgamma/dbeta and the correction sums.
     double sum_dy = 0.0, sum_dy_xhat = 0.0;
     for (int64_t b = 0; b < n; ++b) {
       const float* pdy = dy.data() + (b * channels_ + c) * hw;
-      const float* ph = cached_xhat_.data() + (b * channels_ + c) * hw;
+      const float* ph = st.xhat.data() + (b * channels_ + c) * hw;
       for (int64_t i = 0; i < hw; ++i) {
         sum_dy += pdy[i];
         sum_dy_xhat += static_cast<double>(pdy[i]) * ph[i];
@@ -100,23 +107,14 @@ Tensor BatchNorm2d::backward(const Tensor& dy) {
     gamma_.grad[c] += static_cast<float>(sum_dy_xhat);
     beta_.grad[c] += static_cast<float>(sum_dy);
 
-    if (cached_training_) {
-      const double inv_m = 1.0 / static_cast<double>(m);
-      for (int64_t b = 0; b < n; ++b) {
-        const float* pdy = dy.data() + (b * channels_ + c) * hw;
-        const float* ph = cached_xhat_.data() + (b * channels_ + c) * hw;
-        float* pdx = dx.data() + (b * channels_ + c) * hw;
-        for (int64_t i = 0; i < hw; ++i) {
-          const double t = static_cast<double>(pdy[i]) - inv_m * sum_dy -
-                           inv_m * sum_dy_xhat * ph[i];
-          pdx[i] = static_cast<float>(g * is * t);
-        }
-      }
-    } else {
-      for (int64_t b = 0; b < n; ++b) {
-        const float* pdy = dy.data() + (b * channels_ + c) * hw;
-        float* pdx = dx.data() + (b * channels_ + c) * hw;
-        for (int64_t i = 0; i < hw; ++i) pdx[i] = g * is * pdy[i];
+    for (int64_t b = 0; b < n; ++b) {
+      const float* pdy = dy.data() + (b * channels_ + c) * hw;
+      const float* ph = st.xhat.data() + (b * channels_ + c) * hw;
+      float* pdx = dx.data() + (b * channels_ + c) * hw;
+      for (int64_t i = 0; i < hw; ++i) {
+        const double t =
+            static_cast<double>(pdy[i]) - inv_m * sum_dy - inv_m * sum_dy_xhat * ph[i];
+        pdx[i] = static_cast<float>(g * is * t);
       }
     }
   }

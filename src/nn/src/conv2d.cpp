@@ -31,6 +31,28 @@ Tensor to_mat(const Tensor& fmap) {
   return mat;
 }
 
+/// The conv epilogue: one pass from the [O, N*oh*ow] GEMM result to the
+/// NCHW output, out = value(elem) + bias. The quantized path's `value` is
+/// (acc*sx)*sw, the float expression its former dequantize-then-add-bias
+/// passes evaluated, with no float matrix in between; contraction into an
+/// FMA is off for the library (src/CMakeLists.txt), so the bits hold on
+/// every target.
+template <typename T, typename Value>
+Tensor to_nchw(const T* mat, const ConvGeom& g, int64_t out_channels, const Tensor* bias,
+               Value value) {
+  Tensor out(Shape{g.n, out_channels, g.oh, g.ow});
+  const int64_t hw = g.oh * g.ow;
+  const int64_t p_total = g.n * hw;
+  for (int64_t b = 0; b < g.n; ++b)
+    for (int64_t ch = 0; ch < out_channels; ++ch) {
+      const float bias_v = bias != nullptr ? (*bias)[ch] : 0.0f;
+      const T* src = mat + ch * p_total + b * hw;
+      float* dst = out.data() + (b * out_channels + ch) * hw;
+      for (int64_t p = 0; p < hw; ++p) dst[p] = value(src[p]) + bias_v;
+    }
+  return out;
+}
+
 }  // namespace
 
 Conv2d::Conv2d(Conv2dConfig cfg, Rng& rng) : cfg_(cfg) {
@@ -92,29 +114,12 @@ Tensor Conv2d::run_gemm_float(const Tensor& w_mat, const Tensor& cols) const {
   return out;
 }
 
-Tensor Conv2d::output_from_mat(const Tensor& out_mat, const ConvGeom& g) const {
-  Tensor out(Shape{g.n, cfg_.out_channels, g.oh, g.ow});
-  const int64_t hw = g.oh * g.ow;
-  const int64_t p_total = g.n * hw;
-  for (int64_t b = 0; b < g.n; ++b)
-    for (int64_t ch = 0; ch < cfg_.out_channels; ++ch) {
-      const float bias_v = cfg_.bias ? bias_.value[ch] : 0.0f;
-      const float* src = out_mat.data() + ch * p_total + b * hw;
-      float* dst = out.data() + (b * cfg_.out_channels + ch) * hw;
-      for (int64_t p = 0; p < hw; ++p) dst[p] = src[p] + bias_v;
-    }
-  return out;
-}
-
 Tensor Conv2d::forward(const Tensor& x, const ExecContext& ctx) {
   if (x.shape().rank() != 4 || x.shape()[1] != cfg_.in_channels)
     throw std::invalid_argument("Conv2d::forward: bad input shape " + x.shape().to_string());
   geom_ = ConvGeom::of(x.shape(), cfg_.kernel, cfg_.stride, cfg_.padding);
   const LeafExec ex = plan_leaf_exec(ctx, *this);
-  cached_mode_ = ex.mode;
-  cached_fit_ = nullptr;
-  cached_acc_ = Tensor{};
-  cached_act_mask_ = Tensor{};
+  bwd_.reset();  // only a training forward keeps backward state
 
   const int64_t o = cfg_.out_channels, grp = cfg_.groups;
   const int64_t og = o / grp;
@@ -124,6 +129,7 @@ Tensor Conv2d::forward(const Tensor& x, const ExecContext& ctx) {
   last_macs_ = og * kg * p * grp;
 
   const Shape wmat_shape{o, kg};
+  const Tensor* bias = cfg_.bias ? &bias_.value : nullptr;
 
   // Telemetry (zero-overhead when disabled): capture the metric path once —
   // the backward pass runs outside the container scopes and reuses it.
@@ -135,31 +141,36 @@ Tensor Conv2d::forward(const Tensor& x, const ExecContext& ctx) {
     case ExecMode::kFloat:
     case ExecMode::kCalibrate: {
       Tensor cols = im2col(x, geom_);
-      Tensor w_mat = weight_.value.reshaped(wmat_shape);
-      Tensor out_mat = run_gemm_float(w_mat, cols);
+      // The GEMM reads the [O, C/groups, k, k] weights as the [O, K] matrix.
+      Tensor out_mat = run_gemm_float(weight_.value, cols);
       if (ex.mode == ExecMode::kCalibrate) {
         act_obs_.observe(x);
         calib_cols_ = cols;
         calib_out_fp_ = out_mat;
       }
-      cached_cols_ = std::move(cols);
-      cached_w_mat_ = std::move(w_mat);
-      if (obs_on) detail::record_leaf_forward(obs_path_, ex.mode, last_macs_, Tensor{});
-      return output_from_mat(out_mat, geom_);
+      if (ctx.training)
+        bwd_ = BackwardState{.cols = std::move(cols),
+                             .w_mat = weight_.value.reshaped(wmat_shape)};
+      if (obs_on) detail::record_leaf_forward(obs_path_, ex.mode, last_macs_);
+      return to_nchw(out_mat.data(), geom_, o, bias, [](float v) { return v; });
     }
 
     case ExecMode::kQuantExact: {
       if (!calibrated_) throw std::logic_error("Conv2d: quantized forward before calibration");
       if (ctx.monitor != nullptr) ctx.monitor->on_leaf_input(*this, x);
-      const Tensor xq = quant::fake_quantize(x, act_qp_);
-      cached_act_mask_ = quant::ste_mask(x, act_qp_);
-      Tensor cols = im2col(xq, geom_);
-      Tensor wq = quant::fake_quantize(weight_.value, wgt_qp_).reshaped(wmat_shape);
+      Tensor cols = im2col(quant::fake_quantize(x, act_qp_), geom_);
+      Tensor wq = quant::fake_quantize(weight_.value, wgt_qp_);
+      wq.reshape(wmat_shape);
       Tensor out_mat = run_gemm_float(wq, cols);
-      cached_cols_ = std::move(cols);
-      cached_w_mat_ = std::move(wq);
-      if (obs_on) detail::record_leaf_forward(obs_path_, ex.mode, last_macs_, cached_act_mask_);
-      return output_from_mat(out_mat, geom_);
+      if (ctx.training)
+        bwd_ = BackwardState{.cols = std::move(cols),
+                             .w_mat = std::move(wq),
+                             .act_mask = quant::ste_mask(x, act_qp_)};
+      if (obs_on) {
+        detail::record_leaf_forward(obs_path_, ex.mode, last_macs_);
+        detail::record_act_clip_rate(obs_path_, x, act_qp_);
+      }
+      return to_nchw(out_mat.data(), geom_, o, bias, [](float v) { return v; });
     }
 
     case ExecMode::kQuantApprox: {
@@ -171,9 +182,7 @@ Tensor Conv2d::forward(const Tensor& x, const ExecContext& ctx) {
         throw std::logic_error(
             "Conv2d: approximate execution requires weight_bits <= 4 (LUT operand)");
       if (ctx.monitor != nullptr) ctx.monitor->on_leaf_input(*this, x);
-      const TensorI8 qx = quantize_i8(x, act_qp_);
-      cached_act_mask_ = quant::ste_mask(x, act_qp_);
-      const TensorI8 qcols = im2col_i8(qx, geom_);
+      const TensorI8 qcols = im2col_i8(quantize_i8(x, act_qp_), geom_);
       const TensorI8 qw = quantize_i8(weight_.value, wgt_qp_);
       const bool forced_exact = ctx.monitor != nullptr && ex.adder == nullptr &&
                                 ctx.monitor->force_exact(*this);
@@ -192,22 +201,23 @@ Tensor Conv2d::forward(const Tensor& x, const ExecContext& ctx) {
           ctx.monitor->on_leaf_gemm(*this, g, !forced_exact, wg, xg, cg, og, kg, p,
                                     forced_exact ? nullptr : mul);
       }
-      // Dequantize accumulators; also materialise the float caches the STE
-      // backward needs (Eq. 5 uses the *exact* GEMM of the quantized values).
-      const float sx = act_qp_.step, sw = wgt_qp_.step;
-      Tensor out_mat(Shape{o, p});
-      for (int64_t i = 0; i < acc.numel(); ++i)
-        out_mat[i] = static_cast<float>(acc[i]) * sx * sw;
-      cached_cols_ = dequantize_i8(qcols, act_qp_);
-      cached_w_mat_ = dequantize_i8(qw, wgt_qp_).reshaped(wmat_shape);
-      if (ex.fit != nullptr && !ex.fit->is_constant()) {
-        cached_fit_ = ex.fit;
-        Tensor acc_f(acc.shape());
-        for (int64_t i = 0; i < acc.numel(); ++i) acc_f[i] = static_cast<float>(acc[i]);
-        cached_acc_ = std::move(acc_f);
+      if (ctx.training) {
+        // The STE backward (Eq. 5) uses the *exact* GEMM of the quantized
+        // values: keep them dequantized.
+        BackwardState& st = bwd_.emplace();
+        st.cols = dequantize_i8(qcols, act_qp_);
+        st.w_mat = dequantize_i8(qw, wgt_qp_);
+        st.w_mat.reshape(wmat_shape);
+        st.act_mask = quant::ste_mask(x, act_qp_);
+        if (ex.fit != nullptr && !ex.fit->is_constant()) {
+          st.fit = ex.fit;
+          st.acc = Tensor(acc.shape());
+          for (int64_t i = 0; i < acc.numel(); ++i) st.acc[i] = static_cast<float>(acc[i]);
+        }
       }
       if (obs_on) {
-        detail::record_leaf_forward(obs_path_, ex.mode, last_macs_, cached_act_mask_);
+        detail::record_leaf_forward(obs_path_, ex.mode, last_macs_);
+        detail::record_act_clip_rate(obs_path_, x, act_qp_);
         obs::Collector* c = obs::collector();
         if (c != nullptr && c->config().ge_residual) {
           // Diagnostics: re-run the GEMM exactly to observe eps = y~ - y and
@@ -219,18 +229,22 @@ Tensor Conv2d::forward(const Tensor& x, const ExecContext& ctx) {
           detail::record_ge_residual(obs_path_, ex.fit, acc.data(), exact.data(), acc.numel());
         }
       }
-      return output_from_mat(out_mat, geom_);
+      const float sx = act_qp_.step, sw = wgt_qp_.step;
+      return to_nchw(acc.data(), geom_, o, bias,
+                     [sx, sw](int32_t a) { return static_cast<float>(a) * sx * sw; });
     }
   }
   throw std::logic_error("Conv2d::forward: unknown mode");
 }
 
 Tensor Conv2d::backward(const Tensor& dy) {
+  if (!bwd_) throw_no_backward_state(*this);
   if (dy.shape() != Shape{geom_.n, cfg_.out_channels, geom_.oh, geom_.ow})
     throw std::invalid_argument("Conv2d::backward: dy shape mismatch");
+  const BackwardState& st = *bwd_;
   const int64_t o = cfg_.out_channels, grp = cfg_.groups;
   const int64_t og = o / grp;
-  const int64_t kg = cached_w_mat_.numel() / o;
+  const int64_t kg = st.w_mat.numel() / o;
   const int64_t p = geom_.out_cols();
 
   Tensor dy_mat = to_mat(dy);
@@ -249,32 +263,31 @@ Tensor Conv2d::backward(const Tensor& dy) {
   // integer accumulator value of each output element.
   const Tensor* dyw = &dy_mat;
   Tensor dy_scaled;
-  if (cached_fit_ != nullptr) {
+  if (st.fit != nullptr) {
     dy_scaled = dy_mat;
     for (int64_t i = 0; i < dy_scaled.numel(); ++i)
-      dy_scaled[i] *= static_cast<float>(1.0 + cached_fit_->derivative(cached_acc_[i]));
+      dy_scaled[i] *= static_cast<float>(1.0 + st.fit->derivative(st.acc[i]));
     dyw = &dy_scaled;
-    if (obs::enabled()) detail::record_ge_backward(obs_path_, *cached_fit_, cached_acc_);
+    if (obs::enabled()) detail::record_ge_backward(obs_path_, *st.fit, st.acc);
   }
 
   Tensor dw_mat(Shape{o, kg});
   for (int64_t g = 0; g < grp; ++g)
-    kernels::gemm({.trans_b = true}, dyw->data() + g * og * p,
-                  cached_cols_.data() + g * kg * p, dw_mat.data() + g * og * kg, og, p, kg,
-                  &plan_memo_);
+    kernels::gemm({.trans_b = true}, dyw->data() + g * og * p, st.cols.data() + g * kg * p,
+                  dw_mat.data() + g * og * kg, og, p, kg, &plan_memo_);
   ops::add_inplace(weight_.grad, dw_mat.reshaped(weight_.grad.shape()));
 
   Tensor dcols(Shape{grp * kg, p}, 0.0f);
   for (int64_t g = 0; g < grp; ++g)
-    kernels::gemm({.trans_a = true, .accumulate = true},
-                  cached_w_mat_.data() + g * og * kg, dy_mat.data() + g * og * p,
-                  dcols.data() + g * kg * p, kg, og, p, &plan_memo_);
+    kernels::gemm({.trans_a = true, .accumulate = true}, st.w_mat.data() + g * og * kg,
+                  dy_mat.data() + g * og * p, dcols.data() + g * kg * p, kg, og, p,
+                  &plan_memo_);
   Tensor dx = col2im(dcols, geom_);
 
   // Clipped STE on activations: gradients are blocked where the input
   // saturated the 8-bit range.
-  if (!cached_act_mask_.empty()) {
-    for (int64_t i = 0; i < dx.numel(); ++i) dx[i] *= cached_act_mask_[i];
+  if (!st.act_mask.empty()) {
+    for (int64_t i = 0; i < dx.numel(); ++i) dx[i] *= st.act_mask[i];
   }
   return dx;
 }

@@ -65,9 +65,7 @@ Tensor Linear::forward(const Tensor& x, const ExecContext& ctx) {
     throw std::invalid_argument("Linear::forward: bad input shape " + x.shape().to_string());
   const int64_t n = x.shape()[0];
   last_macs_ = n * in_ * out_;
-  cached_fit_ = nullptr;
-  cached_acc_ = Tensor{};
-  cached_act_mask_ = Tensor{};
+  bwd_.reset();  // only a training forward keeps backward state
   const Tensor* bias = has_bias_ ? &bias_.value : nullptr;
   const LeafExec ex = plan_leaf_exec(ctx, *this);
 
@@ -85,9 +83,8 @@ Tensor Linear::forward(const Tensor& x, const ExecContext& ctx) {
         calib_x_ = x;
         calib_out_fp_ = linear_forward_float(x, weight_.value, nullptr, &plan_memo_);
       }
-      cached_x_ = x;
-      cached_w_ = weight_.value;
-      if (obs_on) detail::record_leaf_forward(obs_path_, ex.mode, last_macs_, Tensor{});
+      if (ctx.training) bwd_ = BackwardState{.x = x, .w = weight_.value};
+      if (obs_on) detail::record_leaf_forward(obs_path_, ex.mode, last_macs_);
       return y;
     }
 
@@ -95,12 +92,15 @@ Tensor Linear::forward(const Tensor& x, const ExecContext& ctx) {
       if (!calibrated_) throw std::logic_error("Linear: quantized forward before calibration");
       if (ctx.monitor != nullptr) ctx.monitor->on_leaf_input(*this, x);
       Tensor xq = quant::fake_quantize(x, act_qp_);
-      cached_act_mask_ = quant::ste_mask(x, act_qp_);
       Tensor wq = quant::fake_quantize(weight_.value, wgt_qp_);
       Tensor y = linear_forward_float(xq, wq, bias, &plan_memo_);
-      cached_x_ = std::move(xq);
-      cached_w_ = std::move(wq);
-      if (obs_on) detail::record_leaf_forward(obs_path_, ex.mode, last_macs_, cached_act_mask_);
+      if (ctx.training)
+        bwd_ = BackwardState{
+            .x = std::move(xq), .w = std::move(wq), .act_mask = quant::ste_mask(x, act_qp_)};
+      if (obs_on) {
+        detail::record_leaf_forward(obs_path_, ex.mode, last_macs_);
+        detail::record_act_clip_rate(obs_path_, x, act_qp_);
+      }
       return y;
     }
 
@@ -114,7 +114,6 @@ Tensor Linear::forward(const Tensor& x, const ExecContext& ctx) {
             "Linear: approximate execution requires weight_bits <= 4 (LUT operand)");
       if (ctx.monitor != nullptr) ctx.monitor->on_leaf_input(*this, x);
       const TensorI8 qx = quantize_i8(x, act_qp_);
-      cached_act_mask_ = quant::ste_mask(x, act_qp_);
       const TensorI8 qw = quantize_i8(weight_.value, wgt_qp_);
       // gemm_approx computes W[O,F] ·~ X[F,N]: transpose the activations so
       // they take the 8-bit operand role.
@@ -143,17 +142,21 @@ Tensor Linear::forward(const Tensor& x, const ExecContext& ctx) {
         for (int64_t j = 0; j < out_; ++j)
           y(i, j) = static_cast<float>(acc(j, i)) * s + (has_bias_ ? bias_.value[j] : 0.0f);
 
-      cached_x_ = dequantize_i8(qx, act_qp_);
-      cached_w_ = dequantize_i8(qw, wgt_qp_);
-      if (ex.fit != nullptr && !ex.fit->is_constant()) {
-        cached_fit_ = ex.fit;
-        Tensor acc_f(Shape{n, out_});
-        for (int64_t i = 0; i < n; ++i)
-          for (int64_t j = 0; j < out_; ++j) acc_f(i, j) = static_cast<float>(acc(j, i));
-        cached_acc_ = std::move(acc_f);
+      if (ctx.training) {
+        BackwardState& st = bwd_.emplace();
+        st.x = dequantize_i8(qx, act_qp_);
+        st.w = dequantize_i8(qw, wgt_qp_);
+        st.act_mask = quant::ste_mask(x, act_qp_);
+        if (ex.fit != nullptr && !ex.fit->is_constant()) {
+          st.fit = ex.fit;
+          st.acc = Tensor(Shape{n, out_});
+          for (int64_t i = 0; i < n; ++i)
+            for (int64_t j = 0; j < out_; ++j) st.acc(i, j) = static_cast<float>(acc(j, i));
+        }
       }
       if (obs_on) {
-        detail::record_leaf_forward(obs_path_, ex.mode, last_macs_, cached_act_mask_);
+        detail::record_leaf_forward(obs_path_, ex.mode, last_macs_);
+        detail::record_act_clip_rate(obs_path_, x, act_qp_);
         obs::Collector* c = obs::collector();
         if (c != nullptr && c->config().ge_residual) {
           TensorI32 exact(Shape{out_, n});
@@ -169,7 +172,9 @@ Tensor Linear::forward(const Tensor& x, const ExecContext& ctx) {
 }
 
 Tensor Linear::backward(const Tensor& dy) {
-  const int64_t n = cached_x_.shape()[0];
+  if (!bwd_) throw_no_backward_state(*this);
+  const BackwardState& st = *bwd_;
+  const int64_t n = st.x.shape()[0];
   if (dy.shape() != Shape{n, out_})
     throw std::invalid_argument("Linear::backward: dy shape mismatch");
 
@@ -183,23 +188,23 @@ Tensor Linear::backward(const Tensor& dy) {
 
   const Tensor* dyw = &dy;
   Tensor dy_scaled;
-  if (cached_fit_ != nullptr) {
+  if (st.fit != nullptr) {
     dy_scaled = dy;
     for (int64_t i = 0; i < dy_scaled.numel(); ++i)
-      dy_scaled[i] *= static_cast<float>(1.0 + cached_fit_->derivative(cached_acc_[i]));
+      dy_scaled[i] *= static_cast<float>(1.0 + st.fit->derivative(st.acc[i]));
     dyw = &dy_scaled;
-    if (obs::enabled()) detail::record_ge_backward(obs_path_, *cached_fit_, cached_acc_);
+    if (obs::enabled()) detail::record_ge_backward(obs_path_, *st.fit, st.acc);
   }
 
   // dW[O,F] += dyᵀ · x
-  kernels::gemm({.trans_a = true, .accumulate = true}, dyw->data(), cached_x_.data(),
+  kernels::gemm({.trans_a = true, .accumulate = true}, dyw->data(), st.x.data(),
                 weight_.grad.data(), out_, n, in_, &plan_memo_);
 
   // dx[N,F] = dy · W
   Tensor dx(Shape{n, in_});
-  kernels::gemm({}, dy.data(), cached_w_.data(), dx.data(), n, out_, in_, &plan_memo_);
-  if (!cached_act_mask_.empty())
-    for (int64_t i = 0; i < dx.numel(); ++i) dx[i] *= cached_act_mask_[i];
+  kernels::gemm({}, dy.data(), st.w.data(), dx.data(), n, out_, in_, &plan_memo_);
+  if (!st.act_mask.empty())
+    for (int64_t i = 0; i < dx.numel(); ++i) dx[i] *= st.act_mask[i];
   return dx;
 }
 

@@ -11,6 +11,7 @@
 #include "axnn/ge/error_fit.hpp"
 #include "axnn/nn/layer.hpp"
 #include "axnn/obs/telemetry.hpp"
+#include "axnn/quant/quantizer.hpp"
 #include "axnn/tensor/tensor.hpp"
 
 namespace axnn::nn::detail {
@@ -32,22 +33,27 @@ inline const char* mode_metric(ExecMode m) {
   return "mode.unknown";
 }
 
-/// Per-forward basics: call count, analytic MACs, exec-mode histogram and —
-/// when the quantized path produced an STE mask — the activation clip rate
-/// (fraction of inputs saturating the activation range; the mask is 1
-/// inside the range).
-inline void record_leaf_forward(const std::string& path, ExecMode mode, int64_t macs,
-                                const Tensor& act_mask) {
+/// Per-forward basics: call count, analytic MACs and exec-mode histogram.
+inline void record_leaf_forward(const std::string& path, ExecMode mode, int64_t macs) {
   obs::Collector* c = obs::collector();
   if (c == nullptr) return;
   c->add(path, "forward.calls", 1.0);
   c->add(path, "forward.macs", static_cast<double>(macs));
   c->add(path, mode_metric(mode), 1.0);
-  if (!act_mask.empty()) {
-    double inside = 0.0;
-    for (int64_t i = 0; i < act_mask.numel(); ++i) inside += act_mask[i];
-    c->add(path, "act_clip_rate", 1.0 - inside / static_cast<double>(act_mask.numel()));
-  }
+}
+
+/// Quantized forwards: the activation clip rate, the fraction of inputs
+/// saturating the activation range (where quant::ste_mask is 0). Counted
+/// from the input itself, so inference forwards report it without keeping
+/// the mask.
+inline void record_act_clip_rate(const std::string& path, const Tensor& x,
+                                 const quant::QuantParams& p) {
+  obs::Collector* c = obs::collector();
+  if (c == nullptr || x.empty()) return;
+  const float r = p.range();
+  double inside = 0.0;
+  for (int64_t i = 0; i < x.numel(); ++i) inside += std::fabs(x[i]) <= r ? 1.0 : 0.0;
+  c->add(path, "act_clip_rate", 1.0 - inside / static_cast<double>(x.numel()));
 }
 
 /// GE backward: distribution of |K| = |f'(y)| over this pass's accumulator

@@ -1,5 +1,6 @@
 #include "axnn/nn/sequential.hpp"
 
+#include <optional>
 #include <stdexcept>
 
 #include "axnn/nn/batchnorm.hpp"
@@ -19,25 +20,24 @@ Tensor Sequential::forward(const Tensor& x, const ExecContext& ctx) {
     inner.fault_pass_begun = true;
     return forward(x, inner);
   }
-  if (obs::enabled()) {
-    // Telemetry pass: scope each child under its plan-path segment so leaf
-    // metrics aggregate per plan-addressable path. Same computation as the
-    // plain loop below — the scopes only touch a thread-local string.
-    const auto segs = child_path_segments(*this);
-    Tensor h = x;
-    for (size_t i = 0; i < layers_.size(); ++i) {
-      obs::ScopedPath scope(segs[i]);
-      h = layers_[i]->forward(h, ctx);
-      if (ctx.faults != nullptr) ctx.faults->corrupt(h);
-    }
-    return h;
-  }
-  Tensor h = x;
-  for (auto& l : layers_) {
-    h = l->forward(h, ctx);
+  if (layers_.empty()) return x;
+  // Telemetry scopes each child under its plan-path segment so leaf metrics
+  // aggregate per plan-addressable path; the scopes only touch a
+  // thread-local string.
+  const bool obs_on = obs::enabled();
+  const auto segs = obs_on ? child_path_segments(*this) : std::vector<std::string>{};
+  // The first child reads x itself; each later one reads its predecessor's
+  // output, so the input is never copied.
+  Tensor h;
+  const Tensor* in = &x;
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    std::optional<obs::ScopedPath> scope;
+    if (obs_on) scope.emplace(segs[i]);
+    h = layers_[i]->forward(*in, ctx);
     // Resilience: bit flips in the activations flowing between layers
     // (nested Sequentials inject between their own children too).
     if (ctx.faults != nullptr) ctx.faults->corrupt(h);
+    in = &h;
   }
   return h;
 }
@@ -56,6 +56,12 @@ void Sequential::fold_batchnorms() {
     }
   }
   for (auto& l : layers_) l->fold_batchnorms();
+}
+
+void throw_no_backward_state(const Layer& layer) {
+  throw std::logic_error(layer.name() +
+                         "::backward: no training forward to differentiate (backward state "
+                         "is kept only when ExecContext::training is set)");
 }
 
 std::vector<Param*> collect_params(Layer& root) {

@@ -41,15 +41,23 @@ float round_to_pow2(float step);
 QuantParams params_for_max_abs(float max_abs, int bits);
 
 /// One integer level: round(x · inv) clamped to [lo, hi] (inv = 1/step).
-/// The clamp happens in float, before the integer conversion, so values
-/// past the int32 range and ±inf saturate to lo/hi exactly as
-/// fake_quantize does; NaN maps to 0. Shared by quantize() and the int8
-/// quantizer of the approximate GEMM path so the two cannot drift apart.
+/// The clamp happens in float, before the rounding, so values past the
+/// int32 range and ±inf saturate to lo/hi exactly as fake_quantize does;
+/// NaN maps to 0. Shared by quantize() and the int8 quantizer of the
+/// approximate GEMM path so the two cannot drift apart.
+///
+/// Rounds half to even like std::nearbyintf, without the libm call: for
+/// |c| <= 2^22, c + 1.5·2^23 lies in [2^23, 2^24), where floats are 1
+/// apart, so the add rounds c to an integer and the subtract is exact
+/// (|lo|, |hi| < 2^16). Loops over it vectorize (SSE2/NEON). Only a zero's
+/// sign differs (-0 gives +0), which the integer cannot show; fake_quantize
+/// keeps nearbyintf for that reason.
 inline int32_t quantize_level(float x, float inv, int32_t lo, int32_t hi) {
+  constexpr float kShift = 12582912.0f;  // 1.5 * 2^23
   const float v = x * inv;
-  return v == v ? static_cast<int32_t>(std::nearbyintf(
-                      std::clamp(v, static_cast<float>(lo), static_cast<float>(hi))))
-                : 0;
+  const float c = std::min(std::max(v == v ? v : 0.0f, static_cast<float>(lo)),
+                           static_cast<float>(hi));
+  return static_cast<int32_t>((c + kShift) - kShift);
 }
 
 /// Integer quantization: q = clamp(round(x / step), qmin, qmax), per

@@ -358,7 +358,7 @@ bool Sentinel::on_leaf_gemm(const nn::Layer& leaf, int64_t group, bool approx, c
     tol = approx ? cfg_.tolerance_scale * static_cast<double>(m) * st.elem_dev +
                        cfg_.tolerance_floor
                  : 0.0;
-    std::vector<double> corr;
+    std::vector<double, PoolAllocator<double>> corr;  // pooled like the sums above
     if (approx && st.fit != nullptr && !st.fit->is_constant()) {
       corr.assign(static_cast<size_t>(n), 0.0);
       for (int64_t i = 0; i < m; ++i) {

@@ -13,10 +13,11 @@
 // Architecture:
 //
 //   * One Engine owns the trained model and N execution *lanes* — clone()d
-//     model replicas, each driven by its own worker thread. Conv/FC forward
-//     caches are member state, so a model instance is single-flight; lanes
-//     are how the engine runs batches concurrently without racing those
-//     caches. ThreadPool::plan_split still sizes the intra-op pool, but the
+//     model replicas, each driven by its own worker thread. Served forwards
+//     keep no backward caches, but each conv/FC leaf still holds per-forward
+//     members (geometry, MAC count, its plan memo), so a model instance is
+//     single-flight; lanes are how the engine runs batches concurrently
+//     without racing those members. ThreadPool::plan_split still sizes the intra-op pool, but the
 //     requested lane count is honored even beyond the core count: lane
 //     workers mostly wait, and lifecycle robustness (quarantine with
 //     re-dispatch) needs real spare lanes more than it needs perfect

@@ -9,6 +9,8 @@
 #include <functional>
 #include <string>
 
+#include <unistd.h>
+
 #include "axnn/core/pipeline.hpp"
 #include "axnn/nn/activations.hpp"
 #include "axnn/nn/conv2d.hpp"
@@ -44,6 +46,17 @@ void write_file(const std::string& path, const std::string& buf) {
   f.write(buf.data(), static_cast<std::streamsize>(buf.size()));
 }
 
+/// A temp directory of the running test's own, named after the test and
+/// the process: `ctest -j` runs the tests in concurrent processes, and a
+/// name shared by sibling tests would let one test's SetUp/TearDown delete
+/// another's files.
+std::string own_temp_dir() {
+  const ::testing::TestInfo* t = ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string name = std::string("axnn_") + t->test_suite_name() + "." + t->name() + "." +
+                           std::to_string(::getpid());
+  return (fs::temp_directory_path() / name).string();
+}
+
 std::string message_of(const std::function<void()>& fn) {
   try {
     fn();
@@ -56,7 +69,7 @@ std::string message_of(const std::function<void()>& fn) {
 class CheckpointFile : public ::testing::Test {
 protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() / "axnn_ckpt_test").string();
+    dir_ = own_temp_dir();
     fs::create_directories(dir_);
     path_ = dir_ + "/net.axnp";
   }
@@ -194,7 +207,7 @@ TEST_F(CheckpointFile, IsParamFileSafeOnGarbage) {
 class CheckpointRotation : public ::testing::Test {
 protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() / "axnn_ckpt_rotation").string();
+    dir_ = own_temp_dir();
     fs::remove_all(dir_);
     cfg_.dir = dir_;
     cfg_.stem = "model";
@@ -299,7 +312,7 @@ TEST_F(CheckpointRotation, RotatesRealParamFilesWithCrcFallback) {
 class WorkbenchCache : public ::testing::Test {
 protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() / "axnn_ckpt_wb_cache").string();
+    dir_ = own_temp_dir();
     fs::remove_all(dir_);
     cfg_.model = core::ModelKind::kResNet20;
     cfg_.profile.image_size = 8;

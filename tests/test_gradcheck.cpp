@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <functional>
+#include <stdexcept>
 
 #include "axnn/approx/signed_lut.hpp"
 #include "axnn/axmul/registry.hpp"
@@ -79,31 +80,31 @@ void gradcheck_layer(Layer& layer, const Tensor& x0, const ExecContext& ctx,
 TEST(GradCheck, Conv2dStandard) {
   Rng rng(1);
   Conv2d conv({3, 4, 3, 1, 1, 1, true}, rng);
-  gradcheck_layer(conv, randn(Shape{2, 3, 5, 5}, rng), kFp);
+  gradcheck_layer(conv, randn(Shape{2, 3, 5, 5}, rng), kFpTrain);
 }
 
 TEST(GradCheck, Conv2dStridedNoBias) {
   Rng rng(2);
   Conv2d conv({2, 3, 3, 2, 1, 1, false}, rng);
-  gradcheck_layer(conv, randn(Shape{2, 2, 6, 6}, rng), kFp);
+  gradcheck_layer(conv, randn(Shape{2, 2, 6, 6}, rng), kFpTrain);
 }
 
 TEST(GradCheck, Conv2dDepthwise) {
   Rng rng(3);
   Conv2d conv({4, 4, 3, 1, 1, 4, true}, rng);
-  gradcheck_layer(conv, randn(Shape{2, 4, 5, 5}, rng), kFp);
+  gradcheck_layer(conv, randn(Shape{2, 4, 5, 5}, rng), kFpTrain);
 }
 
 TEST(GradCheck, Conv2dGrouped1x1) {
   Rng rng(4);
   Conv2d conv({4, 6, 1, 1, 0, 2, true}, rng);
-  gradcheck_layer(conv, randn(Shape{2, 4, 4, 4}, rng), kFp);
+  gradcheck_layer(conv, randn(Shape{2, 4, 4, 4}, rng), kFpTrain);
 }
 
 TEST(GradCheck, Linear) {
   Rng rng(5);
   Linear lin(7, 4, rng);
-  gradcheck_layer(lin, randn(Shape{3, 7}, rng), kFp);
+  gradcheck_layer(lin, randn(Shape{3, 7}, rng), kFpTrain);
 }
 
 TEST(GradCheck, BatchNormTraining) {
@@ -116,10 +117,13 @@ TEST(GradCheck, BatchNormTraining) {
 }
 
 TEST(GradCheck, BatchNormEval) {
+  // An eval-mode forward is inference only: it keeps no backward state, and
+  // drops what the earlier training forwards kept.
   Rng rng(7);
   BatchNorm2d bn(2);
   for (int i = 0; i < 10; ++i) (void)bn.forward(randn(Shape{4, 2, 4, 4}, rng), kFpTrain);
-  gradcheck_layer(bn, randn(Shape{2, 2, 4, 4}, rng), kFp);
+  const Tensor y = bn.forward(randn(Shape{2, 2, 4, 4}, rng), kFp);
+  EXPECT_THROW((void)bn.backward(Tensor(y.shape(), 1.0f)), std::logic_error);
 }
 
 TEST(GradCheck, GlobalAvgPool) {
@@ -142,20 +146,23 @@ TEST(GradCheck, SequentialComposition) {
   net.emplace<GlobalAvgPool>();
   net.emplace<Linear>(3, 2, rng);
   // ReLU kinks break central differences at 0; shift inputs away from 0.
-  gradcheck_layer(net, randn(Shape{2, 2, 5, 5}, rng, 0.5f, 1.0f), kFp, 4e-2f);
+  gradcheck_layer(net, randn(Shape{2, 2, 5, 5}, rng, 0.5f, 1.0f), kFpTrain, 4e-2f);
 }
 
 // Residual blocks contain BatchNorm; in training mode a single-element
 // perturbation shifts the whole channel's batch statistics, which in turn
 // moves every downstream ReLU relative to its kink — central differences
-// become unreliable. Blocks are therefore checked in eval mode with warmed
-// running statistics (the BN train-mode backward is covered by
+// become unreliable. Blocks therefore warm their running statistics, fold
+// the BNs into the convolutions (the eval-mode function, as the ResNets
+// deploy it) and are checked in training mode, the only mode that keeps
+// backward state (the BN train-mode backward is covered by
 // GradCheck.BatchNormTraining).
 template <typename Block>
 void warm_and_gradcheck(Block& block, const Tensor& x, Rng& rng, float tol) {
   for (int i = 0; i < 20; ++i)
     (void)block.forward(randn(x.shape(), rng, 0.2f, 0.8f), kFpTrain);
-  gradcheck_layer(block, x, kFp, tol, 12);
+  block.fold_batchnorms();
+  gradcheck_layer(block, x, kFpTrain, tol, 12);
 }
 
 TEST(GradCheck, BasicBlockResidual) {
@@ -246,10 +253,11 @@ TEST(SteBackward, QuantExactGradMatchesFakeQuantReference) {
   (void)conv.forward(x, ExecContext::calibrate());
   conv.finalize_calibration(quant::Calibration::kMinPropQE);
 
-  Tensor y = conv.forward(x, ExecContext::quant_exact());
+  const ExecContext train = ExecContext::quant_exact(/*training=*/true);
+  Tensor y = conv.forward(x, train);
   const Tensor r = randn(y.shape(), rng);
   conv.zero_grad();
-  y = conv.forward(x, ExecContext::quant_exact());
+  y = conv.forward(x, train);
   (void)conv.backward(r);
   const Tensor dw_quant = conv.weight().grad;
 
@@ -257,9 +265,9 @@ TEST(SteBackward, QuantExactGradMatchesFakeQuantReference) {
   Conv2d ref({2, 3, 3, 1, 1, 1, false}, rng);
   ref.weight().value = quant::fake_quantize(conv.weight().value, conv.weight_qparams());
   const Tensor xq = quant::fake_quantize(x, conv.act_qparams());
-  (void)ref.forward(xq, kFp);
+  (void)ref.forward(xq, kFpTrain);
   ref.zero_grad();
-  (void)ref.forward(xq, kFp);
+  (void)ref.forward(xq, kFpTrain);
   (void)ref.backward(r);
   for (int64_t i = 0; i < dw_quant.numel(); ++i)
     EXPECT_NEAR(dw_quant[i], ref.weight().grad[i], 1e-3f);
@@ -275,11 +283,11 @@ TEST(GeBackward, WeightGradScaledByOnePlusK) {
   conv.finalize_calibration(quant::Calibration::kMinPropQE);
 
   const approx::SignedMulTable tab(axmul::make_lut("trunc4"));
-  Tensor y = conv.forward(x, ExecContext::quant_approx(tab));
+  Tensor y = conv.forward(x, ExecContext::quant_approx(tab, nullptr, /*training=*/true));
   const Tensor r = randn(y.shape(), rng);
 
   conv.zero_grad();
-  (void)conv.forward(x, ExecContext::quant_approx(tab));
+  (void)conv.forward(x, ExecContext::quant_approx(tab, nullptr, /*training=*/true));
   (void)conv.backward(r);
   const Tensor dw_ste = conv.weight().grad;
 
@@ -289,7 +297,7 @@ TEST(GeBackward, WeightGradScaledByOnePlusK) {
   fit.a = 1e9;   // linear region covers everything
   fit.b = -1e9;
   conv.zero_grad();
-  (void)conv.forward(x, ExecContext::quant_approx(tab, &fit));
+  (void)conv.forward(x, ExecContext::quant_approx(tab, &fit, /*training=*/true));
   (void)conv.backward(r);
   const Tensor dw_ge = conv.weight().grad;
 
@@ -306,11 +314,11 @@ TEST(GeBackward, ConstantFitIsExactlySTE) {
   lin.finalize_calibration(quant::Calibration::kMinPropQE);
 
   const approx::SignedMulTable tab(axmul::make_lut("evoa228"));
-  Tensor y = lin.forward(x, ExecContext::quant_approx(tab));
+  Tensor y = lin.forward(x, ExecContext::quant_approx(tab, nullptr, /*training=*/true));
   const Tensor r = randn(y.shape(), rng);
 
   lin.zero_grad();
-  (void)lin.forward(x, ExecContext::quant_approx(tab));
+  (void)lin.forward(x, ExecContext::quant_approx(tab, nullptr, /*training=*/true));
   (void)lin.backward(r);
   const Tensor dw_ste = lin.weight().grad;
 
@@ -319,7 +327,7 @@ TEST(GeBackward, ConstantFitIsExactlySTE) {
   fit.a = 100.0;
   fit.b = -100.0;
   lin.zero_grad();
-  (void)lin.forward(x, ExecContext::quant_approx(tab, &fit));
+  (void)lin.forward(x, ExecContext::quant_approx(tab, &fit, /*training=*/true));
   (void)lin.backward(r);
   for (int64_t i = 0; i < dw_ste.numel(); ++i)
     EXPECT_FLOAT_EQ(lin.weight().grad[i], dw_ste[i]);
@@ -335,7 +343,7 @@ TEST(GeBackward, ClampedRegionsGetNoScaling) {
   lin.finalize_calibration(quant::Calibration::kMinPropQE);
 
   const approx::SignedMulTable tab(axmul::make_lut("trunc3"));
-  Tensor y = lin.forward(x, ExecContext::quant_approx(tab));
+  Tensor y = lin.forward(x, ExecContext::quant_approx(tab, nullptr, /*training=*/true));
   const Tensor r(y.shape(), 1.0f);
 
   ge::ErrorFit fit;
@@ -344,12 +352,12 @@ TEST(GeBackward, ClampedRegionsGetNoScaling) {
   fit.a = 1.0;
   fit.b = -1.0;
   lin.zero_grad();
-  (void)lin.forward(x, ExecContext::quant_approx(tab, &fit));
+  (void)lin.forward(x, ExecContext::quant_approx(tab, &fit, /*training=*/true));
   (void)lin.backward(r);
   const Tensor dw_clamped = lin.weight().grad;
 
   lin.zero_grad();
-  (void)lin.forward(x, ExecContext::quant_approx(tab));
+  (void)lin.forward(x, ExecContext::quant_approx(tab, nullptr, /*training=*/true));
   (void)lin.backward(r);
   for (int64_t i = 0; i < dw_clamped.numel(); ++i)
     EXPECT_FLOAT_EQ(dw_clamped[i], lin.weight().grad[i]);

@@ -2,12 +2,20 @@
 // parameter/MAC accounting.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <stdexcept>
+#include <utility>
+
+#include "axnn/approx/signed_lut.hpp"
+#include "axnn/axmul/registry.hpp"
 #include "axnn/models/blocks.hpp"
 #include "axnn/nn/loss.hpp"
 #include "axnn/nn/sgd.hpp"
 #include "axnn/models/mobilenetv2.hpp"
 #include "axnn/models/model_info.hpp"
 #include "axnn/models/resnet.hpp"
+#include "axnn/nn/plan.hpp"
+#include "axnn/quant/calibration.hpp"
 #include "axnn/tensor/ops.hpp"
 
 namespace axnn::models {
@@ -160,6 +168,71 @@ TEST(BasicBlock, OutputIsNonNegative) {
   BasicBlock block(3, 3, 1, rng);
   const Tensor y = block.forward(randn(Shape{2, 3, 6, 6}, rng), kFpTrain);
   for (int64_t i = 0; i < y.numel(); ++i) EXPECT_GE(y[i], 0.0f);
+}
+
+/// Bitwise equality (signed zeros and NaN payloads included).
+void expect_bitwise_equal(const Tensor& a, const Tensor& b) {
+  ASSERT_EQ(a.shape(), b.shape());
+  EXPECT_EQ(0, std::memcmp(a.data(), b.data(), sizeof(float) * static_cast<size_t>(a.numel())));
+}
+
+/// Warm the BatchNorm running statistics, fold them into the convolutions
+/// (so training and inference forwards compute the same function) and
+/// calibrate the quantizers.
+void warm_fold_calibrate(nn::Layer& net, const Shape& batch, Rng& rng) {
+  for (int i = 0; i < 5; ++i) (void)net.forward(randn(batch, rng, 0.2f, 0.8f), kFpTrain);
+  net.fold_batchnorms();
+  (void)net.forward(randn(batch, rng, 0.2f, 0.8f), nn::ExecContext::calibrate());
+  nn::finalize_calibration_recursive(net, quant::Calibration::kMinMse);
+}
+
+TEST(BasicBlock, BackwardAfterInferenceForwardThrows) {
+  Rng rng(12);
+  BasicBlock block(3, 3, 1, rng);
+  const Tensor x = randn(Shape{2, 3, 6, 6}, rng);
+  const Tensor y = block.forward(x, kFp);
+  EXPECT_THROW((void)block.backward(Tensor(y.shape(), 1.0f)), std::logic_error);
+  (void)block.forward(x, kFpTrain);
+  EXPECT_NO_THROW((void)block.backward(Tensor(y.shape(), 1.0f)));
+}
+
+TEST(BasicBlock, InferenceForwardMatchesTrainingForwardBitwise) {
+  const approx::SignedMulTable tab(axmul::make_lut("trunc5"));
+  for (const int64_t stride : {1, 2}) {  // identity and projection shortcut
+    Rng rng(13);
+    BasicBlock block(4, stride == 1 ? 4 : 8, stride, rng);
+    const Shape batch{2, 4, 6, 6};
+    warm_fold_calibrate(block, batch, rng);
+    const Tensor x = randn(batch, rng, 0.2f, 0.8f);
+    for (const auto& [infer, train] :
+         {std::pair{kFp, kFpTrain},
+          std::pair{nn::ExecContext::quant_approx(tab),
+                    nn::ExecContext::quant_approx(tab, nullptr, true)}}) {
+      const Tensor yi = block.forward(x, infer);
+      expect_bitwise_equal(yi, block.forward(x, train));
+      expect_bitwise_equal(yi, block.forward(x, infer));
+    }
+  }
+}
+
+TEST(ResNet, FoldedTrunc5InferenceForwardMatchesTrainingForwardBitwise) {
+  // The served configuration: BN folded, every leaf on trunc5 through a
+  // resolved plan (with per-layer GE fits, which only training forwards
+  // use).
+  auto net = make_resnet20(0.25f, 14);
+  Rng rng(15);
+  const Shape batch{4, 3, 8, 8};
+  warm_fold_calibrate(*net, batch, rng);
+  nn::ResolveOptions ro;
+  ro.fit_ge = true;
+  const nn::PlanResolution res = nn::NetPlan::parse("default=trunc5").resolve(*net, ro);
+  const auto ctx = nn::ExecContext{.mode = nn::ExecMode::kQuantApprox}.with_plan(res);
+  auto train = ctx;
+  train.training = true;
+  const Tensor x = randn(batch, rng, 0.2f, 0.8f);
+  const Tensor yi = net->forward(x, ctx);
+  expect_bitwise_equal(yi, net->forward(x, train));
+  expect_bitwise_equal(yi, net->forward(x, ctx));
 }
 
 TEST(InvertedResidual, SkipOnlyWhenShapePreserved) {

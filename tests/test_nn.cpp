@@ -4,10 +4,18 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "axnn/approx/signed_lut.hpp"
 #include "axnn/axmul/registry.hpp"
+#include "axnn/ge/error_fit.hpp"
+#include "axnn/kernels/int_gemm.hpp"
 #include "axnn/nn/activations.hpp"
 #include "axnn/nn/batchnorm.hpp"
 #include "axnn/nn/conv2d.hpp"
@@ -344,7 +352,7 @@ TEST(Activations, ReLUForwardBackward) {
   ReLU relu;
   Tensor x(Shape{4});
   x[0] = -1.0f; x[1] = 0.0f; x[2] = 2.0f; x[3] = -0.5f;
-  const Tensor y = relu.forward(x, kFp);
+  const Tensor y = relu.forward(x, kFpTrain);
   EXPECT_FLOAT_EQ(y[0], 0.0f);
   EXPECT_FLOAT_EQ(y[2], 2.0f);
   Tensor dy(Shape{4}, 1.0f);
@@ -357,7 +365,7 @@ TEST(Activations, ReLU6Saturates) {
   ReLU6 relu6;
   Tensor x(Shape{3});
   x[0] = -1.0f; x[1] = 3.0f; x[2] = 9.0f;
-  const Tensor y = relu6.forward(x, kFp);
+  const Tensor y = relu6.forward(x, kFpTrain);
   EXPECT_FLOAT_EQ(y[0], 0.0f);
   EXPECT_FLOAT_EQ(y[1], 3.0f);
   EXPECT_FLOAT_EQ(y[2], 6.0f);
@@ -366,6 +374,151 @@ TEST(Activations, ReLU6Saturates) {
   EXPECT_FLOAT_EQ(dx[0], 0.0f);
   EXPECT_FLOAT_EQ(dx[1], 1.0f);
   EXPECT_FLOAT_EQ(dx[2], 0.0f);
+}
+
+// ---- inference forwards: no backward state, same bits ----
+
+/// Bitwise equality (signed zeros and NaN payloads included).
+void expect_bitwise_equal(const Tensor& a, const Tensor& b) {
+  ASSERT_EQ(a.shape(), b.shape());
+  EXPECT_EQ(0, std::memcmp(a.data(), b.data(), sizeof(float) * static_cast<size_t>(a.numel())));
+}
+
+/// A GE fit whose linear region covers every accumulator, so a training
+/// forward keeps the GE accumulators too.
+ge::ErrorFit linear_fit() {
+  ge::ErrorFit fit;
+  fit.k = -0.25;
+  fit.a = 1e9;
+  fit.b = -1e9;
+  return fit;
+}
+
+TEST(InferenceForward, BackwardThrowsNamingTheLayer) {
+  Rng rng(30);
+  Conv2d conv({2, 3, 3, 1, 1, 1, true}, rng);
+  Linear lin(5, 3, rng);
+  BatchNorm2d bn(2);
+  ReLU relu;
+  ReLU6 relu6;
+  const Tensor fmap = randn(Shape{2, 2, 4, 4}, rng);
+  const Tensor flat = randn(Shape{2, 5}, rng);
+  const std::pair<Layer*, const Tensor*> cases[] = {
+      {&conv, &fmap}, {&lin, &flat}, {&bn, &fmap}, {&relu, &fmap}, {&relu6, &fmap}};
+  for (const auto& [layer, x] : cases) {
+    // Never trained: nothing to differentiate.
+    const Tensor y = layer->forward(*x, kFp);
+    const Tensor dy(y.shape(), 1.0f);
+    try {
+      (void)layer->backward(dy);
+      ADD_FAILURE() << layer->name() << ": backward after an inference forward did not throw";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find(layer->name() + "::backward"), std::string::npos)
+          << e.what();
+    }
+    // A training forward keeps the state; the next inference forward drops it.
+    (void)layer->forward(*x, kFpTrain);
+    EXPECT_NO_THROW((void)layer->backward(dy)) << layer->name();
+    (void)layer->forward(*x, kFp);
+    EXPECT_THROW((void)layer->backward(dy), std::logic_error) << layer->name();
+  }
+}
+
+/// Inference and training forwards of one layer in each pair of contexts
+/// produce the same bits, and a training forward in between changes
+/// nothing for the next inference forward.
+void expect_training_forward_changes_nothing(
+    Layer& layer, const Tensor& x,
+    const std::vector<std::pair<ExecContext, ExecContext>>& modes) {
+  for (const auto& [infer, train] : modes) {
+    ASSERT_FALSE(infer.training);
+    ASSERT_TRUE(train.training);
+    const Tensor yi = layer.forward(x, infer);
+    expect_bitwise_equal(yi, layer.forward(x, train));
+    expect_bitwise_equal(yi, layer.forward(x, infer));
+  }
+}
+
+TEST(InferenceForward, Conv2dMatchesTrainingForwardBitwise) {
+  const approx::SignedMulTable tab(axmul::make_lut("trunc4"));
+  const ge::ErrorFit fit = linear_fit();
+  const std::vector<std::pair<ExecContext, ExecContext>> modes = {
+      {ExecContext::fp(), ExecContext::fp(true)},
+      {ExecContext::quant_exact(), ExecContext::quant_exact(true)},
+      {ExecContext::quant_approx(tab), ExecContext::quant_approx(tab, &fit, true)}};
+  const Conv2dConfig cfgs[] = {
+      {3, 4, 3, 1, 1, 1, true},   // bias
+      {3, 4, 3, 2, 1, 1, false},  // no bias, strided
+      {4, 6, 1, 1, 0, 2, true},   // grouped 1x1
+      {4, 4, 3, 1, 1, 4, false},  // depthwise
+  };
+  for (const Conv2dConfig& cfg : cfgs) {
+    Rng rng(31);
+    Conv2d conv(cfg, rng);
+    if (cfg.bias)
+      for (int64_t i = 0; i < cfg.out_channels; ++i)
+        conv.bias_param().value[i] = 0.05f * static_cast<float>(i) - 0.1f;
+    const Tensor x = randn(Shape{2, cfg.in_channels, 6, 6}, rng, 0.0f, 0.5f);
+    (void)conv.forward(x, ExecContext::calibrate());
+    conv.finalize_calibration(quant::Calibration::kMinPropQE);
+    SCOPED_TRACE(conv.name());
+    expect_training_forward_changes_nothing(conv, x, modes);
+
+    // The one-pass quantized epilogue keeps the bits of its two-pass form:
+    // dequantize the [O, N*oh*ow] accumulators to floats, then scatter them
+    // to NCHW adding the bias.
+    const ConvGeom g = ConvGeom::of(x.shape(), cfg.kernel, cfg.stride, cfg.padding);
+    const int64_t o = cfg.out_channels, og = o / cfg.groups;
+    const int64_t kg = cfg.in_channels / cfg.groups * cfg.kernel * cfg.kernel;
+    const int64_t p = g.out_cols(), hw = g.oh * g.ow;
+    const TensorI8 qcols = im2col_i8(quantize_i8(x, conv.act_qparams()), g);
+    const TensorI8 qw = quantize_i8(conv.weight().value, conv.weight_qparams());
+    TensorI32 acc(Shape{o, p});
+    for (int64_t grp = 0; grp < cfg.groups; ++grp)
+      kernels::gemm_approx({}, qw.data() + grp * og * kg, qcols.data() + grp * kg * p,
+                           acc.data() + grp * og * p, og, kg, p, tab);
+    const float sx = conv.act_qparams().step, sw = conv.weight_qparams().step;
+    Tensor out_mat(Shape{o, p});
+    for (int64_t i = 0; i < acc.numel(); ++i) out_mat[i] = static_cast<float>(acc[i]) * sx * sw;
+    Tensor ref(Shape{g.n, o, g.oh, g.ow});
+    for (int64_t b = 0; b < g.n; ++b)
+      for (int64_t ch = 0; ch < o; ++ch) {
+        const float bias_v = cfg.bias ? conv.bias_param().value[ch] : 0.0f;
+        for (int64_t i = 0; i < hw; ++i)
+          ref[(b * o + ch) * hw + i] = out_mat[ch * p + b * hw + i] + bias_v;
+      }
+    expect_bitwise_equal(ref, conv.forward(x, ExecContext::quant_approx(tab)));
+  }
+}
+
+TEST(InferenceForward, LinearMatchesTrainingForwardBitwise) {
+  const approx::SignedMulTable tab(axmul::make_lut("trunc4"));
+  const ge::ErrorFit fit = linear_fit();
+  for (const bool bias : {true, false}) {
+    Rng rng(32);
+    Linear lin(9, 4, rng, bias);
+    const Tensor x = randn(Shape{3, 9}, rng, 0.0f, 0.5f);
+    (void)lin.forward(x, ExecContext::calibrate());
+    lin.finalize_calibration(quant::Calibration::kMinPropQE);
+    SCOPED_TRACE(bias ? "bias" : "no bias");
+    expect_training_forward_changes_nothing(
+        lin, x,
+        {{ExecContext::fp(), ExecContext::fp(true)},
+         {ExecContext::quant_exact(), ExecContext::quant_exact(true)},
+         {ExecContext::quant_approx(tab), ExecContext::quant_approx(tab, &fit, true)}});
+  }
+}
+
+TEST(InferenceForward, ActivationsMatchTrainingForwardBitwise) {
+  Rng rng(33);
+  Tensor x = randn(Shape{2, 3, 4, 4}, rng, 0.0f, 5.0f);
+  x[0] = -0.0f;
+  x[1] = 6.0f;
+  x[2] = std::numeric_limits<float>::quiet_NaN();
+  ReLU relu;
+  ReLU6 relu6;
+  expect_training_forward_changes_nothing(relu, x, {{kFp, kFpTrain}});
+  expect_training_forward_changes_nothing(relu6, x, {{kFp, kFpTrain}});
 }
 
 TEST(Pooling, GlobalAvgPool) {

@@ -196,6 +196,12 @@ TEST(TelemetryModel, PerLayerPathsMatchPlanAddressableLeaves) {
     ASSERT_NE(calls, it->second.end()) << leaf.path;
     EXPECT_EQ(calls->second.count, 1) << leaf.path;
     EXPECT_GT(it->second.at("forward.macs").sum, 0.0) << leaf.path;
+    // An inference forward keeps no STE mask, yet reports the clip rate.
+    const auto clip = it->second.find("act_clip_rate");
+    ASSERT_NE(clip, it->second.end()) << leaf.path;
+    EXPECT_EQ(clip->second.count, 1) << leaf.path;
+    EXPECT_GE(clip->second.sum, 0.0) << leaf.path;
+    EXPECT_LE(clip->second.sum, 1.0) << leaf.path;
   }
   // And nesting really occurred: at least one path has depth >= 3 segments.
   bool nested = false;

@@ -1,8 +1,11 @@
 // Tests for symmetric power-of-two quantization and calibration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "axnn/nn/qutils.hpp"
 #include "axnn/quant/calibration.hpp"
@@ -92,6 +95,51 @@ TEST(Quantize, SaturatesHugeAndInfiniteValues) {
   Tensor nan(Shape{1}, std::numeric_limits<float>::quiet_NaN());
   EXPECT_EQ(0, nn::quantize_i8(nan, p)[0]);
   EXPECT_EQ(0, quantize(nan, p)[0]);
+}
+
+TEST(QuantizeLevel, MatchesNearbyintReference) {
+  // quantize_level rounds with a float add/subtract pair instead of libm;
+  // it must give the clamp-then-nearbyintf level on every kind of input.
+  const auto reference = [](float x, float inv, int32_t lo, int32_t hi) {
+    const float v = x * inv;
+    return v == v ? static_cast<int32_t>(std::nearbyintf(
+                        std::clamp(v, static_cast<float>(lo), static_cast<float>(hi))))
+                  : 0;
+  };
+  const float inf = std::numeric_limits<float>::infinity();
+  const float fmax = std::numeric_limits<float>::max();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float tiny = std::numeric_limits<float>::min();  // smallest normal
+  // ±0, ±inf, ±FLT_MAX, the smallest and largest denormals, the smallest
+  // normal, NaN, and every multiple of 2^-8 in [-130, 130].
+  std::vector<float> base = {0.0f, -0.0f, inf, -inf, fmax, -fmax, denorm, -denorm,
+                             tiny - denorm, denorm - tiny, tiny, -tiny,
+                             std::numeric_limits<float>::quiet_NaN()};
+  for (int i = -130 * 256; i <= 130 * 256; ++i) base.push_back(static_cast<float>(i) / 256.0f);
+
+  for (const float step : {1.0f / 32.0f, 1.0f, 8.0f}) {
+    // Ties and their neighbours sit at k + 0.5 in level space, i.e. at
+    // (k + 0.5) * step in input space (exact: steps are powers of two).
+    std::vector<float> xs = base;
+    for (int k = -130; k <= 130; ++k) {
+      const float tie = static_cast<float>(k) + 0.5f;
+      for (const float t : {std::nextafter(tie, -inf), tie, std::nextafter(tie, inf)})
+        xs.push_back(t * step);
+    }
+    for (const int bits : {4, 8}) {
+      const QuantParams p{step, bits};
+      const float inv = 1.0f / step;
+      int64_t mismatches = 0;
+      for (const float x : xs) {
+        const int32_t got = quantize_level(x, inv, p.qmin(), p.qmax());
+        const int32_t want = reference(x, inv, p.qmin(), p.qmax());
+        if (got != want && mismatches++ == 0)
+          ADD_FAILURE() << "step " << step << " bits " << bits << " x=" << x << ": " << got
+                        << " != " << want;
+      }
+      EXPECT_EQ(mismatches, 0) << "step " << step << " bits " << bits;
+    }
+  }
 }
 
 TEST(FakeQuantize, MatchesQuantizeDequantize) {

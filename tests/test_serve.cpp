@@ -88,8 +88,8 @@ Engine* ServeFixture::engine_ = nullptr;
 Session* ServeFixture::exact_ = nullptr;
 
 /// Reference logits: a direct single-sample forward of lane 0 under the
-/// session's own context. Only valid while no requests are in flight (lane
-/// forward caches are single-flight).
+/// session's own context. Only valid while no requests are in flight (a
+/// lane's model runs one forward at a time).
 Tensor reference_logits(Engine& e, Session& s, const Tensor& sample) {
   return e.model(0).forward(sample, s.exec_context(0));
 }
@@ -200,28 +200,40 @@ TEST_F(ServeFixture, SubmitIsAllocationFreeAfterWarmup) {
   for (const Ticket& t : tickets) (void)s.await(t);
 }
 
-TEST_F(ServeFixture, BatchedForwardIsAllocationFreeAfterWarmup) {
-  // The full batched conv forward — the call the dispatcher makes per flush —
-  // must not touch the heap on the steady state: activation/im2col tensors
-  // recycle through the buffer pool, GEMMs resolve prepared plans via each
-  // layer's memo, parallel_for dispatch uses the pre-sized task ring, and the
-  // sentinel's ABFT scratch is pooled too. Run it on this thread (the
-  // allocation counter is thread-local) under the session's own monitored
-  // approx context.
-  Session& s = engine_->session();
-  engine_->drain();
-  const Tensor batch = engine_->data().test.slice(0, kMaxBatch).first;
+/// The full batched conv forward — the call the dispatcher makes per flush —
+/// must not touch the heap on the steady state: activation/im2col tensors
+/// recycle through the buffer pool, GEMMs resolve prepared plans via each
+/// layer's memo, parallel_for dispatch uses the pre-sized task ring, and a
+/// sentinel's ABFT scratch is pooled too. Runs it on this thread (the
+/// allocation counter is thread-local) under the session's own context.
+void expect_forward_allocation_free(Engine& engine, Session& s) {
+  engine.drain();
+  const Tensor batch = engine.data().test.slice(0, kMaxBatch).first;
   const nn::ExecContext ctx = s.exec_context(0);
   // Warmup: first pass builds plans and populates pool freelists; a couple
   // more let every transient block class reach its steady-state population.
-  for (int i = 0; i < 3; ++i) (void)engine_->model(0).forward(batch, ctx);
+  for (int i = 0; i < 3; ++i) (void)engine.model(0).forward(batch, ctx);
 
   t_alloc_count = 0;
   t_count_allocs = true;
-  const Tensor logits = engine_->model(0).forward(batch, ctx);
+  const Tensor logits = engine.model(0).forward(batch, ctx);
   t_count_allocs = false;
   EXPECT_EQ(logits.shape()[0], kMaxBatch);
   EXPECT_EQ(t_alloc_count, 0) << "batched forward allocated on the steady state";
+}
+
+TEST_F(ServeFixture, BatchedForwardIsAllocationFreeAfterWarmup) {
+  ASSERT_EQ(engine_->session().exec_context(0).monitor, nullptr);
+  expect_forward_allocation_free(*engine_, engine_->session());
+}
+
+TEST(EngineSentinel, BatchedForwardIsAllocationFreeAfterWarmup) {
+  // The same forward with the sentinel checking every leaf GEMM.
+  ModelSpec spec = micro_spec();
+  spec.sentinel = true;
+  const std::unique_ptr<Engine> engine = Engine::load(spec);
+  ASSERT_NE(engine->session().exec_context(0).monitor, nullptr);
+  expect_forward_allocation_free(*engine, engine->session());
 }
 
 TEST(EnginePlanCache, LoadGrowsCapacityToHoldThePrewarmSet) {
