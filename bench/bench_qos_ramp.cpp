@@ -107,8 +107,8 @@ AXNN_BENCH_CASE(qos_ramp, "QoS governor: degrade accuracy, not latency, under lo
   // The range guard checks the whole batched activation, so one extreme
   // sample trips the check for all of them — at max_batch=8 that false
   // positives at a few percent per check on clean traffic, enough to fake
-  // a health signal. ABFT + weight checksums (which detect the planted
-  // faults below) are exact-zero-FP here; run on those alone.
+  // a health signal. The exact table checksum (which detects the planted
+  // faults below) has no false positives; run on it alone.
   spec.sentinel_config.range_guard = false;
   spec.governor.tick_interval_ms = 10;
   spec.governor.dwell_ms = 150;
@@ -238,8 +238,9 @@ AXNN_BENCH_CASE(qos_ramp, "QoS governor: degrade accuracy, not latency, under lo
 
   // -- Phase B: fault, serve through it, recover. --
   // Snapshot the served weights, then plant exponent bit flips exactly as
-  // bench_sentinel_coverage does. Golden-checksum repairs keep every
-  // response correct; the violation rate is the governor's health signal.
+  // bench_sentinel_coverage does. Checksum repairs from the golden weights
+  // keep every response correct; the violation rate is the governor's
+  // health signal.
   engine->drain();
   std::vector<Tensor*> weights;
   for (const auto& leaf : nn::enumerate_gemm_leaves(engine->model(0))) {

@@ -2,15 +2,16 @@
 // accuracy for the runtime fault sentinel (DESIGN.md §5f) on ResNet20/trunc5.
 //
 // Three questions, matching the subsystem's acceptance criteria:
-//   * False positives — on a fault-free approximate run the calibrated ABFT
-//     tolerance must stay quiet (< 1% of checks) and leave accuracy intact.
+//   * False positives — the table checksum is exact (tolerance zero), so a
+//     fault-free approximate run must record no checksum violation at all;
+//     the bench exits nonzero if it does. Accuracy must stay intact.
 //   * LUT faults — sweep stuck-at defect rates in the multiplier table; at a
 //     rate where the unguarded model loses >= 5 accuracy points, the
-//     sentinel (exact re-execution + degradation) must recover at least half
-//     of the lost accuracy.
-//   * Weight faults — exponent bit flips in conv/FC weight tensors; the
-//     golden-checksum repair restores the calibrated weights, so guarded
-//     accuracy should return to (near) clean.
+//     sentinel (re-execution through the registry-pristine table +
+//     degradation) must recover at least half of the lost accuracy.
+//   * Weight faults — exponent bit flips in conv/FC weight tensors break the
+//     same checksum; the repair re-executes with the golden weights, so
+//     guarded accuracy should return to (near) clean.
 #include <memory>
 #include <vector>
 
@@ -50,7 +51,7 @@ AXNN_BENCH_CASE(sentinel_coverage,
   sentinel::SentinelConfig scfg;
   scfg.policy.degrade_after = 1;  // stuck-at defects persist: degrade fast
   sentinel::Sentinel sent(scfg);
-  sent.calibrate_uniform(*model, clean_tab, mult);
+  sent.calibrate_uniform(*model, mult);
   const double acc_ff = train::evaluate_accuracy(
       *model, wb.data().test, nn::ExecContext::quant_approx(clean_tab).with_monitor(sent));
   const sentinel::SentinelReport rep_ff = sent.report();
@@ -61,6 +62,13 @@ AXNN_BENCH_CASE(sentinel_coverage,
   ctx.metric("fault_free_acc", acc_ff);
   ctx.metric("false_positive_rate", fp_rate);
   ctx.report.set("sentinel_fault_free", core::to_json(rep_ff));
+  int64_t ff_checksum = 0;
+  for (const auto& l : rep_ff.leaves) ff_checksum += l.abft_violations;
+  if (ff_checksum != 0) {
+    std::fprintf(stderr, "FAIL: %lld checksum violations on the fault-free run\n",
+                 static_cast<long long>(ff_checksum));
+    return 1;
+  }
 
   // -- LUT fault sweep: stuck-at defects in the product table. --
   const double rates[] = {1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2};
@@ -130,7 +138,7 @@ AXNN_BENCH_CASE(sentinel_coverage,
       // corrupt. bit range [23, 30): exponent flips that change magnitude
       // drastically but keep every weight finite.
       sentinel::Sentinel ws;
-      ws.calibrate_uniform(*copy, clean_tab, mult);
+      ws.calibrate_uniform(*copy, mult);
       std::vector<Tensor*> weights;
       for (const auto& leaf : nn::enumerate_gemm_leaves(*copy)) {
         if (auto* c = dynamic_cast<nn::Conv2d*>(leaf.layer)) weights.push_back(&c->weight().value);

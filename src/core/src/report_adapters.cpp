@@ -88,11 +88,9 @@ Json to_json(const sentinel::LeafStats& st) {
   j["gemm_checks"] = st.gemm_checks;
   j["range_checks"] = st.range_checks;
   j["abft_violations"] = st.abft_violations;
-  j["weight_violations"] = st.weight_violations;
   j["range_violations"] = st.range_violations;
   j["reexecs"] = st.reexecs;
   j["degraded"] = st.degraded;
-  j["max_rel_dev"] = st.max_rel_dev;
   return j;
 }
 

@@ -5,17 +5,13 @@
 // (operand layouts + accumulate), a Backend names the implementation:
 //
 //   kNaive   — the original triple-loop kernels, kept verbatim as the golden
-//              reference for tests and debugging.
+//              reference that tests and bench_micro_gemm pass explicitly.
 //   kBlocked — prepared-plan execution behind kernels::PlanCache. Each plan
 //              binds the micro-kernel that suits its shape when it is built
 //              (axnn/kernels/plan.hpp): vectorized int strips for the ISA
 //              selected at startup (axnn/kernels/isa.hpp), register-tiled
 //              float blocks, or the plain loops where packing would not pay
-//              for itself. Default.
-//
-// The process-wide default backend is kBlocked; override it with
-// set_default_backend() or the environment variable AXNN_GEMM_BACKEND
-// ("naive" | "blocked", read once at first use).
+//              for itself. What every call that names no backend runs.
 //
 // Determinism: for a fixed backend, results are bit-identical across thread
 // counts — work is partitioned over output rows (float) or column strips
@@ -40,15 +36,10 @@ enum class Backend { kNaive, kBlocked };
 
 const char* backend_name(Backend b);
 
-/// Process-wide backend used when a call site doesn't pass one. Initialised
-/// from AXNN_GEMM_BACKEND on first query (defaults to kBlocked).
-Backend default_backend();
-void set_default_backend(Backend b);
-
-/// Backend for an m×k×n problem: the default backend at every shape. The
-/// per-shape kernel choice lives inside the plan the backend resolves, so
-/// callers never pick kernels by size.
-inline Backend auto_backend(int64_t, int64_t, int64_t) { return default_backend(); }
+/// Backend for an m×k×n problem: kBlocked at every shape. The per-shape
+/// kernel choice lives inside the plan the backend resolves, so callers
+/// never pick kernels by size.
+inline Backend auto_backend(int64_t, int64_t, int64_t) { return Backend::kBlocked; }
 
 /// Describes C = op(A)·op(B) (or += with accumulate). All matrices are
 /// row-major; `m, k, n` are the *logical* GEMM dimensions, so A holds m×k
@@ -71,10 +62,10 @@ void gemm(const GemmDesc& desc, const float* a, const float* b, float* c, int64_
           int64_t k, int64_t n, Backend backend, ThreadPool* pool = nullptr,
           PlanMemo* memo = nullptr);
 
-/// The same on the default backend — what layers and tensor ops call.
+/// The same on kBlocked — what layers and tensor ops call.
 inline void gemm(const GemmDesc& desc, const float* a, const float* b, float* c,
                  int64_t m, int64_t k, int64_t n, PlanMemo* memo = nullptr) {
-  gemm(desc, a, b, c, m, k, n, default_backend(), nullptr, memo);
+  gemm(desc, a, b, c, m, k, n, Backend::kBlocked, nullptr, memo);
 }
 
 /// Rows-per-task grain so each parallel_for task carries enough MACs

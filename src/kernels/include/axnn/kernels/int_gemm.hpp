@@ -26,7 +26,6 @@
 
 namespace axnn::kernels {
 
-class GemmPlan;
 class PlanMemo;
 
 /// C[M,N] (=|+=) W ·~ X through the multiplier LUT (paper Eq. 4). `memo`,
@@ -39,7 +38,7 @@ void gemm_approx(const GemmDesc& desc, const int8_t* w, const int8_t* x, int32_t
 inline void gemm_approx(const GemmDesc& desc, const int8_t* w, const int8_t* x,
                         int32_t* c, int64_t m, int64_t k, int64_t n,
                         const approx::SignedMulTable& tab, PlanMemo* memo = nullptr) {
-  gemm_approx(desc, w, x, c, m, k, n, tab, default_backend(), nullptr, memo);
+  gemm_approx(desc, w, x, c, m, k, n, tab, Backend::kBlocked, nullptr, memo);
 }
 
 /// C[M,N] (=|+=) W · X with exact int arithmetic (error-measurement baseline).
@@ -48,7 +47,7 @@ void gemm_exact(const GemmDesc& desc, const int8_t* w, const int8_t* x, int32_t*
                 ThreadPool* pool = nullptr, PlanMemo* memo = nullptr);
 inline void gemm_exact(const GemmDesc& desc, const int8_t* w, const int8_t* x, int32_t* c,
                        int64_t m, int64_t k, int64_t n, PlanMemo* memo = nullptr) {
-  gemm_exact(desc, w, x, c, m, k, n, default_backend(), nullptr, memo);
+  gemm_exact(desc, w, x, c, m, k, n, Backend::kBlocked, nullptr, memo);
 }
 
 /// Approximate GEMM whose partial sums are combined through an adder model
@@ -64,35 +63,7 @@ inline void gemm_approx_accum(const GemmDesc& desc, const int8_t* w, const int8_
                               int32_t* c, int64_t m, int64_t k, int64_t n,
                               const approx::SignedMulTable& tab,
                               const axmul::Adder& adder) {
-  gemm_approx_accum(desc, w, x, c, m, k, n, tab, adder, default_backend(), nullptr);
+  gemm_approx_accum(desc, w, x, c, m, k, n, tab, adder, Backend::kBlocked, nullptr);
 }
-
-/// ABFT column-sum probes over an already-computed int GEMM C[M,N] = W · X
-/// (sentinel subsystem, DESIGN.md §5f). Writes, per output column n:
-///
-///   actual[n]    = Σ_m C[m,n]                       (what the kernel produced)
-///   predicted[n] = Σ_k (Σ_m W[m,k]) · X[k,n]        (what exact math implies)
-///
-/// For the exact kernel the two are equal; for the LUT kernel they differ by
-/// the accumulated approximation error of the column, which the caller
-/// bounds with a calibrated tolerance. `wsum` (optional, length K) receives
-/// the weight column sums Σ_m W[m,k] — the caller compares them against a
-/// golden copy to detect corrupted weight operands, which a checksum over
-/// self-consistent corrupted operands cannot see. int64 accumulation: with
-/// int8×int4 operands the probes cannot overflow for any realistic shape.
-/// Scratch comes from the kernels arena, so steady-state calls allocate
-/// nothing.
-void abft_column_sums(const int8_t* w, const int8_t* x, const int32_t* c, int64_t m,
-                      int64_t k, int64_t n, int64_t* actual, int64_t* predicted,
-                      int64_t* wsum = nullptr);
-
-/// Plan-aware ABFT: identical output, but `plan` (an int-path plan for the
-/// same [M,K]×[K,N] problem) supplies the column-major weight-nibble panel
-/// already packed for the vector kernels, letting the weight column sums
-/// walk unit-stride memory instead of striding the row-major W. Falls back
-/// to the plain path when the plan does not carry a packed panel.
-void abft_column_sums(const GemmPlan& plan, const int8_t* w, const int8_t* x,
-                      const int32_t* c, int64_t m, int64_t k, int64_t n,
-                      int64_t* actual, int64_t* predicted, int64_t* wsum = nullptr);
 
 }  // namespace axnn::kernels

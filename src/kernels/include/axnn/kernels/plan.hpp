@@ -111,15 +111,14 @@ public:
   void run_int(const int8_t* w, const int8_t* x, int32_t* c,
                ThreadPool* pool = nullptr) const;
 
-  /// Pack the weight operand into `dst` in the plan's column-major
-  /// nibble-panel layout (int plans; size = packed_weights_size()). The
-  /// sentinel's ABFT probes walk this layout for unit-stride column sums.
-  size_t packed_weights_size() const;
-  void pack_weights(const int8_t* w, uint8_t* dst) const;
-
 private:
   friend class PlanCache;
   explicit GemmPlan(const PlanKey& key, const approx::SignedMulTable* tab);
+
+  /// Pack the weight operand into `dst` in the vector kernels' column-major
+  /// nibble-panel layout (int plans; size = packed_weights_size()).
+  size_t packed_weights_size() const;
+  void pack_weights(const int8_t* w, uint8_t* dst) const;
 
   PlanKey key_;
   Tile tile_;

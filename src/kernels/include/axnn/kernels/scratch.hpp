@@ -1,7 +1,7 @@
 // axnn — per-thread grow-once scratch arenas for kernel packing buffers.
 //
 // Every blocked kernel needs transient buffers whose size depends only on
-// the plan (packed A/B panels, weight-nibble panels, ABFT probe vectors).
+// the plan (packed A/B panels, weight-nibble panels).
 // Allocating them per call is exactly the steady-state churn the plan
 // refactor removes: each thread instead owns one arena per slot that grows
 // to the high-water mark and is reused forever after. A serving process
@@ -22,7 +22,6 @@ enum class ScratchSlot {
   kPackA = 0,
   kPackB,
   kWeights,
-  kAbft,
   kSlotCount,
 };
 

@@ -1,8 +1,5 @@
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
-#include <string>
 
 #include "axnn/kernels/gemm.hpp"
 #include "axnn/kernels/plan.hpp"
@@ -14,25 +11,6 @@
 namespace axnn::kernels {
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Backend selection
-// ---------------------------------------------------------------------------
-
-Backend backend_from_env() {
-  const char* env = std::getenv("AXNN_GEMM_BACKEND");
-  if (env != nullptr) {
-    const std::string v(env);
-    if (v == "naive") return Backend::kNaive;
-    if (v == "blocked") return Backend::kBlocked;
-  }
-  return Backend::kBlocked;
-}
-
-std::atomic<Backend>& default_backend_slot() {
-  static std::atomic<Backend> slot{backend_from_env()};
-  return slot;
-}
 
 // ---------------------------------------------------------------------------
 // Naive backend — the original triple-loop kernels, golden reference.
@@ -241,10 +219,6 @@ void blocked_f32(const GemmDesc& desc, const float* a, const float* b, float* c,
 const char* backend_name(Backend b) {
   return b == Backend::kNaive ? "naive" : "blocked";
 }
-
-Backend default_backend() { return default_backend_slot().load(); }
-
-void set_default_backend(Backend b) { default_backend_slot().store(b); }
 
 int64_t row_grain(int64_t k, int64_t n) {
   // ~32k MACs per task keeps dispatch overhead under ~1% on small matrices

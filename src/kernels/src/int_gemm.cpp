@@ -5,7 +5,6 @@
 
 #include "axnn/kernels/int_gemm.hpp"
 #include "axnn/kernels/plan.hpp"
-#include "axnn/kernels/scratch.hpp"
 #include "axnn/obs/telemetry.hpp"
 #include "axnn/tensor/threadpool.hpp"
 #include "internal.hpp"
@@ -315,79 +314,6 @@ void gemm_approx_accum(const GemmDesc& desc, const int8_t* w, const int8_t* x, i
       row_grain(k, n));
   if (obs_on)
     obs::record_gemm("gemm_approx_accum", m * k * n, obs_time ? obs::now_ns() - t0 : -1);
-}
-
-namespace {
-
-void abft_from_wsum(const int8_t* x, const int32_t* c, int64_t m, int64_t k, int64_t n,
-                    const int64_t* ws, int64_t* actual, int64_t* predicted) {
-  for (int64_t j = 0; j < n; ++j) {
-    int64_t a = 0;
-    for (int64_t i = 0; i < m; ++i) a += c[i * n + j];
-    actual[j] = a;
-    int64_t p = 0;
-    for (int64_t kk = 0; kk < k; ++kk) p += ws[kk] * x[kk * n + j];
-    predicted[j] = p;
-  }
-}
-
-}  // namespace
-
-void abft_column_sums(const int8_t* w, const int8_t* x, const int32_t* c, int64_t m,
-                      int64_t k, int64_t n, int64_t* actual, int64_t* predicted,
-                      int64_t* wsum) {
-  int64_t* ws = wsum != nullptr
-                    ? wsum
-                    : scratch<int64_t>(ScratchSlot::kAbft, static_cast<size_t>(k));
-  for (int64_t kk = 0; kk < k; ++kk) {
-    int64_t s = 0;
-    for (int64_t i = 0; i < m; ++i) s += w[i * k + kk];
-    ws[kk] = s;
-  }
-  abft_from_wsum(x, c, m, k, n, ws, actual, predicted);
-}
-
-void abft_column_sums(const GemmPlan& plan, const int8_t* w, const int8_t* x,
-                      const int32_t* c, int64_t m, int64_t k, int64_t n,
-                      int64_t* actual, int64_t* predicted, int64_t* wsum) {
-  const size_t panel = plan.packed_weights_size();
-  if (panel == 0 || plan.key().m != m || plan.key().k != k || plan.key().n != n) {
-    abft_column_sums(w, x, c, m, k, n, actual, predicted, wsum);
-    return;
-  }
-  // Column sums over the plan's column-major nibble panel: each k-group is a
-  // contiguous [m][kf] block, so the inner walk is unit-stride and the kf
-  // per-column accumulators live in registers.
-  const int64_t kf = std::max<int64_t>(1, plan.tile().kf);
-  uint8_t* wq = scratch<uint8_t>(ScratchSlot::kWeights, panel);
-  plan.pack_weights(w, wq);
-  const bool nibble = plan.key().op == OpKind::kApprox;
-  int64_t* ws = wsum != nullptr
-                    ? wsum
-                    : scratch<int64_t>(ScratchSlot::kAbft, static_cast<size_t>(k));
-  int64_t kk = 0;
-  for (; kk + kf <= k; kk += kf) {
-    const uint8_t* group = wq + kk * m;
-    int64_t sums[detail::kFuse] = {};
-    for (int64_t i = 0; i < m; ++i) {
-      const uint8_t* row = group + i * kf;
-      for (int64_t f = 0; f < kf; ++f) {
-        const int64_t v = nibble ? (static_cast<int64_t>(row[f] ^ 8u) - 8)
-                                 : static_cast<int64_t>(static_cast<int8_t>(row[f]));
-        sums[f] += v;
-      }
-    }
-    for (int64_t f = 0; f < kf; ++f) ws[kk + f] = sums[f];
-  }
-  for (; kk < k; ++kk) {
-    const uint8_t* col = wq + kk * m;
-    int64_t s = 0;
-    for (int64_t i = 0; i < m; ++i)
-      s += nibble ? (static_cast<int64_t>(col[i] ^ 8u) - 8)
-                  : static_cast<int64_t>(static_cast<int8_t>(col[i]));
-    ws[kk] = s;
-  }
-  abft_from_wsum(x, c, m, k, n, ws, actual, predicted);
 }
 
 }  // namespace axnn::kernels

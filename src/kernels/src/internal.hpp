@@ -30,8 +30,8 @@ void blocked_f32(const GemmDesc& desc, const float* a, const float* b, float* c,
 // Geometry of the vectorized int kernels. Columns are processed in strips
 // of kStrip with kFuse k-steps fused per pass; the weight operand is packed
 // column-major in groups of kFuse so each output row reads one contiguous
-// kFuse-byte group per pass. Packing (GemmPlan::pack_weights) and the ABFT
-// probes share these constants.
+// kFuse-byte group per pass. Packing (GemmPlan::pack_weights) shares these
+// constants.
 constexpr int64_t kStrip = 16;
 constexpr int64_t kFuse = 8;
 

@@ -303,17 +303,9 @@ TEST(Determinism, ApproxBitIdenticalAcrossThreadCounts) {
 TEST(BackendConfig, NamesAndDefaultRoundTrip) {
   EXPECT_STREQ("naive", kernels::backend_name(Backend::kNaive));
   EXPECT_STREQ("blocked", kernels::backend_name(Backend::kBlocked));
-  const Backend saved = kernels::default_backend();
-  kernels::set_default_backend(Backend::kNaive);
-  EXPECT_EQ(Backend::kNaive, kernels::default_backend());
-  // A naive default forces auto_backend to naive regardless of shape.
-  EXPECT_EQ(Backend::kNaive, kernels::auto_backend(512, 512, 512));
-  kernels::set_default_backend(saved);
 }
 
 TEST(BackendConfig, PlansBindKernelByShape) {
-  const Backend saved = kernels::default_backend();
-  kernels::set_default_backend(Backend::kBlocked);
   // The backend does not depend on the shape; the plan does the choosing.
   EXPECT_EQ(Backend::kBlocked, kernels::auto_backend(1, 576, 1024));
   EXPECT_EQ(Backend::kBlocked, kernels::auto_backend(64, 3, 4));
@@ -369,7 +361,6 @@ TEST(BackendConfig, PlansBindKernelByShape) {
       }
     }
   }
-  kernels::set_default_backend(saved);
 }
 
 TEST(BackendConfig, RowGrainScalesInverselyWithWork) {

@@ -1,11 +1,13 @@
-// Tests for the runtime sentinel (DESIGN.md §5f): ABFT checksum detection
-// with GE-fit-calibrated tolerances, golden-weight repair, range guards, and
-// the degradation policy — including the acceptance-criterion proof that a
-// fault-free exact forward is bit-identical with the sentinel attached.
+// Tests for the runtime sentinel (DESIGN.md §5f): the exact table checksum
+// (zero tolerance on every registry multiplier, LUT and weight faults alike),
+// golden repair, range guards, and the degradation policy — including the
+// acceptance-criterion proof that a fault-free forward is bit-identical with
+// the sentinel attached.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <thread>
 
 #include "axnn/approx/signed_lut.hpp"
 #include "axnn/axmul/registry.hpp"
@@ -16,6 +18,7 @@
 #include "axnn/nn/linear.hpp"
 #include "axnn/nn/plan.hpp"
 #include "axnn/nn/pooling.hpp"
+#include "axnn/nn/qutils.hpp"
 #include "axnn/nn/sequential.hpp"
 #include "axnn/resilience/fault.hpp"
 #include "axnn/sentinel/sentinel.hpp"
@@ -57,7 +60,7 @@ bool any_element_differs(const Tensor& a, const Tensor& b) {
   return false;
 }
 
-/// Calibrated micro model, a test batch, and fast Monte-Carlo knobs.
+/// Calibrated micro model and a test batch.
 class SentinelFixture : public ::testing::Test {
 protected:
   void SetUp() override {
@@ -67,13 +70,6 @@ protected:
     batch_ = data_.test.slice(0, 24).first;
   }
 
-  SentinelConfig fast_cfg() const {
-    SentinelConfig cfg;
-    cfg.mc.num_sims = 20;  // fast fits; the micro shapes are tiny
-    cfg.mc.outputs_per_sim = 32;
-    return cfg;
-  }
-
   data::SyntheticCifar data_;
   std::unique_ptr<nn::Sequential> net_;
   Tensor batch_;
@@ -81,8 +77,8 @@ protected:
 
 TEST_F(SentinelFixture, FaultFreeExactForwardBitIdentical) {
   const approx::SignedMulTable tab(axmul::make_lut("exact"));
-  Sentinel s(fast_cfg());
-  s.calibrate_uniform(*net_, tab, "exact");
+  Sentinel s;
+  s.calibrate_uniform(*net_, "exact");
 
   // Approximate context with the exact multiplier: the monitored forward
   // must reproduce the unmonitored one bit for bit, with zero violations.
@@ -109,11 +105,11 @@ TEST_F(SentinelFixture, FaultFreeExactForwardBitIdentical) {
 
 TEST_F(SentinelFixture, CleanApproximateRunHasNoFalsePositives) {
   const approx::SignedMulTable tab(axmul::make_lut("trunc5"));
-  Sentinel s(fast_cfg());
-  s.calibrate_uniform(*net_, tab, "trunc5");
+  Sentinel s;
+  s.calibrate_uniform(*net_, "trunc5");
 
-  // Several fault-free approximate batches: the calibrated tolerance must
-  // absorb the genuine approximation error without a single violation.
+  // Several fault-free approximate batches: the table checksum is exact, so
+  // the genuine approximation error raises no violation at tolerance zero.
   const auto ctx = nn::ExecContext::quant_approx(tab).with_monitor(s);
   for (int64_t off = 0; off + 20 <= 60; off += 20)
     (void)net_->forward(data_.test.slice(off, 20).first, ctx);
@@ -121,15 +117,14 @@ TEST_F(SentinelFixture, CleanApproximateRunHasNoFalsePositives) {
   const SentinelReport rep = s.report();
   EXPECT_EQ(rep.total_violations(), 0) << rep.summary();
   EXPECT_GT(rep.total_checks(), 0);
-  for (const auto& l : rep.leaves) EXPECT_LT(l.max_rel_dev, 1.0) << l.path;
 }
 
 TEST_F(SentinelFixture, LutFaultsDetectedRepairedAndDegraded) {
   const approx::SignedMulTable clean(axmul::make_lut("trunc5"));
-  auto cfg = fast_cfg();
+  SentinelConfig cfg;
   cfg.policy.degrade_after = 1;  // degrade on the first checksum violation
   Sentinel s(cfg);
-  s.calibrate_uniform(*net_, clean, "trunc5");
+  s.calibrate_uniform(*net_, "trunc5");
 
   // Heavy stuck-at corruption in a copy of the table (calibration saw the
   // clean one, as a deployment would).
@@ -164,11 +159,11 @@ TEST_F(SentinelFixture, LutFaultsDetectedRepairedAndDegraded) {
 
 TEST_F(SentinelFixture, ExactRepairModeDegradesToExactKernel) {
   const approx::SignedMulTable clean(axmul::make_lut("trunc5"));
-  auto cfg = fast_cfg();
+  SentinelConfig cfg;
   cfg.policy.degrade_after = 1;
   cfg.policy.repair = DegradationPolicy::RepairMode::kExact;
   Sentinel s(cfg);
-  s.calibrate_uniform(*net_, clean, "trunc5");
+  s.calibrate_uniform(*net_, "trunc5");
 
   approx::SignedMulTable bad(axmul::make_lut("trunc5"));
   resilience::FaultSpec spec;
@@ -193,10 +188,10 @@ TEST_F(SentinelFixture, ExactRepairModeDegradesToExactKernel) {
 
 TEST_F(SentinelFixture, WeightFaultsRepairedFromGoldenCopy) {
   const approx::SignedMulTable tab(axmul::make_lut("exact"));
-  auto cfg = fast_cfg();
+  SentinelConfig cfg;
   cfg.policy.degrade_after = 1000000;  // repair every pass, never degrade
   Sentinel s(cfg);
-  s.calibrate_uniform(*net_, tab, "exact");
+  s.calibrate_uniform(*net_, "exact");
 
   const auto ctx = nn::ExecContext::quant_approx(tab);
   const Tensor clean = net_->forward(batch_, ctx);
@@ -221,22 +216,21 @@ TEST_F(SentinelFixture, WeightFaultsRepairedFromGoldenCopy) {
   const Tensor broken = net_->forward(batch_, ctx);
   ASSERT_TRUE(any_element_differs(clean, broken));  // the faults really bite
 
-  // The monitored forward detects the weight checksum mismatch and re-runs
+  // The monitored forward detects the column-checksum mismatch and re-runs
   // each GEMM with the golden quantized weights captured at calibration.
   const Tensor repaired = net_->forward(batch_, ctx.with_monitor(s));
   expect_bit_identical(clean, repaired);
   const SentinelReport rep = s.report();
   EXPECT_GT(rep.total_reexecs(), 0);
   EXPECT_EQ(rep.degraded_leaves(), 0);
-  int64_t weight_violations = 0;
-  for (const auto& l : rep.leaves) weight_violations += l.weight_violations;
-  EXPECT_GT(weight_violations, 0);
+  int64_t abft_violations = 0;
+  for (const auto& l : rep.leaves) abft_violations += l.abft_violations;
+  EXPECT_GT(abft_violations, 0);
 }
 
 TEST_F(SentinelFixture, RangeGuardFlagsOutOfRangeActivations) {
-  const approx::SignedMulTable tab(axmul::make_lut("exact"));
-  Sentinel s(fast_cfg());
-  s.calibrate_uniform(*net_, tab, "exact");
+  Sentinel s;
+  s.calibrate_uniform(*net_, "exact");
 
   Tensor blown = batch_;
   for (int64_t i = 0; i < blown.numel(); ++i) blown[i] *= 1000.0f;
@@ -256,7 +250,7 @@ TEST_F(SentinelFixture, PlanRewriteDemotesDegradedLeavesToExactMode) {
   nn::NetPlan plan(uniform);
   nn::PlanResolution res = plan.resolve(*net_);
 
-  auto cfg = fast_cfg();
+  SentinelConfig cfg;
   cfg.policy.degrade_after = 1;
   cfg.policy.repair = DegradationPolicy::RepairMode::kExact;  // plan rewrite mode
   Sentinel s(cfg);
@@ -302,8 +296,8 @@ TEST_F(SentinelFixture, PlanRewriteDemotesDegradedLeavesToExactMode) {
 
 TEST_F(SentinelFixture, ReportSummaryJsonAndReset) {
   const approx::SignedMulTable tab(axmul::make_lut("exact"));
-  Sentinel s(fast_cfg());
-  s.calibrate_uniform(*net_, tab, "exact");
+  Sentinel s;
+  s.calibrate_uniform(*net_, "exact");
   (void)net_->forward(batch_, nn::ExecContext::quant_approx(tab).with_monitor(s));
 
   const SentinelReport rep = s.report();
@@ -320,11 +314,118 @@ TEST_F(SentinelFixture, ReportSummaryJsonAndReset) {
   ASSERT_EQ(zero.leaves.size(), rep.leaves.size());  // calibration survives
 }
 
+/// Records one (activation, weight) operand pair that the first leaf GEMM
+/// it sees multiplies.
+class FirstGemmRecorder final : public nn::ForwardMonitor {
+public:
+  bool force_exact(const nn::Layer&) override { return false; }
+  void on_leaf_input(const nn::Layer&, const Tensor&) override {}
+  bool on_leaf_gemm(const nn::Layer&, int64_t, bool, const int8_t* w, const int8_t* x, int32_t*,
+                    int64_t, int64_t k, int64_t n, const approx::SignedMulTable*) override {
+    for (int64_t kk = 0; kk < k && qw == 0; ++kk)  // row 0 of W
+      for (int64_t j = 0; j < n && qw == 0; ++j)
+        if (w[kk] != 0 && x[kk * n + j] != 0) {
+          qa = x[kk * n + j];
+          qw = w[kk];
+        }
+    return false;
+  }
+  int32_t qa = 0, qw = 0;
+};
+
+TEST_F(SentinelFixture, OffByOneLutEntryIsFlaggedAndRepaired) {
+  // A single product the batch uses is off by one: far below any
+  // statistical tolerance, but the table checksum has none.
+  const approx::SignedMulTable clean(axmul::make_lut("trunc5"));
+  FirstGemmRecorder rec;
+  (void)net_->forward(batch_, nn::ExecContext::quant_approx(clean).with_monitor(rec));
+  ASSERT_NE(rec.qw, 0);
+  approx::SignedMulTable bad(axmul::make_lut("trunc5"));
+  bad.mutable_data()[approx::SignedMulTable::index(rec.qa, rec.qw)] += 1;
+
+  SentinelConfig cfg;
+  cfg.policy.degrade_after = 1000000;  // repair every pass, never degrade
+  Sentinel s(cfg);
+  s.calibrate_uniform(*net_, "trunc5");
+  const Tensor want = net_->forward(batch_, nn::ExecContext::quant_approx(clean));
+  const Tensor got = net_->forward(batch_, nn::ExecContext::quant_approx(bad).with_monitor(s));
+
+  const SentinelReport rep = s.report();
+  ASSERT_FALSE(rep.leaves.empty());
+  EXPECT_GT(rep.leaves[0].abft_violations, 0) << rep.summary();
+  EXPECT_GT(rep.total_reexecs(), 0);
+  expect_bit_identical(want, got);
+}
+
+TEST(SentinelExactness, EveryRegistryTableIsCleanOnGroupedAndDepthwiseLeaves) {
+  // Zero tolerance must hold for every multiplier: exact, trunc1-5 and the
+  // eight EvoApprox-like tables (evoa249 has T(a, 0) != 0, which the kernels
+  // never add), on dense, grouped and depthwise GEMMs.
+  const data::SyntheticCifar data = micro_data();
+  Rng rng(5);
+  nn::Sequential net("grouped");
+  net.emplace<nn::Conv2d>(nn::Conv2dConfig{3, 8, 3, 1, 1, 1, true}, rng);
+  net.emplace<nn::ReLU>();
+  net.emplace<nn::Conv2d>(nn::Conv2dConfig{8, 8, 3, 1, 1, 2, true}, rng);  // 2 groups
+  net.emplace<nn::ReLU>();
+  net.emplace<nn::Conv2d>(nn::Conv2dConfig{8, 8, 3, 2, 1, 8, true}, rng);  // depthwise
+  net.emplace<nn::ReLU>();
+  net.emplace<nn::GlobalAvgPool>();
+  net.emplace<nn::Linear>(8, 10, rng);
+  train::calibrate_model(net, data.train, 60, 30, quant::Calibration::kMinPropQE);
+  const Tensor batch = data.test.slice(0, 16).first;
+
+  // Zero weights are present, so T(a, 0) would matter if it were added.
+  int64_t zeros = 0;
+  for (const auto& leaf : nn::enumerate_gemm_leaves(net))
+    if (auto* c = dynamic_cast<nn::Conv2d*>(leaf.layer)) {
+      const TensorI8 q = nn::quantize_i8(c->weight().value, c->weight_qparams());
+      for (int64_t i = 0; i < q.numel(); ++i) zeros += q.data()[i] == 0 ? 1 : 0;
+    }
+  ASSERT_GT(zeros, 0);
+
+  ASSERT_EQ(axmul::paper_multipliers().size(), 14u);
+  for (const auto& spec : axmul::paper_multipliers()) {
+    const std::string& id = spec.id;
+    const approx::SignedMulTable tab(axmul::make_lut(id));
+    Sentinel s;
+    s.calibrate_uniform(net, id);
+    const auto ctx = nn::ExecContext::quant_approx(tab);
+    const Tensor y0 = net.forward(batch, ctx);
+    const Tensor y1 = net.forward(batch, ctx.with_monitor(s));
+    expect_bit_identical(y0, y1);
+    const SentinelReport rep = s.report();
+    EXPECT_EQ(rep.total_violations(), 0) << id << ": " << rep.summary();
+    EXPECT_EQ(rep.total_reexecs(), 0) << id;
+    EXPECT_GT(rep.total_checks(), 0) << id;
+  }
+}
+
+TEST_F(SentinelFixture, ReportAndResetRaceFreeAgainstMonitoredForwards) {
+  // One thread serves monitored forwards while another snapshots and resets
+  // the counters; a ThreadSanitizer build must stay silent.
+  const approx::SignedMulTable tab(axmul::make_lut("trunc5"));
+  Sentinel s;
+  s.calibrate_uniform(*net_, "trunc5");
+  const auto ctx = nn::ExecContext::quant_approx(tab).with_monitor(s);
+  const Tensor want = net_->forward(batch_, nn::ExecContext::quant_approx(tab));
+
+  {
+    std::jthread reader([&](std::stop_token stop) {  // stopped and joined at scope exit
+      while (!stop.stop_requested()) {
+        (void)s.report();
+        s.reset_counters();
+      }
+    });
+    for (int i = 0; i < 8; ++i) expect_bit_identical(want, net_->forward(batch_, ctx));
+  }
+  EXPECT_EQ(s.report().total_violations(), 0);
+}
+
 TEST(SentinelCalibration, UncalibratedModelThrows) {
   auto net = micro_net();
-  const approx::SignedMulTable tab(axmul::make_lut("exact"));
   Sentinel s;
-  EXPECT_THROW(s.calibrate_uniform(*net, tab, "exact"), std::logic_error);
+  EXPECT_THROW(s.calibrate_uniform(*net, "exact"), std::logic_error);
 }
 
 // --- SentinelReport::merge edge cases --------------------------------------
@@ -334,14 +435,12 @@ TEST(SentinelCalibration, UncalibratedModelThrows) {
 
 namespace {
 
-LeafStats leaf(const std::string& path, int64_t checks, int64_t viols, bool degraded = false,
-               double max_rel_dev = 0.0) {
+LeafStats leaf(const std::string& path, int64_t checks, int64_t viols, bool degraded = false) {
   LeafStats st;
   st.path = path;
   st.gemm_checks = checks;
   st.abft_violations = viols;
   st.degraded = degraded;
-  st.max_rel_dev = max_rel_dev;
   return st;
 }
 
@@ -393,11 +492,10 @@ TEST(SentinelReportMerge, DisjointLeafSetsAppendInOrder) {
 
 TEST(SentinelReportMerge, OverlappingPathsSumOrAndMax) {
   SentinelReport a;
-  a.leaves.push_back(leaf("conv1", 4, 1, /*degraded=*/false, 0.5));
+  a.leaves.push_back(leaf("conv1", 4, 1, /*degraded=*/false));
   SentinelReport b;
-  LeafStats other = leaf("conv1", 6, 2, /*degraded=*/true, 0.25);
+  LeafStats other = leaf("conv1", 6, 2, /*degraded=*/true);
   other.range_checks = 3;
-  other.weight_violations = 1;
   other.reexecs = 2;
   b.leaves.push_back(other);
 
@@ -407,10 +505,8 @@ TEST(SentinelReportMerge, OverlappingPathsSumOrAndMax) {
   EXPECT_EQ(m.gemm_checks, 10);
   EXPECT_EQ(m.range_checks, 3);
   EXPECT_EQ(m.abft_violations, 3);
-  EXPECT_EQ(m.weight_violations, 1);
   EXPECT_EQ(m.reexecs, 2);
-  EXPECT_TRUE(m.degraded);              // OR: degraded anywhere is degraded
-  EXPECT_DOUBLE_EQ(m.max_rel_dev, 0.5);  // max across replicas
+  EXPECT_TRUE(m.degraded);  // OR: degraded anywhere is degraded
 }
 
 TEST(SentinelReportMerge, CountersSaturateInsteadOfWrapping) {

@@ -617,12 +617,11 @@ int cmd_inspect(const CliOptions& opt, obs::RunReport* report) {
   core::Workbench wb = make_workbench(opt);
   const auto info = wb.info();
   // Kernel execution environment: which vector ISA the startup probe
-  // selected (and whether it was clamped by AXNN_SIMD / --no-simd), which
-  // GEMM backend unqualified calls resolve to, and the plan cache geometry.
-  std::printf("kernels: isa %s (detected %s), backend %s, plan cache capacity %lld\n",
+  // selected (and whether it was clamped by AXNN_SIMD / --no-simd) and the
+  // plan cache geometry.
+  std::printf("kernels: isa %s (detected %s), plan cache capacity %lld\n",
               kernels::isa_name(kernels::active_isa()),
               kernels::isa_name(kernels::detected_isa()),
-              kernels::backend_name(kernels::default_backend()),
               static_cast<long long>(kernels::PlanCache::global().stats().capacity));
   std::printf("model %s: %lld params, %lld MACs/sample, FP acc %.2f%%\n", info.name.c_str(),
               static_cast<long long>(info.parameters),
@@ -675,8 +674,6 @@ int cmd_inspect(const CliOptions& opt, obs::RunReport* report) {
     report->metric("macs_per_sample", info.macs_per_sample);
     report->metric("multiplier_mre", stats.mre);
     report->metric("isa", std::string(kernels::isa_name(kernels::active_isa())));
-    report->metric("backend",
-                   std::string(kernels::backend_name(kernels::default_backend())));
     report->metric("plan_cache_size", pstats.size);
     report->metric("plan_cache_hit_rate", pstats.hit_rate());
     report->set("ge_fit", core::to_json(fit));
@@ -770,8 +767,8 @@ int cmd_approximate(const CliOptions& opt, obs::RunReport* report) {
     approx::SignedMulTable tab(axmul::make_lut(opt.multiplier));
     nn::PlanResolution res;  // must outlive the evaluations below
 
-    // Calibrate the sentinel against the *clean* clone and table — golden
-    // checksums and tolerances must describe the fault-free state.
+    // Calibrate the sentinel against the *clean* clone — the golden weights
+    // and checksum tables must describe the fault-free state.
     sentinel::SentinelConfig sc;
     if (opt.degrade_policy) sc.policy.degrade_after = *opt.degrade_policy;
     sentinel::Sentinel sent(sc);
@@ -780,7 +777,7 @@ int cmd_approximate(const CliOptions& opt, obs::RunReport* report) {
         res = nn::NetPlan::parse(label).resolve(*faulty);
         sent.calibrate_plan(*faulty, res);
       } else {
-        sent.calibrate_uniform(*faulty, tab, opt.multiplier);
+        sent.calibrate_uniform(*faulty, opt.multiplier);
       }
     } else if (use_plan) {
       res = nn::NetPlan::parse(label).resolve(*faulty);
