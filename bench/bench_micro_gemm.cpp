@@ -124,26 +124,29 @@ BENCHMARK(BM_GemmApproxLutResNet20)->Arg(0)->Arg(1)->ArgNames({"backend"});
 // Narrow shapes: before plans covered every int GEMM, a size cut-over sent
 // all of these to the naive loop. ResNet-20's 4-output-channel leaves (27-
 // and 36-deep patches at batch 1 and 8), its 1x1 downsample convs and the
-// FC head; then depthwise-like 1- and 2-row GEMMs, where the plan binds the
-// scalar slices kernel instead of the vector strips.
+// FC head; then depthwise-like 1- to 3-row GEMMs, where a LUT plan binds
+// the scalar slices kernel instead of the vector strips.
 struct Dims {
   int64_t m, k, n;
 };
 constexpr Dims kResNet20Narrow[] = {{4, 27, 2048}, {4, 36, 256}, {4, 36, 2048},
                                     {8, 4, 512},   {16, 8, 128}, {10, 16, 8}};
-constexpr Dims kDepthwise[] = {{1, 9, 16}, {1, 9, 256}, {1, 9, 2048}, {2, 9, 256}};
+constexpr Dims kDepthwise[] = {
+    {1, 9, 16}, {1, 9, 256}, {1, 9, 2048}, {2, 9, 256}, {3, 9, 256}};
 
-void run_int_dims(benchmark::State& state, const Dims& d, bool lut) {
+/// One int GEMM of shape `d` per iteration: approximate with the named
+/// multiplier, or exact when `multiplier` is null.
+void run_int_dims(benchmark::State& state, const Dims& d, const char* multiplier) {
   Rng rng(8);
   const TensorI8 w = random_i8(Shape{d.m, d.k}, rng, -7, 7);
   const TensorI8 x = random_i8(Shape{d.k, d.n}, rng, -127, 127);
   TensorI32 c(Shape{d.m, d.n});
-  const approx::SignedMulTable tab(axmul::make_lut("trunc5"));
+  const approx::SignedMulTable tab(axmul::make_lut(multiplier ? multiplier : "exact"));
   kernels::PlanMemo memo;  // as a layer resolves its plan
   state.SetLabel(std::string(kernels::backend_name(backend_arg(state))) + " " +
                  std::to_string(d.m) + "x" + std::to_string(d.k) + "x" + std::to_string(d.n));
   for (auto _ : state) {
-    if (lut)
+    if (multiplier != nullptr)
       kernels::gemm_approx({}, w.data(), x.data(), c.data(), d.m, d.k, d.n, tab,
                            backend_arg(state), nullptr, &memo);
     else
@@ -155,26 +158,49 @@ void run_int_dims(benchmark::State& state, const Dims& d, bool lut) {
   state.SetItemsProcessed(state.iterations() * d.m * d.k * d.n);
 }
 
+// trunc5: on AVX2 the closed-form kernel (no table), elsewhere the LUT.
 void BM_GemmApproxLutResNet20Narrow(benchmark::State& state) {
-  run_int_dims(state, kResNet20Narrow[state.range(1)], /*lut=*/true);
+  run_int_dims(state, kResNet20Narrow[state.range(1)], "trunc5");
 }
 BENCHMARK(BM_GemmApproxLutResNet20Narrow)
     ->ArgsProduct({{0, 1}, {0, 1, 2, 3, 4, 5}})
     ->ArgNames({"backend", "shape"});
 
-// The exact int kernel on the same shapes: what the LUT lookups cost.
+// evoa228 has no closed form: the LUT kernels on the same shapes.
+void BM_GemmApproxEvoa228ResNet20Narrow(benchmark::State& state) {
+  run_int_dims(state, kResNet20Narrow[state.range(1)], "evoa228");
+}
+BENCHMARK(BM_GemmApproxEvoa228ResNet20Narrow)
+    ->ArgsProduct({{0, 1}, {0, 1, 2, 3, 4, 5}})
+    ->ArgNames({"backend", "shape"});
+
+// The exact int kernel on the same shapes: what the multiplier model costs.
 void BM_GemmExactI32ResNet20Narrow(benchmark::State& state) {
-  run_int_dims(state, kResNet20Narrow[state.range(1)], /*lut=*/false);
+  run_int_dims(state, kResNet20Narrow[state.range(1)], nullptr);
 }
 BENCHMARK(BM_GemmExactI32ResNet20Narrow)
     ->ArgsProduct({{0, 1}, {0, 1, 2, 3, 4, 5}})
     ->ArgNames({"backend", "shape"});
 
 void BM_GemmApproxLutDepthwise(benchmark::State& state) {
-  run_int_dims(state, kDepthwise[state.range(1)], /*lut=*/true);
+  run_int_dims(state, kDepthwise[state.range(1)], "trunc5");
 }
 BENCHMARK(BM_GemmApproxLutDepthwise)
-    ->ArgsProduct({{0, 1}, {0, 1, 2, 3}})
+    ->ArgsProduct({{0, 1}, {0, 1, 2, 3, 4}})
+    ->ArgNames({"backend", "shape"});
+
+void BM_GemmApproxEvoa228Depthwise(benchmark::State& state) {
+  run_int_dims(state, kDepthwise[state.range(1)], "evoa228");
+}
+BENCHMARK(BM_GemmApproxEvoa228Depthwise)
+    ->ArgsProduct({{0, 1}, {0, 1, 2, 3, 4}})
+    ->ArgNames({"backend", "shape"});
+
+void BM_GemmExactI32Depthwise(benchmark::State& state) {
+  run_int_dims(state, kDepthwise[state.range(1)], nullptr);
+}
+BENCHMARK(BM_GemmExactI32Depthwise)
+    ->ArgsProduct({{0, 1}, {0, 1, 2, 3, 4}})
     ->ArgNames({"backend", "shape"});
 
 // Plan lifecycle on the acceptance shape. ColdPlan clears the global cache
@@ -369,20 +395,22 @@ private:
 /// CI gate: the blocked int plans must be bit-identical to the naive golden
 /// reference. Checked on the acceptance shape, odd shapes that stress
 /// remainder handling, and the narrow shapes above (which cross the scalar/
-/// vector kernel switch), for both the LUT and exact paths. Returns false
+/// vector kernel switch), for the exact path and two tables: trunc5 (the
+/// closed-form kernel on AVX2) and evoa228 (the LUT kernels). Returns false
 /// (and prints the first mismatch) on divergence.
 bool verify_simd_bit_identity() {
-  const approx::SignedMulTable tab(axmul::make_lut("trunc5"));
   std::vector<Dims> shapes = {{64, 576, 1024}, {7, 13, 17}, {1, 576, 1024}, {33, 65, 31}};
   shapes.insert(shapes.end(), std::begin(kResNet20Narrow), std::end(kResNet20Narrow));
   shapes.insert(shapes.end(), std::begin(kDepthwise), std::end(kDepthwise));
-  Rng rng(11);
-  for (const Dims& s : shapes) {
-    const TensorI8 w = random_i8(Shape{s.m, s.k}, rng, -7, 7);
-    const TensorI8 x = random_i8(Shape{s.k, s.n}, rng, -127, 127);
-    TensorI32 naive(Shape{s.m, s.n}), blocked(Shape{s.m, s.n});
-    for (const bool approx_path : {true, false}) {
-      if (approx_path) {
+  const char* const multipliers[] = {"trunc5", "evoa228", nullptr};  // null: exact path
+  for (const char* multiplier : multipliers) {
+    const approx::SignedMulTable tab(axmul::make_lut(multiplier ? multiplier : "exact"));
+    Rng rng(11);
+    for (const Dims& s : shapes) {
+      const TensorI8 w = random_i8(Shape{s.m, s.k}, rng, -8, 7);
+      const TensorI8 x = random_i8(Shape{s.k, s.n}, rng, -128, 127);
+      TensorI32 naive(Shape{s.m, s.n}), blocked(Shape{s.m, s.n});
+      if (multiplier != nullptr) {
         kernels::gemm_approx({}, w.data(), x.data(), naive.data(), s.m, s.k, s.n, tab,
                              kernels::Backend::kNaive);
         kernels::gemm_approx({}, w.data(), x.data(), blocked.data(), s.m, s.k, s.n, tab,
@@ -398,7 +426,7 @@ bool verify_simd_bit_identity() {
           std::fprintf(stderr,
                        "SIMD divergence: %s [%lldx%lldx%lld] isa=%s elem %lld: "
                        "naive=%d blocked=%d\n",
-                       approx_path ? "approx" : "exact", static_cast<long long>(s.m),
+                       multiplier ? multiplier : "exact", static_cast<long long>(s.m),
                        static_cast<long long>(s.k), static_cast<long long>(s.n),
                        kernels::isa_name(kernels::active_isa()), static_cast<long long>(i),
                        naive[i], blocked[i]);

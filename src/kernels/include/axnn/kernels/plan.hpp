@@ -20,7 +20,9 @@
 // changes codegen. The LUT fingerprint in the key is what keeps
 // fault-injection experiments honest — a corrupted copy of a multiplier
 // table can never alias the clean table's plans (SignedMulTable marks
-// itself tainted on mutable_data() and is re-hashed per acquire).
+// itself tainted on mutable_data() and is re-hashed per acquire), and since
+// the closed-form tier is picked from the table's contents, never its name,
+// a corrupted copy of a truncated table runs through the LUT kernels.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +40,8 @@ enum class OpKind : uint8_t { kF32, kApprox, kExactInt };
 
 const char* op_kind_name(OpKind op);
 
-/// The micro-kernel a plan binds, chosen from its key when it is built:
+/// The micro-kernel a plan binds, chosen from its key (and, for approx
+/// plans, the table's contents) when it is built:
 ///   kNaiveF32   — the plain float loops (same bits as Backend::kNaive), for
 ///                 problems too small to amortise packing: m < 8, n < 16 or
 ///                 m·k·n < 2^16;
@@ -47,9 +50,19 @@ const char* op_kind_name(OpKind op);
 ///                 approx plans under 4 output rows, and every int plan on
 ///                 the scalar ISA;
 ///   kVectorInt  — the AVX2/NEON column-strip int kernels: approx plans from
-///                 4 rows up, exact-int plans at every row count.
+///                 4 rows up, exact-int plans at every row count;
+///   kTruncInt   — the AVX2 closed-form kernel for truncated multipliers, at
+///                 every row count: approx plans whose table equals the
+///                 sign-magnitude truncated product for some depth t
+///                 (GemmPlan::truncation()), compared entry by entry.
 /// The int kernels are all bit-identical to the naive reference.
-enum class MicroKernel : uint8_t { kNaiveF32, kBlockedF32, kScalarInt, kVectorInt };
+enum class MicroKernel : uint8_t {
+  kNaiveF32,
+  kBlockedF32,
+  kScalarInt,
+  kVectorInt,
+  kTruncInt
+};
 
 struct PlanKey {
   OpKind op = OpKind::kF32;
@@ -102,6 +115,9 @@ public:
   const PlanKey& key() const { return key_; }
   const Tile& tile() const { return tile_; }
   MicroKernel kernel() const { return kernel_; }
+  /// Truncation depth t (0 = exact products) a kTruncInt plan computes; -1
+  /// for every other kernel.
+  int truncation() const { return trunc_; }
 
   /// Execute the plan. Operand pointers follow the conventions of
   /// kernels::gemm / gemm_approx / gemm_exact for the plan's op kind; dims
@@ -115,19 +131,15 @@ private:
   friend class PlanCache;
   explicit GemmPlan(const PlanKey& key, const approx::SignedMulTable* tab);
 
-  /// Pack the weight operand into `dst` in the vector kernels' column-major
-  /// nibble-panel layout (int plans; size = packed_weights_size()).
-  size_t packed_weights_size() const;
-  void pack_weights(const int8_t* w, uint8_t* dst) const;
-
   PlanKey key_;
   Tile tile_;
   MicroKernel kernel_;
-  /// Approx plans: the LUT in the bound kernel's layout. `slices_` = 16
-  /// per-nibble slices of 256 (kScalarInt); `lines_` = 256 activation lines
-  /// of 16 (kVectorInt, one 64-byte cache line per activation byte). Nibble
-  /// 0 is forced to zero so the zero-weight skip of the naive kernel is
-  /// reproduced bit-for-bit.
+  int trunc_ = -1;
+  /// Approx LUT plans: the table in the bound kernel's layout. `slices_` =
+  /// 16 per-nibble slices of 256 (kScalarInt); `lines_` = 256 activation
+  /// lines of 16 (kVectorInt, one 64-byte cache line per activation byte).
+  /// Nibble 0 is forced to zero so the zero-weight skip of the naive kernel
+  /// is reproduced bit-for-bit. kTruncInt plans bake no table.
   int32_t* slices_ = nullptr;
   int32_t* lines_ = nullptr;
 };

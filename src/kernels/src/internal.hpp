@@ -30,8 +30,7 @@ void blocked_f32(const GemmDesc& desc, const float* a, const float* b, float* c,
 // Geometry of the vectorized int kernels. Columns are processed in strips
 // of kStrip with kFuse k-steps fused per pass; the weight operand is packed
 // column-major in groups of kFuse so each output row reads one contiguous
-// kFuse-byte group per pass. Packing (GemmPlan::pack_weights) shares these
-// constants.
+// kFuse-element group per pass. Packing (plan.cpp) shares these constants.
 constexpr int64_t kStrip = 16;
 constexpr int64_t kFuse = 8;
 
@@ -54,15 +53,22 @@ void blocked_exact_scalar(const int8_t* w, const int8_t* x, int32_t* c, int64_t 
                           int64_t k, int64_t n, bool accumulate, ThreadPool& pool);
 
 // Vectorized kernels: compute output columns [j0, j1) for every row. The
-// weight operand arrives packed (GemmPlan::pack_weights layout: column-major
-// in kFuse groups); `lines` is the transposed LUT (256 activation lines of
-// 16 nibble products, 64-byte aligned, nibble-0 column zeroed). Bit-identical
-// to the naive reference: same int32 product set per output element.
+// weight operand arrives packed (plan.cpp layout: column-major in kFuse
+// groups); `lines` is the transposed LUT (256 activation lines of 16 nibble
+// products, 64-byte aligned, nibble-0 column zeroed). avx2_trunc_cols reads
+// no table: it computes sign(a)·sign(w)·Σ_j w_j·2^j·(|a| & ~(2^(t−j)−1))
+// from `wq`, one int32 per weight holding the signed bytes
+// c_j = sign(w)·w_j·2^j (byte j, over the bits j of |w|), and `wsum`, each
+// row's Σ_k w. Bit-identical to the naive reference: same int32 product set
+// per output element.
 #if defined(AXNN_HAVE_AVX2_TU)
 bool avx2_runtime_ok();
 void avx2_approx_cols(const uint8_t* wq, const int8_t* x, int32_t* c, int64_t m,
                       int64_t k, int64_t n, const int32_t* lines, bool accumulate,
                       int64_t j0, int64_t j1);
+void avx2_trunc_cols(const int32_t* wq, const int32_t* wsum, const int8_t* x, int32_t* c,
+                     int64_t m, int64_t k, int64_t n, int t, bool accumulate, int64_t j0,
+                     int64_t j1);
 void avx2_exact_cols(const uint8_t* wq, const int8_t* x, int32_t* c, int64_t m,
                      int64_t k, int64_t n, bool accumulate, int64_t j0, int64_t j1);
 #endif

@@ -1,6 +1,7 @@
 #include "axnn/kernels/plan.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -147,6 +148,66 @@ bool has_vector_kernels([[maybe_unused]] Isa isa) {
   return false;
 }
 
+/// Truncated 8×4 product of the signed operands at depth t: the columns of
+/// weight ≥ 2^t of the magnitudes' partial-product array, signed —
+/// sign(a)·sign(w)·Σ_j w_j·2^j·(|a| & ~(2^(t−j)−1)) over the bits j of |w|.
+int32_t truncated_product(int32_t qa, int32_t qw, int t) {
+  const int32_t ua = qa < 0 ? -qa : qa;
+  const int32_t uw = qw < 0 ? -qw : qw;
+  int32_t p = 0;
+  for (int j = 0; j < 4; ++j)
+    if ((uw >> j) & 1) p += (ua & ~((1 << std::max(t - j, 0)) - 1)) << j;
+  return (qa < 0) != (qw < 0) ? -p : p;
+}
+
+/// The depth t in 0..11 whose truncated product equals `tab` at every entry
+/// outside the nibble-0 column (which every kernel forces to zero), or -1.
+/// Decided from the contents alone, so a corrupted copy of a truncated table
+/// (fault injection through mutable_data()) gets no closed form.
+int truncation_depth(const approx::SignedMulTable& tab) {
+  for (int t = 0; t < 12; ++t) {
+    bool match = true;
+    for (int32_t qa = -128; qa <= 127 && match; ++qa)
+      for (int32_t qw = -8; qw <= 7 && match; ++qw)
+        match = qw == 0 || tab(qa, qw) == truncated_product(qa, qw, t);
+    if (match) return t;
+  }
+  return -1;
+}
+
+/// Per weight nibble, the closed-form kernel's coefficient bytes
+/// c_j = sign(w)·w_j·2^j (byte j). Nibble 0 maps to zeros, the zero-weight
+/// skip.
+constexpr std::array<int32_t, 16> kTruncCoef = [] {
+  std::array<int32_t, 16> coef{};
+  for (int32_t nibble = 0; nibble < 16; ++nibble) {
+    const int32_t w = (nibble ^ 8) - 8;  // sign-extended, −8…7
+    const int32_t s = w < 0 ? -1 : 1;
+    const int32_t u = s * w;
+    uint32_t bytes = 0;
+    for (int j = 0; j < 4; ++j)
+      bytes |= static_cast<uint32_t>(static_cast<uint8_t>(s * (u & (1 << j)))) << (8 * j);
+    coef[static_cast<size_t>(nibble)] = static_cast<int32_t>(bytes);
+  }
+  return coef;
+}();
+
+/// Pack the m×k weight operand into the vector kernels' layout: full groups
+/// of kFuse k-steps as column-major panels, so a row's kFuse weights for one
+/// fused pass are contiguous (dst[kk*m + i*kFuse + f]), then the remainder
+/// k-steps flat column-major (dst[kk*m + i]). `elem` maps each int8 weight
+/// to the bound kernel's element.
+template <typename T, typename Elem>
+void pack_weights(const int8_t* w, int64_t m, int64_t k, T* dst, Elem elem) {
+  constexpr int64_t kf = detail::kFuse;
+  int64_t kk = 0;
+  for (; kk + kf <= k; kk += kf)
+    for (int64_t i = 0; i < m; ++i)
+      for (int64_t f = 0; f < kf; ++f) dst[kk * m + i * kf + f] = elem(w[i * k + kk + f]);
+  for (; kk < k; ++kk)
+    for (int64_t i = 0; i < m; ++i) dst[kk * m + i] = elem(w[i * k + kk]);
+}
+
 MicroKernel choose_kernel(const PlanKey& key) {
   if (key.op == OpKind::kF32) {
     // Packing pays off only with rows to fill the 4x8 register tiles and
@@ -177,6 +238,15 @@ GemmPlan::GemmPlan(const PlanKey& key, const approx::SignedMulTable* tab)
   if (key_.op == OpKind::kApprox) {
     if (tab == nullptr)
       throw std::invalid_argument("kernels::GemmPlan: approx plan needs a table");
+    // On AVX2 a truncated multiplier runs from its closed form, reading no
+    // table: about the cost of an exact product, at every row count.
+    if (key_.isa == Isa::kAvx2 && has_vector_kernels(key_.isa)) {
+      trunc_ = truncation_depth(*tab);
+      if (trunc_ >= 0) {
+        kernel_ = MicroKernel::kTruncInt;
+        return;
+      }
+    }
     // Bake the multiplier table for the bound kernel, nibble 0 forced to
     // zero so the zero-weight skip of the naive kernel is exactly an add of 0:
     //   slices_[wn*256 + a] — per-nibble slices, scalar kernel;
@@ -206,37 +276,6 @@ void GemmPlan::run(const float* a, const float* b, float* c, ThreadPool* pool) c
     detail::blocked_f32(desc, a, b, c, key_.m, key_.k, key_.n, p);
 }
 
-size_t GemmPlan::packed_weights_size() const {
-  if (key_.op == OpKind::kF32) return 0;
-  return static_cast<size_t>(key_.m) * static_cast<size_t>(key_.k);
-}
-
-void GemmPlan::pack_weights(const int8_t* w, uint8_t* dst) const {
-  const int64_t m = key_.m, k = key_.k;
-  const int64_t kf = tile_.kf > 0 ? tile_.kf : 1;
-  const bool nibble = key_.op == OpKind::kApprox;
-  int64_t kk = 0;
-  // Full groups: column-major panels of kf consecutive k-steps, so a row's
-  // kf weights for one fused pass are one contiguous kf-byte read.
-  for (; kk + kf <= k; kk += kf) {
-    uint8_t* group = dst + kk * m;
-    for (int64_t i = 0; i < m; ++i) {
-      const int8_t* wrow = w + i * k + kk;
-      uint8_t* out = group + i * kf;
-      for (int64_t f = 0; f < kf; ++f)
-        out[f] = nibble ? static_cast<uint8_t>(wrow[f]) & 0xF
-                        : static_cast<uint8_t>(wrow[f]);
-    }
-  }
-  // Remainder k-steps: flat column-major, dst[kk*m + i].
-  for (; kk < k; ++kk) {
-    uint8_t* col = dst + kk * m;
-    for (int64_t i = 0; i < m; ++i)
-      col[i] = nibble ? static_cast<uint8_t>(w[i * k + kk]) & 0xF
-                      : static_cast<uint8_t>(w[i * k + kk]);
-  }
-}
-
 void GemmPlan::run_int(const int8_t* w, const int8_t* x, int32_t* c,
                        ThreadPool* pool) const {
   ThreadPool& p = pool != nullptr ? *pool : ThreadPool::global();
@@ -254,9 +293,30 @@ void GemmPlan::run_int(const int8_t* w, const int8_t* x, int32_t* c,
   // Vector kernels: pack the weights once (per-thread arena, no heap), then
   // partition output columns over strips. Column-strip partitioning keeps
   // every output element's full reduction inside one task, so results are
-  // bit-identical across thread counts.
-  uint8_t* wq = scratch<uint8_t>(ScratchSlot::kWeights, packed_weights_size());
-  pack_weights(w, wq);
+  // bit-identical across thread counts. Packed elements: the coefficient
+  // bytes of each weight plus the row sums (kTruncInt), the weight nibble
+  // (LUT) or the raw byte (exact).
+  const size_t mk = static_cast<size_t>(m) * static_cast<size_t>(k);
+  const bool closed_form = kernel_ == MicroKernel::kTruncInt;
+  void* packed = scratch_bytes(
+      ScratchSlot::kWeights,
+      closed_form ? (mk + static_cast<size_t>(m)) * sizeof(int32_t) : mk);
+  auto* wq = static_cast<uint8_t*>(packed);
+  auto* wc = static_cast<int32_t*>(packed);
+  int32_t* wsum = closed_form ? wc + mk : nullptr;
+  if (closed_form) {
+    pack_weights(w, m, k, wc,
+                 [](int8_t v) { return kTruncCoef[static_cast<uint8_t>(v) & 0xF]; });
+    for (int64_t i = 0; i < m; ++i) {
+      int32_t sum = 0;  // of the 4-bit weights every kernel reads: sign-extended nibbles
+      for (int64_t kk = 0; kk < k; ++kk)
+        sum += ((static_cast<uint8_t>(w[i * k + kk]) & 0xF) ^ 8) - 8;
+      wsum[i] = sum;
+    }
+  } else if (lut)
+    pack_weights(w, m, k, wq, [](int8_t v) { return static_cast<uint8_t>(v & 0xF); });
+  else
+    pack_weights(w, m, k, wq, [](int8_t v) { return static_cast<uint8_t>(v); });
   const int64_t nstrips = (n + detail::kStrip - 1) / detail::kStrip;
   p.parallel_for(
       nstrips,
@@ -265,7 +325,9 @@ void GemmPlan::run_int(const int8_t* w, const int8_t* x, int32_t* c,
         [[maybe_unused]] const int64_t j1 = std::min(n, s1 * detail::kStrip);
 #if defined(AXNN_HAVE_AVX2_TU)
         if (key_.isa == Isa::kAvx2) {
-          if (lut)
+          if (closed_form)
+            detail::avx2_trunc_cols(wc, wsum, x, c, m, k, n, trunc_, acc, j0, j1);
+          else if (lut)
             detail::avx2_approx_cols(wq, x, c, m, k, n, lines_, acc, j0, j1);
           else
             detail::avx2_exact_cols(wq, x, c, m, k, n, acc, j0, j1);

@@ -7,17 +7,19 @@
 // zero-weight skip of the naive kernel is reproduced by zeroing the nibble-0
 // column of the transposed LUT (approx) / multiplying by literal 0 (exact).
 //
-// The approx kernel avoids vpgatherdd entirely (slow on the virtualized
+// The LUT kernel avoids vpgatherdd entirely (slow on the virtualized
 // cores we target): the plan stores the LUT transposed as 256 activation
 // lines of 16 int32 — one 64-byte cache line each — so a k-step's 16-entry
 // nibble→product register file R is built from plain aligned loads plus
-// in-register 8×8 int32 transposes.
+// in-register 8×8 int32 transposes. Truncated multipliers skip the table:
+// their product has a closed form (avx2_trunc_cols).
 #include "internal.hpp"
 
 #if defined(AXNN_HAVE_AVX2_TU)
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstring>
 
 namespace axnn::kernels::detail {
@@ -190,6 +192,125 @@ void avx2_approx_cols(const uint8_t* wq, const int8_t* x, int32_t* c, int64_t m,
         acc += lines[static_cast<size_t>(static_cast<uint8_t>(x[kk * n + jj])) * 16 +
                      wq[kk * m + i]];
       c[i * n + jj] = acc;
+    }
+  }
+}
+
+namespace {
+
+/// 16 activation bytes of a strip row at x[off]. With fewer than 16 columns
+/// left the row is still read whole while the operand (`size` bytes) extends
+/// that far — columns never mix, and the extra ones are not stored — and
+/// only its last rows go through a zero-padded copy.
+inline __m128i load_strip_row(const int8_t* x, int64_t off, int64_t nc, int64_t size) {
+  if (off + 16 <= size) return _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + off));
+  alignas(16) int8_t pad[16] = {};
+  std::memcpy(pad, x + off, static_cast<size_t>(nc));
+  return _mm_load_si128(reinterpret_cast<const __m128i*>(pad));
+}
+
+/// Two k-steps (activation rows xa, xb) of a 16-column strip for the
+/// closed-form kernel. Per column and step, the four unsigned bytes
+/// U_j = Y_j + 128 with Y_j = sign(a)·(|a| & mask_j), j = 0..3, so one
+/// maddubs against a row's broadcast coefficient bytes adds c0·U0 + c1·U1
+/// and c2·U2 + c3·U3 per column. Y_j fits a signed byte, −128 included
+/// (|a| = 128 only for a = −128). ua/ub[0] hold columns 0-7, [1] 8-15.
+inline void build_u2(__m128i xa, __m128i xb, const __m256i mask[4], __m256i ua[2],
+                     __m256i ub[2]) {
+  const __m256i a = _mm256_inserti128_si256(_mm256_castsi128_si256(xa), xb, 1);
+  const __m256i mag = _mm256_abs_epi8(a);  // 128 for a = −128, as an unsigned byte
+  const __m256i bias = _mm256_set1_epi8(static_cast<char>(0x80));
+  __m256i u[4];
+  for (int j = 0; j < 4; ++j)
+    u[j] = _mm256_xor_si256(_mm256_sign_epi8(_mm256_and_si256(mag, mask[j]), a), bias);
+  // Interleave to [U0 U1 U2 U3] per column; lane 0 = step a, lane 1 = step b.
+  const __m256i l01 = _mm256_unpacklo_epi8(u[0], u[1]);
+  const __m256i h01 = _mm256_unpackhi_epi8(u[0], u[1]);
+  const __m256i l23 = _mm256_unpacklo_epi8(u[2], u[3]);
+  const __m256i h23 = _mm256_unpackhi_epi8(u[2], u[3]);
+  const __m256i q0 = _mm256_unpacklo_epi16(l01, l23);  // columns 0-3
+  const __m256i q1 = _mm256_unpackhi_epi16(l01, l23);  // columns 4-7
+  const __m256i q2 = _mm256_unpacklo_epi16(h01, h23);  // columns 8-11
+  const __m256i q3 = _mm256_unpackhi_epi16(h01, h23);  // columns 12-15
+  ua[0] = _mm256_permute2x128_si256(q0, q1, 0x20);
+  ub[0] = _mm256_permute2x128_si256(q0, q1, 0x31);
+  ua[1] = _mm256_permute2x128_si256(q2, q3, 0x20);
+  ub[1] = _mm256_permute2x128_si256(q2, q3, 0x31);
+}
+
+/// s0/s1 (int16 pairs of columns 0-7/8-15) += Σ_j c_j·U_j for one weight.
+inline void maddubs_weight(const __m256i u[2], int32_t coef, __m256i& s0, __m256i& s1) {
+  const __m256i cw = _mm256_set1_epi32(coef);
+  s0 = _mm256_add_epi16(s0, _mm256_maddubs_epi16(u[0], cw));
+  s1 = _mm256_add_epi16(s1, _mm256_maddubs_epi16(u[1], cw));
+}
+
+}  // namespace
+
+void avx2_trunc_cols(const int32_t* wq, const int32_t* wsum, const int8_t* x, int32_t* c,
+                     int64_t m, int64_t k, int64_t n, int t, bool accumulate, int64_t j0,
+                     int64_t j1) {
+  // Each output sums Σ_j c_j·Y_j = tab(a, w) over the same (k, w ≠ 0) terms
+  // the naive kernel looks up, plus 128·Σ_j c_j = 128·w per term from the
+  // U_j bias, which the row's first pass takes back out as 128·Σ_k w: the
+  // same int32 total. The int16 partial sums cannot saturate: a pair of
+  // terms is at most 255·Σ_j |c_j| = 255·|w| ≤ 2040, and a pass adds 8
+  // k-steps (16,320) before widening to int32.
+  __m256i mask[4];
+  for (int j = 0; j < 4; ++j)
+    mask[j] = _mm256_set1_epi8(static_cast<char>(~((1 << std::max(t - j, 0)) - 1)));
+  const __m256i ones = _mm256_set1_epi16(1);
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  __m256i U[F][2];
+  for (int64_t jj = j0; jj < j1; jj += 16) {
+    // The last strip may hold fewer than 16 columns: C is read and written
+    // through lane masks, the activations by load_strip_row.
+    const int64_t nc = std::min<int64_t>(16, j1 - jj);
+    const __m256i keep0 = _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(nc)), lane);
+    const __m256i keep1 =
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(nc) - 8), lane);
+    for (int64_t kk = 0; kk < k; kk += F) {
+      const int64_t kf = std::min(F, k - kk);
+      for (int64_t f = 0; f < kf; f += 2) {
+        const int64_t off = (kk + f) * n + jj;
+        build_u2(load_strip_row(x, off, nc, k * n),
+                 f + 1 < kf ? load_strip_row(x, off + n, nc, k * n) : _mm_setzero_si128(),
+                 mask, U[f], U[f + 1]);
+      }
+      const int32_t* wg = wq + kk * m;  // F-group (or flat remainder) base
+      for (int64_t i = 0; i < m; ++i) {
+        int32_t* cr = c + i * n + jj;
+        __m256i a0 = _mm256_setzero_si256(), a1 = _mm256_setzero_si256();
+        if (kk > 0 || accumulate) {
+          if (nc == 16) {
+            a0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cr));
+            a1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cr + 8));
+          } else {
+            a0 = _mm256_maskload_epi32(cr, keep0);
+            a1 = _mm256_maskload_epi32(cr + 8, keep1);
+          }
+        }
+        if (kk == 0) {
+          const __m256i bias = _mm256_set1_epi32(128 * wsum[i]);
+          a0 = _mm256_sub_epi32(a0, bias);
+          a1 = _mm256_sub_epi32(a1, bias);
+        }
+        __m256i s0 = _mm256_setzero_si256(), s1 = _mm256_setzero_si256();
+        if (kf == F) {
+          for (int64_t f = 0; f < F; ++f) maddubs_weight(U[f], wg[i * F + f], s0, s1);
+        } else {  // remainder k-steps: flat column layout wq[kk*m + i]
+          for (int64_t f = 0; f < kf; ++f) maddubs_weight(U[f], wg[f * m + i], s0, s1);
+        }
+        a0 = _mm256_add_epi32(a0, _mm256_madd_epi16(s0, ones));
+        a1 = _mm256_add_epi32(a1, _mm256_madd_epi16(s1, ones));
+        if (nc == 16) {
+          _mm256_storeu_si256(reinterpret_cast<__m256i*>(cr), a0);
+          _mm256_storeu_si256(reinterpret_cast<__m256i*>(cr + 8), a1);
+        } else {
+          _mm256_maskstore_epi32(cr, keep0, a0);
+          _mm256_maskstore_epi32(cr + 8, keep1, a1);
+        }
+      }
     }
   }
 }

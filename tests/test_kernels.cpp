@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "axnn/approx/kernels.hpp"
@@ -46,6 +47,24 @@ std::vector<int8_t> random_i8(int64_t n, uint64_t seed, int lo, int hi) {
   for (auto& x : v) x = static_cast<int8_t>(lo + rng.uniform_int(hi - lo + 1));
   return v;
 }
+
+// Int GEMM operands over the whole 4-bit weight / 8-bit activation range,
+// with the saturated −8 weight and −128 activation always present.
+std::vector<int8_t> edge_weights(int64_t m, int64_t k, uint64_t seed) {
+  auto w = random_i8(m * k, seed, -8, 7);
+  w.front() = -8;
+  return w;
+}
+
+std::vector<int8_t> edge_activations(int64_t k, int64_t n, uint64_t seed) {
+  auto x = random_i8(k * n, seed, -128, 127);
+  x.back() = -128;
+  return x;
+}
+
+// The tables the int golden tests sweep: exact products and two depths on
+// the closed-form kernel, and an EvoApprox-like table on the LUT kernels.
+constexpr const char* kGoldenTables[] = {"exact", "trunc1", "trunc5", "evoa228"};
 
 void expect_close(const std::vector<float>& ref, const std::vector<float>& got,
                   int64_t k, const char* what) {
@@ -121,22 +140,24 @@ TEST(Kernels, EmptyOutputIsNoop) {
 // ---------------------------------------------------------------------------
 
 TEST(ApproxGolden, BlockedMatchesNaiveBitExact) {
-  const approx::SignedMulTable tab(axmul::make_lut("trunc3"));
-  for (int64_t m : kDims) {
-    for (int64_t k : kDims) {
-      for (int64_t n : kDims) {
-        const auto w = random_i8(m * k, 3 * m + k, -7, 7);
-        const auto x = random_i8(k * n, 5 * k + n, -127, 127);
-        for (bool accumulate : {false, true}) {
-          const GemmDesc desc{.accumulate = accumulate};
-          std::vector<int32_t> c_naive(static_cast<size_t>(m * n), 9);
-          std::vector<int32_t> c_blocked(static_cast<size_t>(m * n), 9);
-          kernels::gemm_approx(desc, w.data(), x.data(), c_naive.data(), m, k, n, tab,
-                               Backend::kNaive);
-          kernels::gemm_approx(desc, w.data(), x.data(), c_blocked.data(), m, k, n,
-                               tab, Backend::kBlocked);
-          ASSERT_EQ(c_naive, c_blocked)
-              << "m=" << m << " k=" << k << " n=" << n << " acc=" << accumulate;
+  for (const char* name : kGoldenTables) {
+    const approx::SignedMulTable tab(axmul::make_lut(name));
+    for (int64_t m : kDims) {
+      for (int64_t k : kDims) {
+        for (int64_t n : kDims) {
+          const auto w = edge_weights(m, k, 3 * m + k);
+          const auto x = edge_activations(k, n, 5 * k + n);
+          for (bool accumulate : {false, true}) {
+            const GemmDesc desc{.accumulate = accumulate};
+            std::vector<int32_t> c_naive(static_cast<size_t>(m * n), 9);
+            std::vector<int32_t> c_blocked(static_cast<size_t>(m * n), 9);
+            kernels::gemm_approx(desc, w.data(), x.data(), c_naive.data(), m, k, n, tab,
+                                 Backend::kNaive);
+            kernels::gemm_approx(desc, w.data(), x.data(), c_blocked.data(), m, k, n,
+                                 tab, Backend::kBlocked);
+            ASSERT_EQ(c_naive, c_blocked) << name << " m=" << m << " k=" << k
+                                          << " n=" << n << " acc=" << accumulate;
+          }
         }
       }
     }
@@ -165,14 +186,17 @@ TEST(ApproxGolden, ExactBlockedMatchesNaiveBitExact) {
 // ISA tiers: the vectorized blocked kernels must be bit-identical to the
 // forced-scalar tier (the --no-simd / AXNN_SIMD=scalar escape hatch). Plans
 // are keyed by ISA, so flipping it mid-process builds fresh plans for the
-// scalar tier while the vector-tier plans stay cached and valid.
+// scalar tier while the vector-tier plans stay cached and valid. On AVX2 the
+// truncated tables run the closed-form kernel, the scalar tier the slices
+// LUT kernel.
 // ---------------------------------------------------------------------------
 
 TEST(IsaGolden, ScalarTierMatchesVectorTierBitExact) {
   const kernels::Isa vector_isa = kernels::active_isa();
   if (vector_isa == kernels::Isa::kScalar)
     GTEST_SKIP() << "no vector ISA on this machine";
-  const approx::SignedMulTable tab(axmul::make_lut("trunc3"));
+  std::vector<approx::SignedMulTable> tabs;
+  for (const char* name : kGoldenTables) tabs.emplace_back(axmul::make_lut(name));
 
   struct Restore {
     kernels::Isa isa;
@@ -182,32 +206,38 @@ TEST(IsaGolden, ScalarTierMatchesVectorTierBitExact) {
   for (int64_t m : kDims) {
     for (int64_t k : kDims) {
       for (int64_t n : kDims) {
-        const auto w = random_i8(m * k, 21 * m + k, -7, 7);
-        const auto x = random_i8(k * n, 23 * k + n, -127, 127);
+        const auto w = edge_weights(m, k, 21 * m + k);
+        const auto x = edge_activations(k, n, 23 * k + n);
         const auto a = random_floats(m * k, 25 * m + k);
         const auto b = random_floats(k * n, 27 * k + n);
-        std::vector<int32_t> approx_vec(static_cast<size_t>(m * n));
-        std::vector<int32_t> exact_vec(static_cast<size_t>(m * n));
-        std::vector<float> f32_vec(static_cast<size_t>(m * n));
+        const auto c0 = random_i8(m * n, 29 * m + n, -128, 127);
+        // Per tier: every (table, accumulate) approx result, then exact, then f32.
+        const auto run_tier = [&](kernels::Isa isa, std::vector<std::vector<int32_t>>& approx,
+                                  std::vector<int32_t>& exact, std::vector<float>& f32) {
+          kernels::set_isa(isa);
+          for (const approx::SignedMulTable& tab : tabs) {
+            for (bool accumulate : {false, true}) {
+              approx.emplace_back(c0.begin(), c0.end());
+              kernels::gemm_approx({.accumulate = accumulate}, w.data(), x.data(),
+                                   approx.back().data(), m, k, n, tab, Backend::kBlocked);
+            }
+          }
+          exact.resize(static_cast<size_t>(m * n));
+          kernels::gemm_exact({}, w.data(), x.data(), exact.data(), m, k, n,
+                              Backend::kBlocked);
+          f32.resize(static_cast<size_t>(m * n));
+          kernels::gemm({}, a.data(), b.data(), f32.data(), m, k, n, Backend::kBlocked);
+        };
+        std::vector<std::vector<int32_t>> approx_vec, approx_sc;
+        std::vector<int32_t> exact_vec, exact_sc;
+        std::vector<float> f32_vec, f32_sc;
+        run_tier(vector_isa, approx_vec, exact_vec, f32_vec);
+        run_tier(kernels::Isa::kScalar, approx_sc, exact_sc, f32_sc);
 
-        kernels::set_isa(vector_isa);
-        kernels::gemm_approx({}, w.data(), x.data(), approx_vec.data(), m, k, n, tab,
-                             Backend::kBlocked);
-        kernels::gemm_exact({}, w.data(), x.data(), exact_vec.data(), m, k, n,
-                            Backend::kBlocked);
-        kernels::gemm({}, a.data(), b.data(), f32_vec.data(), m, k, n, Backend::kBlocked);
-
-        kernels::set_isa(kernels::Isa::kScalar);
-        std::vector<int32_t> approx_sc(static_cast<size_t>(m * n));
-        std::vector<int32_t> exact_sc(static_cast<size_t>(m * n));
-        std::vector<float> f32_sc(static_cast<size_t>(m * n));
-        kernels::gemm_approx({}, w.data(), x.data(), approx_sc.data(), m, k, n, tab,
-                             Backend::kBlocked);
-        kernels::gemm_exact({}, w.data(), x.data(), exact_sc.data(), m, k, n,
-                            Backend::kBlocked);
-        kernels::gemm({}, a.data(), b.data(), f32_sc.data(), m, k, n, Backend::kBlocked);
-
-        ASSERT_EQ(approx_vec, approx_sc) << "approx m=" << m << " k=" << k << " n=" << n;
+        for (size_t i = 0; i < approx_vec.size(); ++i)
+          ASSERT_EQ(approx_vec[i], approx_sc[i])
+              << kGoldenTables[i / 2] << " acc=" << i % 2 << " m=" << m << " k=" << k
+              << " n=" << n;
         ASSERT_EQ(exact_vec, exact_sc) << "exact m=" << m << " k=" << k << " n=" << n;
         // Float is bit-stable across ISAs too: same operation order, no FMA.
         ASSERT_EQ(0, std::memcmp(f32_vec.data(), f32_sc.data(),
@@ -310,21 +340,32 @@ TEST(BackendConfig, PlansBindKernelByShape) {
   EXPECT_EQ(Backend::kBlocked, kernels::auto_backend(1, 576, 1024));
   EXPECT_EQ(Backend::kBlocked, kernels::auto_backend(64, 3, 4));
 
-  // Int plans: approx binds the vector strip kernels from 4 output rows up
-  // and the scalar slices kernel below; exact binds the vector kernels at
-  // every M. The scalar ISA binds the scalar kernels everywhere.
-  const approx::SignedMulTable tab(axmul::make_lut("trunc5"));
-  const bool vector_isa = kernels::active_isa() != kernels::Isa::kScalar;
-  for (const kernels::OpKind op : {kernels::OpKind::kApprox, kernels::OpKind::kExactInt}) {
+  // Int plans: a truncated table (trunc5) binds the closed-form kernel at
+  // every M on AVX2; any other approx table (evoa228) binds the vector strip
+  // kernels from 4 output rows up and the scalar slices kernel below; exact
+  // binds the vector kernels at every M. The scalar ISA binds the scalar
+  // kernels everywhere.
+  const approx::SignedMulTable trunc5(axmul::make_lut("trunc5"));
+  const approx::SignedMulTable evoa228(axmul::make_lut("evoa228"));
+  const kernels::Isa isa = kernels::active_isa();
+  const bool vector_isa = isa != kernels::Isa::kScalar;
+  const struct {
+    kernels::OpKind op;
+    const approx::SignedMulTable* tab;
+  } int_ops[] = {{kernels::OpKind::kApprox, &trunc5},
+                 {kernels::OpKind::kApprox, &evoa228},
+                 {kernels::OpKind::kExactInt, nullptr}};
+  for (const auto& o : int_ops) {
     for (int64_t m : {1, 2, 3, 4, 64}) {
-      const auto* t = op == kernels::OpKind::kApprox ? &tab : nullptr;
       const kernels::PlanHandle plan = kernels::PlanCache::global().acquire(
-          kernels::make_int_key(op, {}, m, 36, 256, Backend::kBlocked, t), t);
-      const int64_t min_rows = op == kernels::OpKind::kApprox ? 4 : 1;
-      EXPECT_EQ(vector_isa && m >= min_rows ? kernels::MicroKernel::kVectorInt
-                                            : kernels::MicroKernel::kScalarInt,
-                plan->kernel())
-          << kernels::op_kind_name(op) << " m=" << m;
+          kernels::make_int_key(o.op, {}, m, 36, 256, Backend::kBlocked, o.tab), o.tab);
+      const int64_t min_rows = o.op == kernels::OpKind::kApprox ? 4 : 1;
+      const kernels::MicroKernel want =
+          o.tab == &trunc5 && isa == kernels::Isa::kAvx2 ? kernels::MicroKernel::kTruncInt
+          : vector_isa && m >= min_rows                  ? kernels::MicroKernel::kVectorInt
+                                                         : kernels::MicroKernel::kScalarInt;
+      EXPECT_EQ(want, plan->kernel())
+          << kernels::op_kind_name(o.op) << " " << (o.tab ? o.tab->name() : "") << " m=" << m;
     }
   }
 
@@ -360,6 +401,105 @@ TEST(BackendConfig, PlansBindKernelByShape) {
             << " tb=" << trans_b;
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Closed-form tier: truncated tables are recognised by their contents and run
+// without a table on AVX2; every other table keeps the LUT kernels.
+// ---------------------------------------------------------------------------
+
+kernels::PlanHandle approx_plan(const approx::SignedMulTable& tab, int64_t m, int64_t k,
+                                int64_t n) {
+  return kernels::PlanCache::global().acquire(
+      kernels::make_int_key(kernels::OpKind::kApprox, {}, m, k, n, Backend::kBlocked, &tab),
+      &tab);
+}
+
+// The LUT kernel an approx plan binds when no closed form applies.
+kernels::MicroKernel lut_kernel(int64_t m) {
+  return kernels::active_isa() != kernels::Isa::kScalar && m >= 4
+             ? kernels::MicroKernel::kVectorInt
+             : kernels::MicroKernel::kScalarInt;
+}
+
+TEST(ClosedForm, TruncatedTablesBindItWithTheirDepth) {
+  const bool avx2 = kernels::active_isa() == kernels::Isa::kAvx2;
+  for (int t = 0; t <= 11; ++t) {
+    const std::string name = t == 0 ? "exact" : "trunc" + std::to_string(t);
+    const approx::SignedMulTable tab(axmul::make_lut(name));
+    for (int64_t m : {1, 4, 16}) {
+      const kernels::PlanHandle plan = approx_plan(tab, m, 9, 64);
+      EXPECT_EQ(avx2 ? kernels::MicroKernel::kTruncInt : lut_kernel(m), plan->kernel())
+          << name << " m=" << m;
+      EXPECT_EQ(avx2 ? t : -1, plan->truncation()) << name << " m=" << m;
+    }
+  }
+  int evoa = 0;
+  for (const axmul::MultiplierSpec& spec : axmul::paper_multipliers()) {
+    if (spec.kind != axmul::MultiplierKind::kEvoApproxLike) continue;
+    ++evoa;
+    const approx::SignedMulTable tab(axmul::make_lut(spec.id));
+    for (int64_t m : {1, 3, 4, 16}) {
+      const kernels::PlanHandle plan = approx_plan(tab, m, 9, 64);
+      EXPECT_EQ(lut_kernel(m), plan->kernel()) << spec.id << " m=" << m;
+      EXPECT_EQ(-1, plan->truncation()) << spec.id << " m=" << m;
+    }
+  }
+  EXPECT_EQ(8, evoa);
+}
+
+TEST(ClosedForm, MatchesEveryTruncatedTableOnTheWholeOperandDomain) {
+  // One GEMM per table: 16 weight rows (every nibble), K = 1, 256 activation
+  // columns (every byte), so C[w][a] must be exactly tab(a, w) — and 0 for
+  // the zero weight, whatever the table holds there.
+  constexpr int64_t M = 16, N = 256;
+  std::vector<int8_t> w(M), x(N);
+  for (int64_t i = 0; i < M; ++i) w[static_cast<size_t>(i)] = static_cast<int8_t>(i - 8);
+  for (int64_t j = 0; j < N; ++j) x[static_cast<size_t>(j)] = static_cast<int8_t>(j - 128);
+  for (int t = 0; t <= 11; ++t) {
+    const std::string name = t == 0 ? "exact" : "trunc" + std::to_string(t);
+    const approx::SignedMulTable tab(axmul::make_lut(name));
+    std::vector<int32_t> c(static_cast<size_t>(M * N), 7);
+    kernels::gemm_approx({}, w.data(), x.data(), c.data(), M, 1, N, tab, Backend::kBlocked);
+    for (int64_t i = 0; i < M; ++i)
+      for (int64_t j = 0; j < N; ++j) {
+        const int32_t qw = w[static_cast<size_t>(i)], qa = x[static_cast<size_t>(j)];
+        ASSERT_EQ(qw == 0 ? 0 : tab(qa, qw), c[static_cast<size_t>(i * N + j)])
+            << name << " a=" << qa << " w=" << qw;
+      }
+  }
+}
+
+TEST(ClosedForm, CorruptedTruncatedTableRunsThroughTheLut) {
+  // Fault injection: one trunc5 entry off by one. The copy's plan is a
+  // distinct plan on the LUT kernels, and its results are the corrupted
+  // table's, bit for bit.
+  const approx::SignedMulTable clean(axmul::make_lut("trunc5"));
+  approx::SignedMulTable bad = clean;
+  bad.mutable_data()[approx::SignedMulTable::index(-77, 3)] += 1;
+  const int64_t k = 20, n = 40;
+  for (int64_t m : {2, 8}) {
+    const kernels::PlanHandle clean_plan = approx_plan(clean, m, k, n);
+    const kernels::PlanHandle bad_plan = approx_plan(bad, m, k, n);
+    EXPECT_NE(clean_plan.get(), bad_plan.get()) << "m=" << m;
+    EXPECT_EQ(lut_kernel(m), bad_plan->kernel()) << "m=" << m;
+    EXPECT_EQ(-1, bad_plan->truncation()) << "m=" << m;
+
+    auto w = edge_weights(m, k, 71 + m);
+    auto x = edge_activations(k, n, 73 + m);
+    w[1] = 3;
+    x[static_cast<size_t>(n)] = -77;  // row 0 meets the corrupted entry at k = 1
+    std::vector<int32_t> c_naive(static_cast<size_t>(m * n)), c_plan(c_naive.size()),
+        c_clean(c_naive.size());
+    kernels::gemm_approx({}, w.data(), x.data(), c_naive.data(), m, k, n, bad,
+                         Backend::kNaive);
+    kernels::gemm_approx({}, w.data(), x.data(), c_plan.data(), m, k, n, bad,
+                         Backend::kBlocked);
+    kernels::gemm_approx({}, w.data(), x.data(), c_clean.data(), m, k, n, clean,
+                         Backend::kBlocked);
+    EXPECT_EQ(c_naive, c_plan) << "m=" << m;
+    EXPECT_EQ(c_clean[0] + 1, c_plan[0]) << "m=" << m;
   }
 }
 
