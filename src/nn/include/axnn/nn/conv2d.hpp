@@ -1,10 +1,11 @@
-// axnn — 2-D convolution with quantized-exact and quantized-approximate
-// execution paths.
+// axnn — 2-D convolution with a float and a quantized execution path.
 //
 // Forward lowers to GEMM via im2col: out[O, P] = W[O, K] · cols[K, P] per
-// group. In kQuantApprox mode the GEMM multiplies through an approximate-
-// multiplier table (Eq. 4); the backward pass uses the straight-through
-// estimator of the exact GEMM (Eq. 5), optionally refined by the
+// group. Both quantized modes quantize input and weights to int8 once and
+// run an integer GEMM: the exact kernel in kQuantExact mode (or when the
+// monitor forces it), the approximate-multiplier table in kQuantApprox mode
+// (Eq. 4). The backward pass uses the straight-through estimator of the
+// exact GEMM of the dequantized operands (Eq. 5), optionally refined by the
 // gradient-estimation scale (1 + K) on the weight gradient (Eq. 12).
 //
 // Per-layer heterogeneity (mixed multipliers, adders, mode overrides, GE
@@ -61,9 +62,10 @@ public:
   const quant::RangeObserver& act_observer() const { return act_obs_; }
 
   /// Override the quantization bit-widths before calibration (paper outlook:
-  /// "extended for lower bitwidth quantization"). The approximate path
+  /// "extended for lower bitwidth quantization"). A multiplier table
   /// requires weight_bits <= 4 (the LUT's 4-bit operand); quantized-exact
-  /// execution accepts any width in [2, 8].
+  /// execution accepts any width in [2, 8] (the exact kernel multiplies raw
+  /// int8 bytes).
   void set_bit_widths(int weight_bits, int activation_bits);
   int weight_bits() const { return wgt_bits_; }
   int activation_bits() const { return act_bits_; }
@@ -95,8 +97,8 @@ private:
 
   /// What backward needs, kept only by a training forward.
   struct BackwardState {
-    Tensor cols{};      ///< effective (possibly fake-quantized) cols [K, P]
-    Tensor w_mat{};     ///< effective weight matrix [O, K/groups-block]
+    Tensor cols{};      ///< effective cols [K, P] (dequantized int8 when quantized)
+    Tensor w_mat{};     ///< effective weight matrix [O, K/groups-block], likewise
     Tensor act_mask{};  ///< STE clip mask in input layout (quant modes)
     Tensor acc{};       ///< integer accumulators [O, P] (GE only)
     const ge::ErrorFit* fit = nullptr;

@@ -5,10 +5,15 @@
 //   kFloat      : full-precision forward/backward (pre-training, teacher).
 //   kCalibrate  : FP forward that additionally observes activation ranges
 //                 and caches calibration inputs for MinPropQE.
-//   kQuantExact : 8A4W fake-quantized forward with exact arithmetic
-//                 (quantization stage).
+//   kQuantExact : 8A4W quantized forward with exact arithmetic
+//                 (quantization stage, the frozen KD teacher): the int8 GEMM
+//                 on the exact kernel. Power-of-two steps and no zero point
+//                 make it equal the fake-quantized float GEMM while partial
+//                 sums stay below 2^24 units of s_x·s_w.
 //   kQuantApprox: 8A4W forward where every conv/FC GEMM multiplies through
 //                 an approximate-multiplier table (approximation stage).
+//                 Both quantized modes run the same int8 path; only the
+//                 kernel differs.
 #pragma once
 
 #include "axnn/approx/signed_lut.hpp"

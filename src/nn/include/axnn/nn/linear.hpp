@@ -1,7 +1,8 @@
-// axnn — fully-connected layer with quantized-exact and approximate paths.
+// axnn — fully-connected layer with a float and a quantized execution path.
 //
 // Same execution model as Conv2d: y[N, O] = x[N, F] · W[O, F]ᵀ + b, lowered
-// to the shared approximate GEMM in kQuantApprox mode. Per-layer multiplier
+// in both quantized modes to the int8 GEMM W · xᵀ (exact kernel for
+// kQuantExact, the multiplier table for kQuantApprox). Per-layer multiplier
 // / adder / mode / GE-fit heterogeneity resolves through plan_leaf_exec
 // (axnn/nn/plan.hpp), exactly as in Conv2d.
 #pragma once
@@ -39,7 +40,7 @@ public:
   /// See Conv2d::act_observer (sentinel range-guard calibration).
   const quant::RangeObserver& act_observer() const { return act_obs_; }
 
-  /// See Conv2d::set_bit_widths — approximate execution needs weight_bits
+  /// See Conv2d::set_bit_widths — a multiplier table needs weight_bits
   /// <= 4; quantized-exact accepts [2, 8].
   void set_bit_widths(int weight_bits, int activation_bits);
   int weight_bits() const { return wgt_bits_; }
@@ -62,8 +63,8 @@ private:
 
   /// What backward needs, kept only by a training forward.
   struct BackwardState {
-    Tensor x{};         ///< effective input [N, F]
-    Tensor w{};         ///< effective weights [O, F]
+    Tensor x{};         ///< effective input [N, F] (dequantized int8 when quantized)
+    Tensor w{};         ///< effective weights [O, F], likewise
     Tensor act_mask{};  ///< STE clip mask (quant modes)
     Tensor acc{};       ///< integer accumulators [N, O] (GE only)
     const ge::ErrorFit* fit = nullptr;

@@ -12,10 +12,13 @@
 // Contract with the leaves:
 //   * Hooks fire only in quantized passes (kQuantExact / kQuantApprox); the
 //     float and calibration paths never see the monitor.
-//   * on_leaf_gemm is called once per GEMM group of the integer path, after
-//     the kernel wrote `c`, and never for the adder-accumulation path
-//     (gemm_approx_accum fixes its own reduction order; checksums over it
-//     would re-derive the adder model).
+//   * on_leaf_gemm is called once per GEMM group of every quantized pass,
+//     exact or approximate (both run the integer path), after the kernel
+//     wrote `c` — never for the adder-accumulation path (gemm_approx_accum
+//     fixes its own reduction order; checksums over it would re-derive the
+//     adder model).
+//   * force_exact is asked only by leaves that would otherwise multiply
+//     through a table without an adder.
 //   * A monitor must not change any tensor it is handed except `c`, and a
 //     repair must leave `c` a valid [m, n] int32 accumulator block.
 #pragma once
@@ -48,9 +51,10 @@ public:
 
   /// One integer GEMM group C[m,n] = W[m,k] · X[k,n] just executed.
   /// `approx` tells whether the LUT kernel ran (false = exact integer
-  /// kernel, e.g. after force_exact); `tab` is the LUT used (null when
-  /// exact); `group` is the conv group index (0 for Linear). The monitor
-  /// may rewrite `c` in place; return true when it did.
+  /// kernel: a kQuantExact leaf, or one forced exact); `tab` is the LUT
+  /// used (null when exact); `group` is the conv group index (0 for
+  /// Linear). The monitor may rewrite `c` in place; return true when it
+  /// did.
   virtual bool on_leaf_gemm(const Layer& leaf, int64_t group, bool approx,
                             const int8_t* w, const int8_t* x, int32_t* c, int64_t m,
                             int64_t k, int64_t n, const approx::SignedMulTable* tab) = 0;

@@ -143,12 +143,6 @@ public:
   /// admits tenant plans against already-calibrated weights) gate on this.
   void require_bit_widths() const;
 
-  /// Rewrite the resolved exec mode of one leaf in place — the sentinel's
-  /// degradation path: a leaf with repeated checksum violations is demoted
-  /// to exact/safe mode for every later pass through this resolution.
-  /// Returns false when the leaf has no entry; throws on kCalibrate.
-  bool override_mode(const Layer& leaf, ExecMode mode);
-
 private:
   friend class NetPlan;
 
@@ -214,6 +208,8 @@ struct LeafExec {
 /// overrides apply only in quantized passes (FP/calibrate passes ignore
 /// plans entirely); per-layer GE fits apply only to training contexts,
 /// mirroring the uniform flow where only the student context carries a fit.
+/// A leaf that resolves to any mode but kQuantApprox gets no table, adder or
+/// fit: a kQuantExact leaf runs the exact integer kernel.
 LeafExec plan_leaf_exec(const ExecContext& ctx, const Layer& leaf);
 
 }  // namespace axnn::nn

@@ -1,6 +1,7 @@
 // axnn — small quantization helpers shared by the GEMM layers.
 #pragma once
 
+#include "axnn/obs/telemetry.hpp"
 #include "axnn/quant/quantizer.hpp"
 #include "axnn/tensor/tensor.hpp"
 
@@ -8,13 +9,15 @@ namespace axnn::nn {
 
 /// Quantize a float tensor directly into int8 storage: quant::quantize's
 /// levels (saturating, NaN -> 0), narrowed to int8, which always holds the
-/// symmetric range of `p` for bits <= 8.
+/// symmetric range of `p` for bits <= 8. Records quant::record_clip_rate
+/// when a collector is attached.
 inline TensorI8 quantize_i8(const Tensor& x, const quant::QuantParams& p) {
   TensorI8 q(x.shape());
   const float inv = 1.0f / p.step;
   const int32_t lo = p.qmin(), hi = p.qmax();
   for (int64_t i = 0; i < x.numel(); ++i)
     q[i] = static_cast<int8_t>(quant::quantize_level(x[i], inv, lo, hi));
+  if (obs::enabled()) quant::record_clip_rate(x, p);
   return q;
 }
 

@@ -3,14 +3,13 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "axnn/approx/kernels.hpp"
+#include "axnn/kernels/gemm.hpp"
 #include "axnn/nn/monitor.hpp"
 #include "axnn/nn/plan.hpp"
 #include "axnn/nn/qutils.hpp"
 #include "axnn/obs/telemetry.hpp"
-#include "axnn/tensor/gemm.hpp"
-#include "axnn/tensor/kernels.hpp"
 #include "axnn/tensor/ops.hpp"
+#include "leaf_gemm.hpp"
 #include "obs_hooks.hpp"
 
 namespace axnn::nn {
@@ -155,52 +154,16 @@ Tensor Conv2d::forward(const Tensor& x, const ExecContext& ctx) {
       return to_nchw(out_mat.data(), geom_, o, bias, [](float v) { return v; });
     }
 
-    case ExecMode::kQuantExact: {
-      if (!calibrated_) throw std::logic_error("Conv2d: quantized forward before calibration");
-      if (ctx.monitor != nullptr) ctx.monitor->on_leaf_input(*this, x);
-      Tensor cols = im2col(quant::fake_quantize(x, act_qp_), geom_);
-      Tensor wq = quant::fake_quantize(weight_.value, wgt_qp_);
-      wq.reshape(wmat_shape);
-      Tensor out_mat = run_gemm_float(wq, cols);
-      if (ctx.training)
-        bwd_ = BackwardState{.cols = std::move(cols),
-                             .w_mat = std::move(wq),
-                             .act_mask = quant::ste_mask(x, act_qp_)};
-      if (obs_on) {
-        detail::record_leaf_forward(obs_path_, ex.mode, last_macs_);
-        detail::record_act_clip_rate(obs_path_, x, act_qp_);
-      }
-      return to_nchw(out_mat.data(), geom_, o, bias, [](float v) { return v; });
-    }
-
+    case ExecMode::kQuantExact:
     case ExecMode::kQuantApprox: {
-      if (!calibrated_) throw std::logic_error("Conv2d: approx forward before calibration");
-      const approx::SignedMulTable* mul = ex.mul;
-      if (mul == nullptr)
-        throw std::logic_error("Conv2d: kQuantApprox requires a multiplier table");
-      if (wgt_qp_.bits > 4)
-        throw std::logic_error(
-            "Conv2d: approximate execution requires weight_bits <= 4 (LUT operand)");
+      if (!calibrated_) throw std::logic_error("Conv2d: quantized forward before calibration");
+      detail::check_leaf_exec(ex, wgt_qp_.bits, "Conv2d");
       if (ctx.monitor != nullptr) ctx.monitor->on_leaf_input(*this, x);
       const TensorI8 qcols = im2col_i8(quantize_i8(x, act_qp_), geom_);
       const TensorI8 qw = quantize_i8(weight_.value, wgt_qp_);
-      const bool forced_exact = ctx.monitor != nullptr && ex.adder == nullptr &&
-                                ctx.monitor->force_exact(*this);
       TensorI32 acc(Shape{o, p});
-      for (int64_t g = 0; g < grp; ++g) {
-        const int8_t* wg = qw.data() + g * og * kg;
-        const int8_t* xg = qcols.data() + g * kg * p;
-        int32_t* cg = acc.data() + g * og * p;
-        if (ex.adder != nullptr)
-          kernels::gemm_approx_accum({}, wg, xg, cg, og, kg, p, *mul, *ex.adder);
-        else if (forced_exact)
-          kernels::gemm_exact({}, wg, xg, cg, og, kg, p, &plan_memo_);
-        else
-          kernels::gemm_approx({}, wg, xg, cg, og, kg, p, *mul, &plan_memo_);
-        if (ctx.monitor != nullptr && ex.adder == nullptr)
-          ctx.monitor->on_leaf_gemm(*this, g, !forced_exact, wg, xg, cg, og, kg, p,
-                                    forced_exact ? nullptr : mul);
-      }
+      detail::leaf_gemm(*this, ex, ctx.monitor, plan_memo_, obs_path_, grp, qw.data(),
+                        qcols.data(), acc.data(), og, kg, p);
       if (ctx.training) {
         // The STE backward (Eq. 5) uses the *exact* GEMM of the quantized
         // values: keep them dequantized.
@@ -218,16 +181,6 @@ Tensor Conv2d::forward(const Tensor& x, const ExecContext& ctx) {
       if (obs_on) {
         detail::record_leaf_forward(obs_path_, ex.mode, last_macs_);
         detail::record_act_clip_rate(obs_path_, x, act_qp_);
-        obs::Collector* c = obs::collector();
-        if (c != nullptr && c->config().ge_residual) {
-          // Diagnostics: re-run the GEMM exactly to observe eps = y~ - y and
-          // its residual against the GE fit (roughly doubles forward cost).
-          TensorI32 exact(Shape{o, p});
-          for (int64_t g = 0; g < grp; ++g)
-            kernels::gemm_exact({}, qw.data() + g * og * kg, qcols.data() + g * kg * p,
-                                exact.data() + g * og * p, og, kg, p, &plan_memo_);
-          detail::record_ge_residual(obs_path_, ex.fit, acc.data(), exact.data(), acc.numel());
-        }
       }
       const float sx = act_qp_.step, sw = wgt_qp_.step;
       return to_nchw(acc.data(), geom_, o, bias,

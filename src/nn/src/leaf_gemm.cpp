@@ -1,0 +1,49 @@
+#include "leaf_gemm.hpp"
+
+#include <stdexcept>
+
+#include "axnn/kernels/int_gemm.hpp"
+#include "axnn/obs/telemetry.hpp"
+#include "obs_hooks.hpp"
+
+namespace axnn::nn::detail {
+
+void check_leaf_exec(const LeafExec& ex, int weight_bits, const char* who) {
+  if (ex.mode == ExecMode::kQuantApprox && ex.mul == nullptr)
+    throw std::logic_error(std::string(who) + ": kQuantApprox requires a multiplier table");
+  if (ex.mul != nullptr && weight_bits > 4)
+    throw std::logic_error(std::string(who) +
+                           ": approximate execution requires weight_bits <= 4 (LUT operand)");
+}
+
+void leaf_gemm(const Layer& leaf, const LeafExec& ex, ForwardMonitor* monitor,
+               kernels::PlanMemo& memo, const std::string& obs_path, int64_t groups,
+               const int8_t* w, const int8_t* x, int32_t* c, int64_t m, int64_t k, int64_t n) {
+  const bool exact = ex.mul == nullptr || (monitor != nullptr && ex.adder == nullptr &&
+                                           monitor->force_exact(leaf));
+  for (int64_t g = 0; g < groups; ++g) {
+    const int8_t* wg = w + g * m * k;
+    const int8_t* xg = x + g * k * n;
+    int32_t* cg = c + g * m * n;
+    if (ex.adder != nullptr)
+      kernels::gemm_approx_accum({}, wg, xg, cg, m, k, n, *ex.mul, *ex.adder);
+    else if (exact)
+      kernels::gemm_exact({}, wg, xg, cg, m, k, n, &memo);
+    else
+      kernels::gemm_approx({}, wg, xg, cg, m, k, n, *ex.mul, &memo);
+    if (monitor != nullptr && ex.adder == nullptr)
+      monitor->on_leaf_gemm(leaf, g, !exact, wg, xg, cg, m, k, n, exact ? nullptr : ex.mul);
+  }
+
+  if (ex.mul == nullptr || !obs::enabled()) return;
+  obs::Collector* col = obs::collector();
+  if (col == nullptr || !col->config().ge_residual) return;
+  // Diagnostics: re-run the GEMM exactly to observe eps = y~ - y and its
+  // residual against the GE fit (roughly doubles forward cost).
+  TensorI32 ref(Shape{groups * m, n});
+  for (int64_t g = 0; g < groups; ++g)
+    kernels::gemm_exact({}, w + g * m * k, x + g * k * n, ref.data() + g * m * n, m, k, n, &memo);
+  record_ge_residual(obs_path, ex.fit, c, ref.data(), groups * m * n);
+}
+
+}  // namespace axnn::nn::detail

@@ -1,0 +1,35 @@
+// axnn — the integer GEMM of a quantized conv/FC forward, shared by Conv2d
+// and Linear (nn-internal). Both quantized modes run it: an exact leaf is a
+// leaf without a multiplier table (plan_leaf_exec drops the table of every
+// kQuantExact leaf). The paper's power-of-two, zero-point-free quantizer
+// makes its int8 GEMM the fake-quantized float GEMM, bit for bit, while
+// partial sums stay below 2^24 units of s_x·s_w.
+#pragma once
+
+#include <cstdint>
+#include <string>
+
+#include "axnn/kernels/plan.hpp"
+#include "axnn/nn/monitor.hpp"
+#include "axnn/nn/plan.hpp"
+
+namespace axnn::nn::detail {
+
+/// Throw std::logic_error unless the leaf can run `ex`: kQuantApprox needs a
+/// multiplier table, and a table reads 4-bit weight operands. Without a table
+/// any width in [2, 8] runs: the exact kernel multiplies raw int8 bytes.
+/// `who` prefixes the message ("Conv2d", "Linear").
+void check_leaf_exec(const LeafExec& ex, int weight_bits, const char* who);
+
+/// C_g[m,n] = W_g[m,k] · X_g[k,n] for each of `groups` groups stored back to
+/// back (W_g at w + g·m·k, X_g at x + g·k·n, C_g at c + g·m·n). The kernel:
+/// gemm_approx_accum when the leaf has an adder; gemm_exact when it has no
+/// table or the monitor forces it exact; gemm_approx otherwise. Every group
+/// not accumulated through an adder is reported to the monitor, which may
+/// repair C_g. With a collector asking for ge_residual, an approximate leaf
+/// re-runs its GEMM exactly and records eps = y~ - y against its fit.
+void leaf_gemm(const Layer& leaf, const LeafExec& ex, ForwardMonitor* monitor,
+               kernels::PlanMemo& memo, const std::string& obs_path, int64_t groups,
+               const int8_t* w, const int8_t* x, int32_t* c, int64_t m, int64_t k, int64_t n);
+
+}  // namespace axnn::nn::detail

@@ -2,14 +2,13 @@
 
 #include <stdexcept>
 
-#include "axnn/approx/kernels.hpp"
+#include "axnn/kernels/gemm.hpp"
 #include "axnn/nn/monitor.hpp"
 #include "axnn/nn/plan.hpp"
 #include "axnn/nn/qutils.hpp"
 #include "axnn/obs/telemetry.hpp"
-#include "axnn/tensor/gemm.hpp"
-#include "axnn/tensor/kernels.hpp"
 #include "axnn/tensor/ops.hpp"
+#include "leaf_gemm.hpp"
 #include "obs_hooks.hpp"
 
 namespace axnn::nn {
@@ -88,53 +87,21 @@ Tensor Linear::forward(const Tensor& x, const ExecContext& ctx) {
       return y;
     }
 
-    case ExecMode::kQuantExact: {
-      if (!calibrated_) throw std::logic_error("Linear: quantized forward before calibration");
-      if (ctx.monitor != nullptr) ctx.monitor->on_leaf_input(*this, x);
-      Tensor xq = quant::fake_quantize(x, act_qp_);
-      Tensor wq = quant::fake_quantize(weight_.value, wgt_qp_);
-      Tensor y = linear_forward_float(xq, wq, bias, &plan_memo_);
-      if (ctx.training)
-        bwd_ = BackwardState{
-            .x = std::move(xq), .w = std::move(wq), .act_mask = quant::ste_mask(x, act_qp_)};
-      if (obs_on) {
-        detail::record_leaf_forward(obs_path_, ex.mode, last_macs_);
-        detail::record_act_clip_rate(obs_path_, x, act_qp_);
-      }
-      return y;
-    }
-
+    case ExecMode::kQuantExact:
     case ExecMode::kQuantApprox: {
-      if (!calibrated_) throw std::logic_error("Linear: approx forward before calibration");
-      const approx::SignedMulTable* mul = ex.mul;
-      if (mul == nullptr)
-        throw std::logic_error("Linear: kQuantApprox requires a multiplier table");
-      if (wgt_qp_.bits > 4)
-        throw std::logic_error(
-            "Linear: approximate execution requires weight_bits <= 4 (LUT operand)");
+      if (!calibrated_) throw std::logic_error("Linear: quantized forward before calibration");
+      detail::check_leaf_exec(ex, wgt_qp_.bits, "Linear");
       if (ctx.monitor != nullptr) ctx.monitor->on_leaf_input(*this, x);
       const TensorI8 qx = quantize_i8(x, act_qp_);
       const TensorI8 qw = quantize_i8(weight_.value, wgt_qp_);
-      // gemm_approx computes W[O,F] ·~ X[F,N]: transpose the activations so
+      // The int GEMM computes W[O,F] · X[F,N]: transpose the activations so
       // they take the 8-bit operand role.
       TensorI8 qxt(Shape{in_, n});
       for (int64_t i = 0; i < n; ++i)
         for (int64_t j = 0; j < in_; ++j) qxt(j, i) = qx(i, j);
-      const bool forced_exact = ctx.monitor != nullptr && ex.adder == nullptr &&
-                                ctx.monitor->force_exact(*this);
       TensorI32 acc(Shape{out_, n});
-      if (ex.adder != nullptr)
-        kernels::gemm_approx_accum({}, qw.data(), qxt.data(), acc.data(), out_, in_, n,
-                                   *mul, *ex.adder);
-      else if (forced_exact)
-        kernels::gemm_exact({}, qw.data(), qxt.data(), acc.data(), out_, in_, n,
-                            &plan_memo_);
-      else
-        kernels::gemm_approx({}, qw.data(), qxt.data(), acc.data(), out_, in_, n, *mul,
-                             &plan_memo_);
-      if (ctx.monitor != nullptr && ex.adder == nullptr)
-        ctx.monitor->on_leaf_gemm(*this, 0, !forced_exact, qw.data(), qxt.data(), acc.data(),
-                                  out_, in_, n, forced_exact ? nullptr : mul);
+      detail::leaf_gemm(*this, ex, ctx.monitor, plan_memo_, obs_path_, 1, qw.data(), qxt.data(),
+                        acc.data(), out_, in_, n);
 
       const float s = act_qp_.step * wgt_qp_.step;
       Tensor y(Shape{n, out_});
@@ -157,13 +124,6 @@ Tensor Linear::forward(const Tensor& x, const ExecContext& ctx) {
       if (obs_on) {
         detail::record_leaf_forward(obs_path_, ex.mode, last_macs_);
         detail::record_act_clip_rate(obs_path_, x, act_qp_);
-        obs::Collector* c = obs::collector();
-        if (c != nullptr && c->config().ge_residual) {
-          TensorI32 exact(Shape{out_, n});
-          kernels::gemm_exact({}, qw.data(), qxt.data(), exact.data(), out_, in_, n,
-                              &plan_memo_);
-          detail::record_ge_residual(obs_path_, ex.fit, acc.data(), exact.data(), acc.numel());
-        }
       }
       return y;
     }

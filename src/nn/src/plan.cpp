@@ -173,17 +173,6 @@ const ResolvedLayerPlan* PlanResolution::find(const Layer& leaf) const {
   return it == by_layer_.end() ? nullptr : it->second;
 }
 
-bool PlanResolution::override_mode(const Layer& leaf, ExecMode mode) {
-  if (mode == ExecMode::kCalibrate)
-    throw std::invalid_argument("PlanResolution::override_mode: kCalibrate is not a valid mode");
-  for (auto& e : entries_) {
-    if (e.layer != &leaf) continue;
-    e.plan.mode = mode;
-    return true;
-  }
-  return false;
-}
-
 void PlanResolution::require_approximable() const {
   std::ostringstream os;
   bool bad = false;
@@ -325,15 +314,18 @@ PlanResolution NetPlan::resolve(Layer& root, const ResolveOptions& opt) const {
 
 LeafExec plan_leaf_exec(const ExecContext& ctx, const Layer& leaf) {
   LeafExec ex{ctx.mode, ctx.mul, ctx.ge_fit, ctx.adder};
-  if (ctx.plan == nullptr || !ctx.quantized()) return ex;
-  const ResolvedLayerPlan* rp = ctx.plan->find(leaf);
-  if (rp == nullptr) return ex;
-  if (rp->plan.mode) ex.mode = *rp->plan.mode;
-  if (rp->mul != nullptr) ex.mul = rp->mul;
-  if (rp->adder != nullptr) ex.adder = rp->adder;
-  // Per-layer fits drive the (1 + K) backward scale; like the uniform flow,
-  // only training contexts carry them (evaluation stays pure STE-free).
-  if (rp->fit != nullptr && ctx.training) ex.fit = rp->fit;
+  const ResolvedLayerPlan* rp =
+      ctx.plan != nullptr && ctx.quantized() ? ctx.plan->find(leaf) : nullptr;
+  if (rp != nullptr) {
+    if (rp->plan.mode) ex.mode = *rp->plan.mode;
+    if (rp->mul != nullptr) ex.mul = rp->mul;
+    if (rp->adder != nullptr) ex.adder = rp->adder;
+    // Per-layer fits drive the (1 + K) backward scale; like the uniform flow,
+    // only training contexts carry them (evaluation stays pure STE-free).
+    if (rp->fit != nullptr && ctx.training) ex.fit = rp->fit;
+  }
+  // Only an approximate leaf reads a table, an adder or a GE fit.
+  if (ex.mode != ExecMode::kQuantApprox) return {.mode = ex.mode};
   return ex;
 }
 

@@ -60,6 +60,13 @@ inline int32_t quantize_level(float x, float inv, int32_t lo, int32_t hi) {
   return static_cast<int32_t>((c + kShift) - kShift);
 }
 
+/// Telemetry of every real quantize (quantize, nn::quantize_i8): adds the
+/// fraction of x whose level rounds outside [qmin, qmax] to the attached
+/// obs collector as "quantize.clip_rate" under the current path ("quant"
+/// when none). A second pass over x, only when a collector is attached; a
+/// no-op otherwise.
+void record_clip_rate(const Tensor& x, const QuantParams& p);
+
 /// Integer quantization: q = clamp(round(x / step), qmin, qmax), per
 /// quantize_level.
 TensorI32 quantize(const Tensor& x, const QuantParams& p);
@@ -67,9 +74,11 @@ TensorI32 quantize(const Tensor& x, const QuantParams& p);
 /// Dequantization: x~ = q * step.
 Tensor dequantize(const TensorI32& q, const QuantParams& p);
 
-/// Fake quantization (quantize-dequantize in float), the forward op of
-/// quantization-aware fine-tuning. The backward is the straight-through
-/// estimator, implemented in the layers via `ste_mask`.
+/// Fake quantization (quantize-dequantize in float): the candidate scoring
+/// of MinPropQE calibration and the reference that tests hold the layers'
+/// int8 paths to. No forward calls it, so it records no telemetry; the
+/// backward of a quantized layer is the straight-through estimator,
+/// implemented in the layers via `ste_mask`.
 Tensor fake_quantize(const Tensor& x, const QuantParams& p);
 
 /// STE clipping mask: 1 where x falls inside the representable range

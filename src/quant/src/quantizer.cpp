@@ -8,12 +8,7 @@
 
 namespace axnn::quant {
 
-namespace {
-
-/// Telemetry: fraction of elements clipped to the representable range
-/// (|x·inv| rounding outside [qmin, qmax]). Runs a second pass over x, but
-/// only when a collector is attached — the quantize loops stay untouched.
-void record_clip_rate(const char* metric, const Tensor& x, const QuantParams& p) {
+void record_clip_rate(const Tensor& x, const QuantParams& p) {
   obs::Collector* c = obs::collector();
   if (c == nullptr || x.numel() == 0) return;
   const float inv = 1.0f / p.step;
@@ -25,10 +20,8 @@ void record_clip_rate(const char* metric, const Tensor& x, const QuantParams& p)
   }
   std::string path = obs::current_path();
   if (path.empty()) path = "quant";
-  c->add(path, metric, static_cast<double>(clipped) / static_cast<double>(x.numel()));
+  c->add(path, "quantize.clip_rate", static_cast<double>(clipped) / static_cast<double>(x.numel()));
 }
-
-}  // namespace
 
 float round_to_pow2(float step) {
   if (!(step > 0.0f)) throw std::invalid_argument("round_to_pow2: step must be positive");
@@ -54,7 +47,7 @@ TensorI32 quantize(const Tensor& x, const QuantParams& p) {
   const float inv = 1.0f / p.step;
   const int32_t lo = p.qmin(), hi = p.qmax();
   for (int64_t i = 0; i < x.numel(); ++i) q[i] = quantize_level(x[i], inv, lo, hi);
-  if (obs::enabled()) record_clip_rate("quantize.clip_rate", x, p);
+  if (obs::enabled()) record_clip_rate(x, p);
   return q;
 }
 
@@ -72,7 +65,6 @@ Tensor fake_quantize(const Tensor& x, const QuantParams& p) {
     const float v = std::clamp(std::nearbyintf(x[i] * inv), lo, hi);
     out[i] = v * p.step;
   }
-  if (obs::enabled()) record_clip_rate("fake_quantize.clip_rate", x, p);
   return out;
 }
 

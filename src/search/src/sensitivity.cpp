@@ -11,16 +11,11 @@ namespace axnn::search {
 
 namespace {
 
-/// Observed clip rate for a leaf: the larger of the real-quantize and
-/// fake-quantize rates recorded under the leaf's path (whichever the
-/// profiled exec mode exercised).
+/// Observed clip rate for a leaf: the mean of the rates its int8 quantizes
+/// (activations, then weights) recorded under the leaf's path.
 double leaf_clip_rate(const obs::Collector& col, const std::string& path) {
   const auto q = col.stat(path, "quantize.clip_rate");
-  const auto fq = col.stat(path, "fake_quantize.clip_rate");
-  double r = 0.0;
-  if (q.count > 0) r = std::max(r, q.mean());
-  if (fq.count > 0) r = std::max(r, fq.mean());
-  return r;
+  return q.count > 0 ? q.mean() : 0.0;
 }
 
 }  // namespace

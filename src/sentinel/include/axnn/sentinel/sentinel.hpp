@@ -11,8 +11,9 @@
 //       Σ_m C[m,n] = Σ_k S_k(X[k,n]),  S_k(a) = Σ_{m: W[m,k]≠0} T(W[m,k], a)
 //     exactly, where W are the golden weights captured at calibration and T
 //     is the registry-pristine table. Any difference is a violation: a
-//     corrupted LUT entry and a corrupted weight operand both break it. The
-//     exact integer path checks Σ_m C[m,n] = Σ_k (Σ_m W[m,k])·X[k,n].
+//     corrupted LUT entry and a corrupted weight operand both break it. An
+//     exact GEMM (kQuantExact leaves, `mode=exact` plan entries, leaves
+//     forced exact) checks Σ_m C[m,n] = Σ_k (Σ_m W[m,k])·X[k,n].
 //   * Activation range guards (Ranger-style). Each leaf's pre-quantization
 //     inputs are checked against the bound and clip statistics the
 //     quantizer's RangeObserver gathered during calibration.
@@ -23,11 +24,10 @@
 // fine-tuned model expects (see DegradationPolicy::RepairMode for why exact
 // arithmetic is the wrong repair target there). A leaf that keeps violating
 // is degraded: under kGoldenTable every later pass recomputes from golden
-// state; under kExact force_exact() starts returning true and, when a
-// PlanResolution is attached, the leaf's plan entry is rewritten to
-// exact/safe mode so the self-healing persists in the plan itself. Every
-// detection lands in obs events/metrics and in the structured
-// SentinelReport.
+// state; under kExact force_exact() starts returning true, so the leaf runs
+// the exact integer kernel and every later pass is still checked (and
+// repaired from the golden weights). Every detection lands in obs
+// events/metrics and in the structured SentinelReport.
 //
 // Thread safety: calibrate once, then concurrent forward passes may share
 // one sentinel (counters and degradation flags are mutex-guarded;
@@ -63,10 +63,9 @@ struct DegradationPolicy {
   ///     ResNet20 at ~25% accuracy under the exact multiplier vs ~88%
   ///     under clean trunc5).
   ///   * kExact: the exact integer kernel; on degradation the leaf is
-  ///     forced to exact execution and, when a PlanResolution is attached,
-  ///     its plan entry is rewritten to exact mode. Right for models that
-  ///     were never fine-tuned under the approximate multiplier, where
-  ///     exact execution is the gold standard.
+  ///     forced to exact execution (force_exact) in uniform and plan runs
+  ///     alike. Right for models that were never fine-tuned under the
+  ///     approximate multiplier, where exact execution is the gold standard.
   enum class RepairMode { kGoldenTable, kExact };
   RepairMode repair = RepairMode::kGoldenTable;
   /// Checksum violations at one leaf before it is degraded permanently:
@@ -123,11 +122,11 @@ public:
   /// uncalibrated leaves.
   void calibrate_uniform(nn::Layer& root, const std::string& mul_id);
 
-  /// Calibrate for a heterogeneous run: per-leaf multipliers come from the
-  /// resolution (leaves with exact/float mode overrides get exact-path
-  /// state only). The resolution is retained for the kExact plan rewrite
-  /// and must outlive the sentinel's use.
-  void calibrate_plan(nn::Layer& root, nn::PlanResolution& resolution);
+  /// Calibrate for a heterogeneous run over the resolution's leaves:
+  /// per-leaf multipliers come from the resolution (leaves with exact/float
+  /// mode overrides get exact-path state only). The resolution is not
+  /// retained.
+  void calibrate_plan(const nn::PlanResolution& resolution);
 
   // nn::ForwardMonitor:
   bool force_exact(const nn::Layer& leaf) override;
@@ -170,14 +169,13 @@ private:
   void repair(const LeafState& st, int64_t group, bool approx, const int8_t* x, int32_t* c,
               int64_t n) const;
   void record_violation(LeafState& st, const char* kind, double deviation, double tolerance);
-  void maybe_degrade(LeafState& st, const nn::Layer& leaf);
+  void maybe_degrade(LeafState& st);
   const approx::SignedMulTable* golden_table_for(const std::string& mul_id);
 
   SentinelConfig cfg_;
   std::unordered_map<const nn::Layer*, LeafState> leaves_;
   /// Registry-pristine tables shared by leaves, keyed by multiplier id.
   std::map<std::string, approx::SignedMulTable> golden_tabs_;
-  nn::PlanResolution* resolution_ = nullptr;
   mutable std::mutex mu_;
 };
 

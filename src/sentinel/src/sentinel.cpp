@@ -207,15 +207,12 @@ const approx::SignedMulTable* Sentinel::golden_table_for(const std::string& mul_
 void Sentinel::calibrate_uniform(nn::Layer& root, const std::string& mul_id) {
   std::lock_guard<std::mutex> lk(mu_);
   leaves_.clear();
-  resolution_ = nullptr;
   for (const nn::GemmLeaf& leaf : nn::enumerate_gemm_leaves(root)) calibrate_leaf(leaf, &mul_id);
 }
 
-void Sentinel::calibrate_plan(nn::Layer& root, nn::PlanResolution& resolution) {
+void Sentinel::calibrate_plan(const nn::PlanResolution& resolution) {
   std::lock_guard<std::mutex> lk(mu_);
-  (void)root;
   leaves_.clear();
-  resolution_ = &resolution;
   for (const nn::ResolvedLayerPlan& e : resolution.entries()) {
     nn::GemmLeaf leaf;
     leaf.path = e.path;
@@ -261,14 +258,11 @@ void Sentinel::record_violation(LeafState& st, const char* kind, double deviatio
   c->event(std::move(ev));
 }
 
-void Sentinel::maybe_degrade(LeafState& st, const nn::Layer& leaf) {
+void Sentinel::maybe_degrade(LeafState& st) {
   if (st.stats.degraded) return;
   const int64_t threshold = std::max<int64_t>(1, cfg_.policy.degrade_after);
   if (st.stats.abft_violations < threshold) return;
   st.stats.degraded = true;
-  bool rewrote = false;
-  if (resolution_ != nullptr && cfg_.policy.repair == DegradationPolicy::RepairMode::kExact)
-    rewrote = resolution_->override_mode(leaf, nn::ExecMode::kQuantExact);
   if (obs::enabled()) {
     obs::Collector* c = obs::collector();
     c->add(st.path, "sentinel.degraded", 1.0);
@@ -276,7 +270,6 @@ void Sentinel::maybe_degrade(LeafState& st, const nn::Layer& leaf) {
     ev["type"] = "sentinel.degraded";
     ev["path"] = st.path;
     ev["violations"] = static_cast<double>(st.stats.abft_violations);
-    ev["plan_rewritten"] = rewrote;
     c->event(std::move(ev));
   }
 }
@@ -384,7 +377,7 @@ bool Sentinel::on_leaf_gemm(const nn::Layer& leaf, int64_t group, bool approx,
     ++st.stats.abft_violations;
     ++st.stats.reexecs;
     record_violation(st, "abft", static_cast<double>(worst), 0.0);
-    maybe_degrade(st, leaf);
+    maybe_degrade(st);
   }
   return bad;
 }

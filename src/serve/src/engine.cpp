@@ -397,7 +397,7 @@ std::vector<std::vector<Session::Lane>> Engine::build_points(
         if (spec_.sentinel) {
           stage = "sentinel-calibrate";
           lane.sentinel = std::make_unique<sentinel::Sentinel>(spec_.sentinel_config);
-          lane.sentinel->calibrate_plan(*lanes_[i], *lane.resolution);
+          lane.sentinel->calibrate_plan(*lane.resolution);
           lane.ctx = lane.ctx.with_monitor(*lane.sentinel);
         }
         lanes.push_back(std::move(lane));

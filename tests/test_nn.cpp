@@ -214,7 +214,7 @@ TEST(Conv2d, ApproxWithExactTableMatchesQuantExact) {
   const Tensor yq = conv.forward(x, ExecContext::quant_exact());
   const approx::SignedMulTable exact_tab;
   const Tensor ya = conv.forward(x, ExecContext::quant_approx(exact_tab));
-  for (int64_t i = 0; i < yq.numel(); ++i) EXPECT_NEAR(ya[i], yq[i], 2e-3f);
+  for (int64_t i = 0; i < yq.numel(); ++i) EXPECT_EQ(ya[i], yq[i]);
 }
 
 TEST(Conv2d, ApproxTruncatedReducesMagnitude) {
@@ -269,7 +269,7 @@ TEST(Linear, ApproxExactTableMatchesQuantExact) {
   const Tensor yq = lin.forward(x, ExecContext::quant_exact());
   const approx::SignedMulTable exact_tab;
   const Tensor ya = lin.forward(x, ExecContext::quant_approx(exact_tab));
-  for (int64_t i = 0; i < yq.numel(); ++i) EXPECT_NEAR(ya[i], yq[i], 1e-3f);
+  for (int64_t i = 0; i < yq.numel(); ++i) EXPECT_EQ(ya[i], yq[i]);
 }
 
 TEST(BatchNorm, NormalizesInTraining) {

@@ -4,7 +4,9 @@
 // a micro Workbench (one stage-1 training shared by the whole suite).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
+#include <map>
 #include <stdexcept>
 
 #include "axnn/axnn.hpp"
@@ -209,6 +211,67 @@ TEST_F(SearchFixture, RejectsBadSpecs) {
   spec = micro_search_spec();
   spec.widths = {{1, 8}};  // below the supported range
   EXPECT_THROW((void)search::run_search(*wb_, spec), std::invalid_argument);
+}
+
+/// Keeps each leaf's input as the quantized forward hands it over.
+class LeafInputRecorder final : public nn::ForwardMonitor {
+public:
+  bool force_exact(const nn::Layer&) override { return false; }
+  void on_leaf_input(const nn::Layer& leaf, const Tensor& x) override { inputs[&leaf] = x; }
+  bool on_leaf_gemm(const nn::Layer&, int64_t, bool, const int8_t*, const int8_t*, int32_t*,
+                    int64_t, int64_t, int64_t, const approx::SignedMulTable*) override {
+    return false;
+  }
+  std::map<const nn::Layer*, Tensor> inputs;
+};
+
+/// The fake-quant clip rate: the share of x whose nearbyintf level falls
+/// outside [qmin, qmax].
+double fake_quant_clip_rate(const Tensor& x, const quant::QuantParams& p) {
+  int64_t clipped = 0;
+  for (int64_t i = 0; i < x.numel(); ++i) {
+    const float v = std::nearbyintf(x[i] * (1.0f / p.step));
+    clipped += v < static_cast<float>(p.qmin()) || v > static_cast<float>(p.qmax()) ? 1 : 0;
+  }
+  return static_cast<double>(clipped) / static_cast<double>(x.numel());
+}
+
+TEST_F(SearchFixture, ProfiledClipRateIsTheMeanOfActivationAndWeightRates) {
+  std::unique_ptr<nn::Sequential> model = wb_->clone();
+  data::Dataset sample;
+  auto head = wb_->data().test.slice(0, 8);
+  sample.images = head.first;
+  sample.labels = std::move(head.second);
+  LeafInputRecorder rec;
+  (void)model->forward(sample.images, nn::ExecContext::quant_exact().with_monitor(rec));
+
+  ge::FitRegistry fits;
+  const search::SensitivityModel sens =
+      search::profile_sensitivity(*model, sample, {search::Candidate{}}, fits);
+  const auto leaves = nn::enumerate_gemm_leaves(*model);
+  ASSERT_EQ(sens.layers.size(), leaves.size());
+  int nonzero = 0;
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    const Tensor* w = nullptr;
+    quant::QuantParams wqp, aqp;
+    if (auto* c = dynamic_cast<nn::Conv2d*>(leaves[i].layer)) {
+      w = &c->weight().value;
+      wqp = c->weight_qparams();
+      aqp = c->act_qparams();
+    } else if (auto* l = dynamic_cast<nn::Linear*>(leaves[i].layer)) {
+      w = &l->weight().value;
+      wqp = l->weight_qparams();
+      aqp = l->act_qparams();
+    }
+    ASSERT_NE(w, nullptr);
+    ASSERT_EQ(rec.inputs.count(leaves[i].layer), 1u) << leaves[i].path;
+    const double want = (fake_quant_clip_rate(rec.inputs.at(leaves[i].layer), aqp) +
+                         fake_quant_clip_rate(*w, wqp)) /
+                        2.0;
+    EXPECT_DOUBLE_EQ(sens.layers[i].clip_rate, want) << leaves[i].path;
+    nonzero += want > 0.0 ? 1 : 0;
+  }
+  EXPECT_GT(nonzero, 0);
 }
 
 TEST_F(SearchFixture, DeterministicAndDominatesUniforms) {

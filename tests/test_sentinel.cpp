@@ -92,7 +92,8 @@ TEST_F(SentinelFixture, FaultFreeExactForwardBitIdentical) {
   EXPECT_GT(rep.total_checks(), 0);
   EXPECT_EQ(rep.degraded_leaves(), 0);
 
-  // Same guarantee on the plain quantized-exact path (range guards only).
+  // Same guarantee on the plain quantized-exact path: its integer GEMMs get
+  // the exact column-sum check, and none of them violates it.
   s.reset_counters();
   const Tensor e0 = net_->forward(batch_, nn::ExecContext::quant_exact());
   const Tensor e1 = net_->forward(batch_, nn::ExecContext::quant_exact().with_monitor(s));
@@ -100,7 +101,10 @@ TEST_F(SentinelFixture, FaultFreeExactForwardBitIdentical) {
   const SentinelReport rep2 = s.report();
   EXPECT_EQ(rep2.total_violations(), 0);
   ASSERT_EQ(rep2.leaves.size(), 3u);
-  for (const auto& l : rep2.leaves) EXPECT_GT(l.range_checks, 0);
+  for (const auto& l : rep2.leaves) {
+    EXPECT_GT(l.gemm_checks, 0) << l.path;
+    EXPECT_GT(l.range_checks, 0) << l.path;
+  }
 }
 
 TEST_F(SentinelFixture, CleanApproximateRunHasNoFalsePositives) {
@@ -244,23 +248,10 @@ TEST_F(SentinelFixture, RangeGuardFlagsOutOfRangeActivations) {
   EXPECT_EQ(rep.degraded_leaves(), 0);
 }
 
-TEST_F(SentinelFixture, PlanRewriteDemotesDegradedLeavesToExactMode) {
-  nn::LayerPlan uniform;
-  uniform.multiplier = "trunc5";
-  nn::NetPlan plan(uniform);
-  nn::PlanResolution res = plan.resolve(*net_);
-
-  SentinelConfig cfg;
-  cfg.policy.degrade_after = 1;
-  cfg.policy.repair = DegradationPolicy::RepairMode::kExact;  // plan rewrite mode
-  Sentinel s(cfg);
-  s.calibrate_plan(*net_, res);
-
-  // Weight corruption on the first conv only: exactly one leaf must degrade
-  // and have its plan entry rewritten to the exact quantized mode.
-  auto leaves = nn::enumerate_gemm_leaves(*net_);
-  ASSERT_EQ(leaves.size(), 3u);
-  auto* conv0 = dynamic_cast<nn::Conv2d*>(leaves[0].layer);
+/// Flips exponent bits in the first conv's weights (bias untouched, so a
+/// golden repair restores the output exactly).
+void corrupt_first_conv_weights(nn::Sequential& net) {
+  auto* conv0 = dynamic_cast<nn::Conv2d*>(nn::enumerate_gemm_leaves(net).at(0).layer);
   ASSERT_NE(conv0, nullptr);
   resilience::FaultSpec spec;
   spec.rate = 0.1;
@@ -269,29 +260,78 @@ TEST_F(SentinelFixture, PlanRewriteDemotesDegradedLeavesToExactMode) {
   spec.seed = 21;
   resilience::FaultInjector inj(spec);
   resilience::corrupt_tensors({&conv0->weight().value}, inj);
+}
 
-  const approx::SignedMulTable fallback(axmul::make_lut("exact"));
-  const auto ctx = nn::ExecContext::quant_approx(fallback).with_plan(res).with_monitor(s);
-  (void)net_->forward(batch_, ctx);
+/// "default=trunc5" with the first leaf overridden to `mode=exact`.
+nn::PlanResolution first_leaf_exact_plan(nn::Sequential& net) {
+  const std::string first = nn::enumerate_gemm_leaves(net).at(0).path;
+  return nn::NetPlan::parse("default=trunc5; " + first + "=trunc5:mode=exact").resolve(net);
+}
 
+TEST_F(SentinelFixture, WeightFaultOnExactModeLeafRepairedFromGoldenCopy) {
+  // A `mode=exact` plan leaf runs the exact integer kernel, so it gets the
+  // golden column-sum check like every other quantized GEMM.
+  const nn::PlanResolution res = first_leaf_exact_plan(*net_);
+  const auto ctx = nn::ExecContext{.mode = nn::ExecMode::kQuantApprox}.with_plan(res);
+  const Tensor clean = net_->forward(batch_, ctx);
+
+  SentinelConfig cfg;
+  cfg.policy.degrade_after = 1000000;  // repair every pass, never degrade
+  Sentinel s(cfg);
+  s.calibrate_plan(res);
+  corrupt_first_conv_weights(*net_);
+  ASSERT_TRUE(any_element_differs(clean, net_->forward(batch_, ctx)));  // the faults bite
+
+  expect_bit_identical(clean, net_->forward(batch_, ctx.with_monitor(s)));
   const SentinelReport rep = s.report();
-  EXPECT_EQ(rep.degraded_leaves(), 1) << rep.summary();
-  const nn::ResolvedLayerPlan* entry = res.find(*leaves[0].layer);
-  ASSERT_NE(entry, nullptr);
-  ASSERT_TRUE(entry->plan.mode.has_value());
-  EXPECT_EQ(*entry->plan.mode, nn::ExecMode::kQuantExact);
-  // The healthy leaves keep their approximate plan.
-  for (size_t i = 1; i < leaves.size(); ++i) {
-    const nn::ResolvedLayerPlan* e = res.find(*leaves[i].layer);
-    ASSERT_NE(e, nullptr);
-    EXPECT_FALSE(e->plan.mode.has_value()) << leaves[i].path;
-  }
+  ASSERT_EQ(rep.leaves.size(), 3u);
+  EXPECT_GT(rep.leaves[0].gemm_checks, 0);
+  EXPECT_GT(rep.leaves[0].abft_violations, 0) << rep.summary();
+  EXPECT_GT(rep.leaves[0].reexecs, 0);
+  for (size_t i = 1; i < rep.leaves.size(); ++i)
+    EXPECT_EQ(rep.leaves[i].abft_violations, 0) << rep.leaves[i].path;
+  EXPECT_EQ(rep.degraded_leaves(), 0);
+}
 
-  // A later pass runs the rewritten plan without further violations: the
-  // demoted leaf takes the exact fake-quant path and is no longer checked.
-  const Tensor y = net_->forward(batch_, ctx);
-  for (int64_t i = 0; i < y.numel(); ++i) ASSERT_TRUE(std::isfinite(y[i]));
-  EXPECT_EQ(s.report().total_violations(), rep.total_violations());
+TEST_F(SentinelFixture, DegradedLeafRunsExactAndStaysChecked) {
+  nn::LayerPlan uniform;
+  uniform.multiplier = "trunc5";
+  const nn::PlanResolution res = nn::NetPlan(uniform).resolve(*net_);
+  // What a repaired pass must give: the clean model with the first conv
+  // exact (golden weights) and the other leaves on trunc5.
+  const nn::PlanResolution mixed = first_leaf_exact_plan(*net_);
+  const Tensor want =
+      net_->forward(batch_, nn::ExecContext{.mode = nn::ExecMode::kQuantApprox}.with_plan(mixed));
+
+  SentinelConfig cfg;
+  cfg.policy.degrade_after = 1;
+  cfg.policy.repair = DegradationPolicy::RepairMode::kExact;
+  Sentinel s(cfg);
+  s.calibrate_plan(res);
+  corrupt_first_conv_weights(*net_);  // exactly one leaf must degrade
+
+  const auto ctx =
+      nn::ExecContext{.mode = nn::ExecMode::kQuantApprox}.with_plan(res).with_monitor(s);
+  (void)net_->forward(batch_, ctx);
+  SentinelReport prev = s.report();
+  ASSERT_EQ(prev.degraded_leaves(), 1) << prev.summary();
+  ASSERT_TRUE(prev.leaves[0].degraded);
+
+  // Degradation forces the leaf exact through the monitor; the resolution
+  // is untouched.
+  for (const auto& e : res.entries()) EXPECT_FALSE(e.plan.mode.has_value()) << e.path;
+
+  // Every later pass still checks the degraded leaf: its still-corrupted
+  // weights are flagged and repaired from the golden copy each time.
+  for (int pass = 0; pass < 3; ++pass) {
+    expect_bit_identical(want, net_->forward(batch_, ctx));
+    const SentinelReport now = s.report();
+    EXPECT_GT(now.leaves[0].gemm_checks, prev.leaves[0].gemm_checks) << "pass " << pass;
+    EXPECT_GT(now.leaves[0].abft_violations, prev.leaves[0].abft_violations) << "pass " << pass;
+    EXPECT_GT(now.leaves[0].reexecs, prev.leaves[0].reexecs) << "pass " << pass;
+    for (size_t i = 1; i < now.leaves.size(); ++i) EXPECT_FALSE(now.leaves[i].degraded);
+    prev = now;
+  }
 }
 
 TEST_F(SentinelFixture, ReportSummaryJsonAndReset) {

@@ -228,12 +228,22 @@ TEST_F(ServeFixture, BatchedForwardIsAllocationFreeAfterWarmup) {
 }
 
 TEST(EngineSentinel, BatchedForwardIsAllocationFreeAfterWarmup) {
-  // The same forward with the sentinel checking every leaf GEMM.
+  // The same forward with the sentinel checking every leaf GEMM: under the
+  // approximate plan, and under one whose first conv and FC are exact.
   ModelSpec spec = micro_spec();
   spec.sentinel = true;
   const std::unique_ptr<Engine> engine = Engine::load(spec);
   ASSERT_NE(engine->session().exec_context(0).monitor, nullptr);
   expect_forward_allocation_free(*engine, engine->session());
+
+  const auto leaves = nn::enumerate_gemm_leaves(engine->model(0));
+  ASSERT_GE(leaves.size(), 2u);
+  Session& mixed =
+      engine->open_session("mixed", std::string(kApproxPlan) + "; " + leaves.front().path +
+                                        "=trunc5:mode=exact; " + leaves.back().path +
+                                        "=trunc5:mode=exact");
+  ASSERT_NE(mixed.exec_context(0).monitor, nullptr);
+  expect_forward_allocation_free(*engine, mixed);
 }
 
 TEST(EnginePlanCache, LoadGrowsCapacityToHoldThePrewarmSet) {

@@ -775,7 +775,7 @@ int cmd_approximate(const CliOptions& opt, obs::RunReport* report) {
     if (opt.sentinel) {
       if (use_plan) {
         res = nn::NetPlan::parse(label).resolve(*faulty);
-        sent.calibrate_plan(*faulty, res);
+        sent.calibrate_plan(res);
       } else {
         sent.calibrate_uniform(*faulty, opt.multiplier);
       }
