@@ -1,9 +1,10 @@
 // Kernel microbenchmarks (google-benchmark): float GEMM, approximate LUT
-// GEMM, im2col, fake-quant — the per-iteration costs behind Table IV's
-// overhead numbers. GEMM benches are parameterised over the kernel backend
-// (0 = naive golden reference, 1 = cache-blocked) so `--benchmark_filter`
-// can compare them directly; the ResNet20 conv shape M=64, K=576, N=1024 is
-// the acceptance shape for the blocked kernels.
+// GEMM, im2col, the quantized conv prep, fake-quant — the per-iteration
+// costs behind Table IV's overhead numbers. GEMM benches are parameterised
+// over the kernel backend (0 = naive golden reference, 1 = cache-blocked)
+// so `--benchmark_filter` can compare them directly; the ResNet20 conv
+// shape M=64, K=576, N=1024 is the acceptance shape for the blocked
+// kernels.
 //
 // The *Telemetry variants run the same GEMMs with an obs::Collector
 // attached — their delta against the base benches is the telemetry
@@ -276,26 +277,34 @@ void BM_Im2col(benchmark::State& state) {
 }
 BENCHMARK(BM_Im2col)->Arg(8)->Arg(16);
 
-// The int8 lowering at ResNet-20 (fast profile) conv inputs, batch 8:
-// 3x16x16 stem, then 4x16x16, 8x8x8 and 16x4x4 stages; 3x3, pad 1.
-void BM_Im2colI8ResNet20(benchmark::State& state) {
+// The quantized conv's prep, float input to int8 columns (quantize_im2col),
+// at ResNet-20 (fast profile) conv inputs, batch 8: the stride-1 3x3 convs
+// (3x16x16 stem, then 4x16x16, 8x8x8 and 16x4x4 stages; pad 1), the two
+// stride-2 3x3 convs and the two stride-2 1x1 shortcuts (pad 0).
+void BM_QuantizeIm2colResNet20(benchmark::State& state) {
   const int64_t c = state.range(0), hw = state.range(1);
+  const int64_t k = state.range(2), stride = state.range(3);
   Rng rng(9);
-  const TensorI8 x = random_i8(Shape{8, c, hw, hw}, rng, -127, 127);
-  const nn::ConvGeom g = nn::ConvGeom::of(x.shape(), 3, 1, 1);
+  const Tensor x = randn(Shape{8, c, hw, hw}, rng);
+  const quant::QuantParams p{1.0f / 32.0f, 8};
+  const nn::ConvGeom g = nn::ConvGeom::of(x.shape(), k, stride, k / 2);
   for (auto _ : state) {
-    TensorI8 cols = nn::im2col_i8(x, g);
+    TensorI8 cols = nn::quantize_im2col(x, g, p);
     benchmark::DoNotOptimize(cols.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * g.patch_rows() * g.out_cols());
 }
-BENCHMARK(BM_Im2colI8ResNet20)
-    ->Args({3, 16})
-    ->Args({4, 16})
-    ->Args({8, 8})
-    ->Args({16, 4})
-    ->ArgNames({"c", "hw"});
+BENCHMARK(BM_QuantizeIm2colResNet20)
+    ->Args({3, 16, 3, 1})
+    ->Args({4, 16, 3, 1})
+    ->Args({8, 8, 3, 1})
+    ->Args({16, 4, 3, 1})
+    ->Args({4, 16, 3, 2})
+    ->Args({8, 8, 3, 2})
+    ->Args({4, 16, 1, 2})
+    ->Args({8, 8, 1, 2})
+    ->ArgNames({"c", "hw", "k", "s"});
 
 void BM_FakeQuantize(benchmark::State& state) {
   const int64_t n = state.range(0);

@@ -1,12 +1,14 @@
 // axnn — 2-D convolution with a float and a quantized execution path.
 //
 // Forward lowers to GEMM via im2col: out[O, P] = W[O, K] · cols[K, P] per
-// group. Both quantized modes quantize input and weights to int8 once and
-// run an integer GEMM: the exact kernel in kQuantExact mode (or when the
-// monitor forces it), the approximate-multiplier table in kQuantApprox mode
-// (Eq. 4). The backward pass uses the straight-through estimator of the
-// exact GEMM of the dequantized operands (Eq. 5), optionally refined by the
-// gradient-estimation scale (1 + K) on the weight gradient (Eq. 12).
+// group. Both quantized modes lower the input straight to int8 columns
+// (quantize_im2col: one pass, no int8 copy of the input), quantize the
+// weights to int8 and run an integer GEMM: the exact kernel in kQuantExact
+// mode (or when the monitor forces it), the approximate-multiplier table in
+// kQuantApprox mode (Eq. 4). The backward pass uses the straight-through
+// estimator of the exact GEMM of the dequantized operands (Eq. 5),
+// optionally refined by the gradient-estimation scale (1 + K) on the weight
+// gradient (Eq. 12).
 //
 // Per-layer heterogeneity (mixed multipliers, adders, mode overrides, GE
 // fits) comes from the execution plan: the forward resolves its effective

@@ -1,8 +1,16 @@
 // axnn — im2col / col2im lowering for GEMM-based convolution.
+//
+// Both lowerings work one input plane (n, c) at a time: the plane goes into
+// a pooled zero-padded buffer once (copied by im2col, quantized by
+// quantize_im2col), then each of its k·k cols rows is gathered out of that
+// buffer. Out-of-image taps land on the zero border, so no element is
+// bounds-tested; stride-1 rows of width 16, 8 or 4 are one fixed-size copy
+// per output row.
 #pragma once
 
 #include <cstdint>
 
+#include "axnn/quant/quantizer.hpp"
 #include "axnn/tensor/tensor.hpp"
 
 namespace axnn::nn {
@@ -21,8 +29,11 @@ struct ConvGeom {
 /// Row index = (c*k + kh)*k + kw; column index = (n*oh + i)*ow + j.
 Tensor im2col(const Tensor& x, const ConvGeom& g);
 
-/// int8 variant used by the approximate integer path.
-TensorI8 im2col_i8(const TensorI8& x, const ConvGeom& g);
+/// The quantized conv's int8 columns in one pass over x, byte for byte
+/// quantize_i8(im2col(x, g), p): each plane is quantized straight into the
+/// padded buffer, so no int8 copy of x is made. Records quantize.clip_rate
+/// over x when a collector is attached, as quantize_i8(x, p) does.
+TensorI8 quantize_im2col(const Tensor& x, const ConvGeom& g, const quant::QuantParams& p);
 
 /// Scatter-add of cols gradients back to the input layout (adjoint of
 /// im2col).

@@ -159,7 +159,7 @@ Tensor Conv2d::forward(const Tensor& x, const ExecContext& ctx) {
       if (!calibrated_) throw std::logic_error("Conv2d: quantized forward before calibration");
       detail::check_leaf_exec(ex, wgt_qp_.bits, "Conv2d");
       if (ctx.monitor != nullptr) ctx.monitor->on_leaf_input(*this, x);
-      const TensorI8 qcols = im2col_i8(quantize_i8(x, act_qp_), geom_);
+      const TensorI8 qcols = quantize_im2col(x, geom_, act_qp_);
       const TensorI8 qw = quantize_i8(weight_.value, wgt_qp_);
       TensorI32 acc(Shape{o, p});
       detail::leaf_gemm(*this, ex, ctx.monitor, plan_memo_, obs_path_, grp, qw.data(),

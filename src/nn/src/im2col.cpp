@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "axnn/nn/qutils.hpp"
 #include "axnn/tensor/buffer_pool.hpp"
 #include "axnn/tensor/threadpool.hpp"
 
@@ -27,44 +28,64 @@ ConvGeom ConvGeom::of(const Shape& x, int64_t kernel, int64_t stride, int64_t pa
 
 namespace {
 
-template <typename T>
-BasicTensor<T> im2col_impl(const BasicTensor<T>& x, const ConvGeom& g) {
-  const int64_t cols_n = g.out_cols();
-  BasicTensor<T> cols(Shape{g.patch_rows(), cols_n});
-  const int64_t pad = g.padding;
-  const int64_t pw = g.w + 2 * pad;
-  const size_t plane = static_cast<size_t>((g.h + 2 * pad) * pw);
-  const size_t in_row = static_cast<size_t>(g.w) * sizeof(T);
-  const size_t out_row = static_cast<size_t>(g.ow) * sizeof(T);
+/// `rows` rows of W elements from `src` (advancing by `pitch`) to `dst`
+/// (contiguous): a compile-time width makes each row one fixed-size move.
+template <int64_t W, typename T>
+void copy_rows(T* dst, const T* src, int64_t rows, int64_t pitch) {
+  for (int64_t i = 0; i < rows; ++i, dst += W, src += pitch) std::memcpy(dst, src, W * sizeof(T));
+}
 
-  // One task per input plane (n, c): copy the plane into a zero-padded
-  // buffer once, then every patch row of channel c reads image n's output
-  // rows out of it with one fixed-width copy each — out-of-image taps land
-  // on the zero border, so no element is bounds-tested. The buffer is
-  // pooled storage, so steady-state forwards stay allocation-free.
-  parallel_for(g.n * g.c, [&](int64_t p0, int64_t p1) {
-    std::vector<T, PoolAllocator<T>> padded(pad > 0 ? plane : 0, T{});
-    for (int64_t pc = p0; pc < p1; ++pc) {
-      const int64_t n = pc / g.c, c = pc % g.c;
-      const T* src = x.data() + pc * g.h * g.w;
-      if (pad > 0) {
-        for (int64_t ih = 0; ih < g.h; ++ih)
-          std::memcpy(padded.data() + (ih + pad) * pw + pad, src + ih * g.w, in_row);
-        src = padded.data();
-      }
-      for (int64_t kh = 0; kh < g.kernel; ++kh)
-        for (int64_t kw = 0; kw < g.kernel; ++kw) {
-          const int64_t r = (c * g.kernel + kh) * g.kernel + kw;
-          T* dst = cols.data() + r * cols_n + n * g.oh * g.ow;
-          for (int64_t i = 0; i < g.oh; ++i, dst += g.ow) {
-            const T* row = src + (i * g.stride + kh) * pw + kw;
-            if (g.stride == 1) {
-              std::memcpy(dst, row, out_row);
-            } else {
-              for (int64_t j = 0; j < g.ow; ++j) dst[j] = row[j * g.stride];
-            }
-          }
+/// Writes the k·k cols rows of input plane (n, c) from `src`, the plane
+/// zero-padded to pitch w + 2·padding: tap (kh, kw) of output (i, j) reads
+/// src[(i·stride + kh)·pitch + j·stride + kw]. The geometry is held in
+/// locals, which an int8 store could otherwise force the loops to reload.
+template <typename T>
+void emit_patch_rows(const T* src, int64_t n, int64_t c, const ConvGeom& g, T* cols) {
+  const int64_t k = g.kernel, s = g.stride, oh = g.oh, ow = g.ow;
+  const int64_t pw = g.w + 2 * g.padding, cols_n = g.out_cols();
+  T* out = cols + c * k * k * cols_n + n * oh * ow;
+  for (int64_t kh = 0; kh < k; ++kh)
+    for (int64_t kw = 0; kw < k; ++kw, out += cols_n) {
+      const T* base = src + kh * pw + kw;
+      if (s != 1) {
+        T* dst = out;
+        for (int64_t i = 0; i < oh; ++i, dst += ow) {
+          const T* row = base + i * s * pw;
+          for (int64_t j = 0; j < ow; ++j) dst[j] = row[j * s];
         }
+        continue;
+      }
+      switch (ow) {
+        case 16: copy_rows<16>(out, base, oh, pw); break;
+        case 8: copy_rows<8>(out, base, oh, pw); break;
+        case 4: copy_rows<4>(out, base, oh, pw); break;
+        default:
+          for (int64_t i = 0; i < oh; ++i)
+            std::memcpy(out + i * ow, base + i * pw, static_cast<size_t>(ow) * sizeof(T));
+      }
+    }
+}
+
+/// One task per input plane (n, c): `fill_row(src, dst, len)` writes len
+/// input values into the interior of a zero-padded buffer, row by row (as
+/// one row when there is no padding, since the rows are then contiguous),
+/// and emit_patch_rows copies the plane's cols rows out of it. Each chunk
+/// owns one pooled buffer whose border stays zero, so steady-state forwards
+/// stay allocation-free.
+template <typename T, typename FillRow>
+BasicTensor<T> lower(const Tensor& x, const ConvGeom& g, FillRow fill_row) {
+  BasicTensor<T> cols(Shape{g.patch_rows(), g.out_cols()});
+  T* const out = cols.data();
+  const int64_t pad = g.padding, pw = g.w + 2 * pad;
+  const size_t plane = static_cast<size_t>((g.h + 2 * pad) * pw);
+  const int64_t rows = pad > 0 ? g.h : 1, len = pad > 0 ? g.w : g.h * g.w;
+  parallel_for(g.n * g.c, [&](int64_t p0, int64_t p1) {
+    std::vector<T, PoolAllocator<T>> padded(plane, T{});
+    T* const interior = padded.data() + pad * pw + pad;
+    for (int64_t pc = p0; pc < p1; ++pc) {
+      const float* src = x.data() + pc * g.h * g.w;
+      for (int64_t r = 0; r < rows; ++r) fill_row(src + r * len, interior + r * pw, len);
+      emit_patch_rows(padded.data(), pc / g.c, pc % g.c, g, out);
     }
   });
   return cols;
@@ -72,9 +93,21 @@ BasicTensor<T> im2col_impl(const BasicTensor<T>& x, const ConvGeom& g) {
 
 }  // namespace
 
-Tensor im2col(const Tensor& x, const ConvGeom& g) { return im2col_impl(x, g); }
+Tensor im2col(const Tensor& x, const ConvGeom& g) {
+  return lower<float>(x, g, [](const float* src, float* dst, int64_t len) {
+    std::memcpy(dst, src, static_cast<size_t>(len) * sizeof(float));
+  });
+}
 
-TensorI8 im2col_i8(const TensorI8& x, const ConvGeom& g) { return im2col_impl(x, g); }
+TensorI8 quantize_im2col(const Tensor& x, const ConvGeom& g, const quant::QuantParams& p) {
+  const float inv = 1.0f / p.step;
+  const int32_t lo = p.qmin(), hi = p.qmax();
+  TensorI8 cols = lower<int8_t>(x, g, [inv, lo, hi](const float* src, int8_t* dst, int64_t len) {
+    quantize_row_i8(src, dst, len, inv, lo, hi);
+  });
+  if (obs::enabled()) quant::record_clip_rate(x, p);
+  return cols;
+}
 
 Tensor col2im(const Tensor& cols, const ConvGeom& g) {
   Tensor dx(Shape{g.n, g.c, g.h, g.w}, 0.0f);

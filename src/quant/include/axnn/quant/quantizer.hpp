@@ -49,9 +49,10 @@ QuantParams params_for_max_abs(float max_abs, int bits);
 /// Rounds half to even like std::nearbyintf, without the libm call: for
 /// |c| <= 2^22, c + 1.5·2^23 lies in [2^23, 2^24), where floats are 1
 /// apart, so the add rounds c to an integer and the subtract is exact
-/// (|lo|, |hi| < 2^16). Loops over it vectorize (SSE2/NEON). Only a zero's
-/// sign differs (-0 gives +0), which the integer cannot show; fake_quantize
-/// keeps nearbyintf for that reason.
+/// (|lo|, |hi| < 2^16). Loops over it vectorize (SSE2/NEON) when their
+/// trip count is a local (nn::quantize_row_i8). Only a zero's sign differs
+/// (-0 gives +0), which the integer cannot show; fake_quantize keeps
+/// nearbyintf for that reason.
 inline int32_t quantize_level(float x, float inv, int32_t lo, int32_t hi) {
   constexpr float kShift = 12582912.0f;  // 1.5 * 2^23
   const float v = x * inv;
@@ -60,11 +61,11 @@ inline int32_t quantize_level(float x, float inv, int32_t lo, int32_t hi) {
   return static_cast<int32_t>((c + kShift) - kShift);
 }
 
-/// Telemetry of every real quantize (quantize, nn::quantize_i8): adds the
-/// fraction of x whose level rounds outside [qmin, qmax] to the attached
-/// obs collector as "quantize.clip_rate" under the current path ("quant"
-/// when none). A second pass over x, only when a collector is attached; a
-/// no-op otherwise.
+/// Telemetry of every real quantize (quantize, nn::quantize_i8,
+/// nn::quantize_im2col): adds the fraction of x whose level rounds outside
+/// [qmin, qmax] to the attached obs collector as "quantize.clip_rate" under
+/// the current path ("quant" when none). A second pass over x, only when a
+/// collector is attached; a no-op otherwise.
 void record_clip_rate(const Tensor& x, const QuantParams& p);
 
 /// Integer quantization: q = clamp(round(x / step), qmin, qmax), per

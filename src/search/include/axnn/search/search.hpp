@@ -109,7 +109,8 @@ struct SensitivityModel {
 /// of `sample` collects per-layer MAC counts and clip rates; FitRegistry
 /// supplies a GE error fit per (candidate, accumulation length). `sample`
 /// should be a few head samples of the test split — the holdout tail must
-/// stay unseen.
+/// stay unseen. Throws std::invalid_argument on an empty sample or
+/// candidate list.
 SensitivityModel profile_sensitivity(nn::Sequential& model, const data::Dataset& sample,
                                      const std::vector<Candidate>& candidates,
                                      ge::FitRegistry& fits);

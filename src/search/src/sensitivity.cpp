@@ -27,6 +27,7 @@ SensitivityModel profile_sensitivity(nn::Sequential& model, const data::Dataset&
   const auto leaves = nn::enumerate_gemm_leaves(model);
   if (leaves.empty()) throw std::invalid_argument("profile_sensitivity: model has no GEMM leaves");
   if (sample.size() <= 0) throw std::invalid_argument("profile_sensitivity: empty sample");
+  if (candidates.empty()) throw std::invalid_argument("profile_sensitivity: no candidates");
 
   // One instrumented exact forward: fills every leaf's MAC counter and
   // records quantizer clip rates under the leaf paths.

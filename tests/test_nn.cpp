@@ -2,10 +2,12 @@
 // activations, pooling, containers, SGD, serialization.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -60,37 +62,65 @@ TEST(Im2col, ValuesAndPadding) {
 }
 
 TEST(Im2col, Int8MatchesQuantizedFloatAndDirectTaps) {
-  // The float and int8 lowerings share one implementation; the oracle ties
-  // them together and checks every element against the direct tap formula
-  // (out-of-image taps are zero) across the geometries the layers use.
+  // quantize_im2col must give the bytes of quantize_i8(im2col(x)) and the
+  // float lowering must put every element at its direct tap (out-of-image
+  // taps are zero), across the geometries the layers use: stride-1 output
+  // widths 16, 8 and 4 take the fixed-width copies, the others the generic
+  // ones. Every third input is a special value (NaN, ±inf, ±1e30, 3e9,
+  // exact half-steps, the saturation edge), so specials land both in the
+  // vectorized body of a quantized row and in its scalar tail (rows of up to
+  // 17 values; the whole plane is one row when there is no padding).
   const quant::QuantParams qp{1.0f / 32.0f, 8};
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            inf,
+                            -inf,
+                            1e30f,
+                            -1e30f,
+                            3e9f,
+                            0.5f / 32,
+                            -0.5f / 32,
+                            1.5f / 32,
+                            -2.5f / 32,
+                            126.5f / 32,
+                            -127.5f / 32};
+  const auto bits = [](float v) { return std::bit_cast<uint32_t>(v); };
   Rng rng(7);
+  int64_t fixed_width = 0, generic_width = 0;
   for (int64_t kernel : {1, 3})
     for (int64_t stride : {1, 2})
       for (int64_t pad : {0, 1})
         for (int64_t hw = 1; hw <= 17; ++hw)
           for (int64_t batch : {1, 3}) {
             if (hw + 2 * pad < kernel) continue;  // no output position
-            const Tensor x = randn(Shape{batch, 2, hw, hw}, rng);
+            Tensor x = randn(Shape{batch, 2, hw, hw}, rng);
+            for (int64_t i = 0; i < x.numel(); i += 3)
+              x[i] = specials[(i / 3) % std::size(specials)];
             const ConvGeom g = ConvGeom::of(x.shape(), kernel, stride, pad);
             const Tensor cols = im2col(x, g);
-            const TensorI8 qcols = im2col_i8(quantize_i8(x, qp), g);
+            const TensorI8 qcols = quantize_im2col(x, g, qp);
             const TensorI8 ref = quantize_i8(cols, qp);
             SCOPED_TRACE(::testing::Message() << "k=" << kernel << " s=" << stride
                                               << " p=" << pad << " hw=" << hw
                                               << " n=" << batch);
             ASSERT_EQ(qcols.shape(), ref.shape());
-            for (int64_t i = 0; i < ref.numel(); ++i) ASSERT_EQ(ref[i], qcols[i]) << i;
+            ASSERT_EQ(0, std::memcmp(ref.data(), qcols.data(), static_cast<size_t>(ref.numel())));
             for (int64_t r = 0; r < g.patch_rows(); ++r)
               for (int64_t col = 0; col < g.out_cols(); ++col) {
                 const int64_t kw = r % kernel, kh = r / kernel % kernel, c = r / kernel / kernel;
                 const int64_t n = col / (g.oh * g.ow), oi = col / g.ow % g.oh, oj = col % g.ow;
                 const int64_t ih = oi * stride - pad + kh, iw = oj * stride - pad + kw;
                 const bool inside = ih >= 0 && ih < hw && iw >= 0 && iw < hw;
-                ASSERT_EQ(inside ? x[((n * 2 + c) * hw + ih) * hw + iw] : 0.0f, cols(r, col))
-                    << "r=" << r << " col=" << col;
+                const float tap = inside ? x[((n * 2 + c) * hw + ih) * hw + iw] : 0.0f;
+                ASSERT_EQ(bits(tap), bits(cols(r, col))) << "r=" << r << " col=" << col;
+                ASSERT_EQ(quant::quantize_level(tap, 32.0f, -127, 127), qcols(r, col))
+                    << "r=" << r << " col=" << col << " tap=" << tap;
               }
+            const bool fixed = stride == 1 && (g.ow == 16 || g.ow == 8 || g.ow == 4);
+            ++(fixed ? fixed_width : generic_width);
           }
+  EXPECT_GT(fixed_width, 0);
+  EXPECT_GT(generic_width, 0);
 }
 
 TEST(Im2col, Col2imIsAdjoint) {
@@ -471,7 +501,7 @@ TEST(InferenceForward, Conv2dMatchesTrainingForwardBitwise) {
     const int64_t o = cfg.out_channels, og = o / cfg.groups;
     const int64_t kg = cfg.in_channels / cfg.groups * cfg.kernel * cfg.kernel;
     const int64_t p = g.out_cols(), hw = g.oh * g.ow;
-    const TensorI8 qcols = im2col_i8(quantize_i8(x, conv.act_qparams()), g);
+    const TensorI8 qcols = quantize_i8(im2col(x, g), conv.act_qparams());
     const TensorI8 qw = quantize_i8(conv.weight().value, conv.weight_qparams());
     TensorI32 acc(Shape{o, p});
     for (int64_t grp = 0; grp < cfg.groups; ++grp)

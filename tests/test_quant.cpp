@@ -74,22 +74,25 @@ TEST(Quantize, ClampsToRange) {
 TEST(Quantize, SaturatesHugeAndInfiniteValues) {
   // Activation bit flips produce values far past the int32 range; they must
   // saturate like fake_quantize does, not wrap (1e8 -> -127) or collapse to
-  // 0 (1e30, inf) through an out-of-range integer conversion.
+  // 0 (1e30, inf) through an out-of-range integer conversion. The values
+  // repeat over 67 elements, so they reach both the vectorized body of the
+  // int8 quantizer's loop and its scalar tail.
   const float inf = std::numeric_limits<float>::infinity();
   const float vals[] = {1e8f, -1e8f, 1e30f, -1e30f, inf, -inf, 3.0f, -0.02f};
-  Tensor x(Shape{8});
-  for (int64_t i = 0; i < 8; ++i) x[i] = vals[i];
+  Tensor x(Shape{67});
+  for (int64_t i = 0; i < x.numel(); ++i) x[i] = vals[i % 8];
   const QuantParams p{1.0f / 32.0f, 8};
   const Tensor fq = fake_quantize(x, p);
   const TensorI8 q8 = nn::quantize_i8(x, p);
   const TensorI32 q32 = quantize(x, p);
-  for (int64_t i = 0; i < 8; ++i) {
+  for (int64_t i = 0; i < x.numel(); ++i) {
     const auto level = static_cast<int32_t>(fq[i] / p.step);
-    EXPECT_EQ(level, q8[i]) << "x=" << x[i];
-    EXPECT_EQ(level, q32[i]) << "x=" << x[i];
+    EXPECT_EQ(level, q8[i]) << "i=" << i << " x=" << x[i];
+    EXPECT_EQ(level, q32[i]) << "i=" << i << " x=" << x[i];
   }
   EXPECT_EQ(127, q8[0]);
   EXPECT_EQ(-127, q8[5]);
+  EXPECT_EQ(127, q8[64]);
 
   // NaN has no level; it maps to 0 so it contributes nothing to a GEMM.
   Tensor nan(Shape{1}, std::numeric_limits<float>::quiet_NaN());

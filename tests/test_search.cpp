@@ -211,6 +211,16 @@ TEST_F(SearchFixture, RejectsBadSpecs) {
   spec = micro_search_spec();
   spec.widths = {{1, 8}};  // below the supported range
   EXPECT_THROW((void)search::run_search(*wb_, spec), std::invalid_argument);
+
+  // A direct call with no candidates has nothing to rank a leaf by.
+  std::unique_ptr<nn::Sequential> model = wb_->clone();
+  data::Dataset sample;
+  auto head = wb_->data().test.slice(0, 8);
+  sample.images = head.first;
+  sample.labels = std::move(head.second);
+  ge::FitRegistry fits;
+  EXPECT_THROW((void)search::profile_sensitivity(*model, sample, {}, fits),
+               std::invalid_argument);
 }
 
 /// Keeps each leaf's input as the quantized forward hands it over.
