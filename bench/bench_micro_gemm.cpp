@@ -1,5 +1,6 @@
 // Kernel microbenchmarks (google-benchmark): float GEMM, approximate LUT
-// GEMM, im2col, the quantized conv prep, fake-quant — the per-iteration
+// GEMM, im2col, the quantized conv prep, whole conv leaves on the cols and
+// plane paths, fake-quant — the per-iteration
 // costs behind Table IV's overhead numbers. GEMM benches are parameterised
 // over the kernel backend (0 = naive golden reference, 1 = cache-blocked)
 // so `--benchmark_filter` can compare them directly; the ResNet20 conv
@@ -24,6 +25,7 @@
 #include "axnn/axmul/registry.hpp"
 #include "axnn/core/profile.hpp"
 #include "axnn/ge/monte_carlo.hpp"
+#include "axnn/kernels/int_gemm.hpp"
 #include "axnn/kernels/isa.hpp"
 #include "axnn/kernels/plan.hpp"
 #include "axnn/nn/im2col.hpp"
@@ -306,6 +308,76 @@ BENCHMARK(BM_QuantizeIm2colResNet20)
     ->Args({8, 8, 1, 2})
     ->ArgNames({"c", "hw", "k", "s"});
 
+// One stride-1 3x3 conv leaf of ResNet-20 (fast profile) at batch 8, from
+// float input to int32 accumulators under trunc5, on the path it ships:
+// path 0 lowers int8 columns (quantize_im2col) and runs the dense GEMM;
+// path 1 quantizes the padded planes (quantize_plane) and runs the GEMM
+// from them (gemm_approx_plane), the path every such leaf takes on AVX2.
+// Shapes: the stem 3x16x16 -> 4 (4x27x2048), stage 1 4x16x16 -> 4
+// (4x36x2048), stage 2 8x8x8 -> 8 (8x72x512), stage 3 16x4x4 -> 16
+// (16x144x128).
+struct ConvLeaf {
+  int64_t c, hw, o;
+};
+constexpr ConvLeaf kResNet20Stride1[] = {{3, 16, 4}, {4, 16, 4}, {8, 8, 8}, {16, 4, 16}};
+
+/// The operands of one kResNet20Stride1 leaf at batch `batch`: float input,
+/// int4-range weights, its geometry and GEMM dims.
+struct ConvLeafOperands {
+  Tensor x;
+  TensorI8 w;
+  nn::ConvGeom g;
+  int64_t m, k, n;
+  ConvLeafOperands(const ConvLeaf& leaf, int64_t batch, uint64_t seed) {
+    Rng rng(seed);
+    x = randn(Shape{batch, leaf.c, leaf.hw, leaf.hw}, rng);
+    g = nn::ConvGeom::of(x.shape(), 3, 1, 1);
+    m = leaf.o;
+    k = g.patch_rows();
+    n = g.out_cols();
+    w = random_i8(Shape{m, k}, rng, -8, 7);
+  }
+  kernels::ConvPlane plane(const TensorI8& planes) const {
+    return {planes.data(), g.n, g.c, g.h + 2, g.w + 2, 3, 1};
+  }
+};
+
+void BM_ConvLeafResNet20(benchmark::State& state) {
+  const ConvLeaf& leaf = kResNet20Stride1[state.range(0)];
+  const bool from_plane = state.range(1) == 1;
+  const ConvLeafOperands op(leaf, 8, 10);
+  const quant::QuantParams p{1.0f / 32.0f, 8};
+  const approx::SignedMulTable tab(axmul::make_lut("trunc5"));
+  kernels::PlanMemo memo;
+  TensorI32 c(Shape{op.m, op.n});
+  const kernels::PlanKey key =
+      kernels::make_int_key(kernels::OpKind::kApprox, {}, op.m, op.k, op.n,
+                            kernels::Backend::kBlocked, &tab);
+  if (from_plane && !memo.find_or_acquire(key, &tab)->reads_plane(op.plane(TensorI8{}))) {
+    state.SkipWithError("no plan reads conv planes on this ISA");
+    return;
+  }
+  state.SetLabel(std::to_string(op.m) + "x" + std::to_string(op.k) + "x" +
+                 std::to_string(op.n) + (from_plane ? " plane" : " cols"));
+  for (auto _ : state) {
+    if (from_plane) {
+      const TensorI8 planes = nn::quantize_plane(op.x, op.g, p);
+      kernels::gemm_approx_plane(op.w.data(), op.plane(planes), c.data(), op.m, op.k, op.n,
+                                 tab, &memo);
+    } else {
+      const TensorI8 cols = nn::quantize_im2col(op.x, op.g, p);
+      kernels::gemm_approx({}, op.w.data(), cols.data(), c.data(), op.m, op.k, op.n, tab,
+                           &memo);
+    }
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * op.m * op.k * op.n);
+}
+BENCHMARK(BM_ConvLeafResNet20)
+    ->ArgsProduct({{0, 1, 2, 3}, {0, 1}})
+    ->ArgNames({"shape", "plane"});
+
 void BM_FakeQuantize(benchmark::State& state) {
   const int64_t n = state.range(0);
   Rng rng(5);
@@ -405,8 +477,9 @@ private:
 /// reference. Checked on the acceptance shape, odd shapes that stress
 /// remainder handling, and the narrow shapes above (which cross the scalar/
 /// vector kernel switch), for the exact path and two tables: trunc5 (the
-/// closed-form kernel on AVX2) and evoa228 (the LUT kernels). Returns false
-/// (and prints the first mismatch) on divergence.
+/// closed-form kernel on AVX2) and evoa228 (the LUT kernels); then the
+/// conv-plane GEMM against the dense one. Returns false (and prints the
+/// first mismatch) on divergence.
 bool verify_simd_bit_identity() {
   std::vector<Dims> shapes = {{64, 576, 1024}, {7, 13, 17}, {1, 576, 1024}, {33, 65, 31}};
   shapes.insert(shapes.end(), std::begin(kResNet20Narrow), std::end(kResNet20Narrow));
@@ -444,6 +517,41 @@ bool verify_simd_bit_identity() {
       }
     }
   }
+  // The conv-plane GEMM against the dense GEMM over the same plane's columns
+  // and the naive one, on the four stride-1 ResNet-20 leaves at batch 1 and 8
+  // (where a plan reads planes: the closed form on AVX2).
+  const approx::SignedMulTable trunc5(axmul::make_lut("trunc5"));
+  const quant::QuantParams p{1.0f / 32.0f, 8};
+  for (const ConvLeaf& leaf : kResNet20Stride1)
+    for (const int64_t batch : {1, 8}) {
+      const ConvLeafOperands op(leaf, batch, 12);
+      TensorI8 cols;
+      const TensorI8 planes = nn::quantize_plane(op.x, op.g, p, &cols);
+      const kernels::ConvPlane plane = op.plane(planes);
+      const kernels::PlanHandle plan = kernels::PlanCache::global().acquire(
+          kernels::make_int_key(kernels::OpKind::kApprox, {}, op.m, op.k, op.n,
+                                kernels::Backend::kBlocked, &trunc5),
+          &trunc5);
+      if (!plan->reads_plane(plane)) continue;
+      TensorI32 naive(Shape{op.m, op.n}), dense(naive.shape()), from_plane(naive.shape());
+      kernels::gemm_approx({}, op.w.data(), cols.data(), naive.data(), op.m, op.k, op.n,
+                           trunc5, kernels::Backend::kNaive);
+      kernels::gemm_approx({}, op.w.data(), cols.data(), dense.data(), op.m, op.k, op.n,
+                           trunc5, kernels::Backend::kBlocked);
+      kernels::gemm_approx_plane(op.w.data(), plane, from_plane.data(), op.m, op.k, op.n,
+                                 trunc5);
+      for (int64_t i = 0; i < naive.numel(); ++i) {
+        if (naive[i] != dense[i] || naive[i] != from_plane[i]) {
+          std::fprintf(stderr,
+                       "plane GEMM divergence: trunc5 [%lldx%lldx%lld] batch %lld elem %lld: "
+                       "naive=%d dense=%d plane=%d\n",
+                       static_cast<long long>(op.m), static_cast<long long>(op.k),
+                       static_cast<long long>(op.n), static_cast<long long>(batch),
+                       static_cast<long long>(i), naive[i], dense[i], from_plane[i]);
+          return false;
+        }
+      }
+    }
   return true;
 }
 

@@ -27,6 +27,7 @@
 namespace axnn::kernels {
 
 class PlanMemo;
+struct ConvPlane;
 
 /// C[M,N] (=|+=) W ·~ X through the multiplier LUT (paper Eq. 4). `memo`,
 /// when given, is a per-call-site PlanMemo that resolves the plan without
@@ -40,6 +41,13 @@ inline void gemm_approx(const GemmDesc& desc, const int8_t* w, const int8_t* x,
                         const approx::SignedMulTable& tab, PlanMemo* memo = nullptr) {
   gemm_approx(desc, w, x, c, m, k, n, tab, Backend::kBlocked, nullptr, memo);
 }
+
+/// gemm_approx (kBlocked, accumulate off) with X[k, n] the im2col lowering of
+/// the conv plane `x`, read in place: the plan for (m, k, n, tab) must read
+/// it (GemmPlan::reads_plane), else std::invalid_argument. Same accumulators.
+void gemm_approx_plane(const int8_t* w, const ConvPlane& x, int32_t* c, int64_t m,
+                       int64_t k, int64_t n, const approx::SignedMulTable& tab,
+                       PlanMemo* memo = nullptr);
 
 /// C[M,N] (=|+=) W · X with exact int arithmetic (error-measurement baseline).
 void gemm_exact(const GemmDesc& desc, const int8_t* w, const int8_t* x, int32_t* c,

@@ -100,6 +100,19 @@ PlanKey make_int_key(OpKind op, const GemmDesc& desc, int64_t m, int64_t k, int6
                      Backend backend, const approx::SignedMulTable* tab,
                      int weight_bits = 4, int activation_bits = 8);
 
+/// A convolution's X operand as its zero-padded int8 input plane instead of
+/// im2col columns: X[(c·kernel + kh)·kernel + kw, (b·oh + i)·ow + j] is
+/// data[((b·channels + c)·ph + i·stride + kh)·pw + j·stride + kw], with
+/// oh = (ph − kernel)/stride + 1 and likewise ow.
+struct ConvPlane {
+  const int8_t* data = nullptr;  ///< [batch, channels, ph, pw], zero border
+  int64_t batch = 0, channels = 0;
+  int64_t ph = 0, pw = 0;  ///< padded plane height and width
+  int64_t kernel = 1, stride = 1;
+  int64_t oh() const { return (ph - kernel) / stride + 1; }
+  int64_t ow() const { return (pw - kernel) / stride + 1; }
+};
+
 class GemmPlan {
 public:
   struct Tile {
@@ -126,6 +139,22 @@ public:
   void run(const float* a, const float* b, float* c, ThreadPool* pool = nullptr) const;
   void run_int(const int8_t* w, const int8_t* x, int32_t* c,
                ThreadPool* pool = nullptr) const;
+
+  /// Whether run_plane computes this plan's GEMM from `x` in place: the one
+  /// test of which convs skip their im2col columns. True for a kTruncInt
+  /// plan without accumulate whose X is the stride-1 lowering of all of x's
+  /// channels (k = channels·kernel², n = batch·oh·ow), when every 16-column
+  /// strip is whole output rows of one image or 16 columns of one row:
+  /// ow % 16 == 0, or ow ∈ {4, 8} with oh·ow % 16 == 0. Every other plan,
+  /// stride and width (and a grouped conv, whose k covers one group) reads
+  /// columns through run_int.
+  bool reads_plane(const ConvPlane& x) const;
+  /// run_int with X read from `x` (reads_plane(x) must hold, else
+  /// std::invalid_argument): the plane is turned into the closed form's
+  /// operand bytes once per element, then each strip reads its taps at
+  /// fixed offsets from its first output position. Same accumulators.
+  void run_plane(const int8_t* w, const ConvPlane& x, int32_t* c,
+                 ThreadPool* pool = nullptr) const;
 
 private:
   friend class PlanCache;

@@ -1,7 +1,8 @@
 // axnn — per-thread grow-once scratch arenas for kernel packing buffers.
 //
 // Every blocked kernel needs transient buffers whose size depends only on
-// the plan (packed A/B panels, weight-nibble panels).
+// the plan (packed A/B panels, weight-nibble panels, a conv plane's operand
+// bytes).
 // Allocating them per call is exactly the steady-state churn the plan
 // refactor removes: each thread instead owns one arena per slot that grows
 // to the high-water mark and is reused forever after. A serving process
@@ -22,6 +23,7 @@ enum class ScratchSlot {
   kPackA = 0,
   kPackB,
   kWeights,
+  kPlane,
   kSlotCount,
 };
 

@@ -258,6 +258,20 @@ void gemm_approx(const GemmDesc& desc, const int8_t* w, const int8_t* x, int32_t
   if (obs_on) obs::record_gemm("gemm_approx", m * k * n, obs_time ? obs::now_ns() - t0 : -1);
 }
 
+void gemm_approx_plane(const int8_t* w, const ConvPlane& x, int32_t* c, int64_t m,
+                       int64_t k, int64_t n, const approx::SignedMulTable& tab,
+                       PlanMemo* memo) {
+  const bool obs_on = obs::enabled();
+  const bool obs_time = obs_on && obs::collector()->config().timing;
+  const int64_t t0 = obs_time ? obs::now_ns() : 0;
+  const PlanKey key = make_int_key(OpKind::kApprox, {}, m, k, n, Backend::kBlocked, &tab);
+  if (memo != nullptr)
+    memo->find_or_acquire(key, &tab)->run_plane(w, x, c);
+  else
+    PlanCache::global().acquire(key, &tab)->run_plane(w, x, c);
+  if (obs_on) obs::record_gemm("gemm_approx", m * k * n, obs_time ? obs::now_ns() - t0 : -1);
+}
+
 void gemm_exact(const GemmDesc& desc, const int8_t* w, const int8_t* x, int32_t* c,
                 int64_t m, int64_t k, int64_t n, Backend backend, ThreadPool* pool,
                 PlanMemo* memo) {

@@ -52,6 +52,17 @@ void blocked_approx_scalar(const int8_t* w, const int8_t* x, int32_t* c, int64_t
 void blocked_exact_scalar(const int8_t* w, const int8_t* x, int32_t* c, int64_t m,
                           int64_t k, int64_t n, bool accumulate, ThreadPool& pool);
 
+// The closed form's conv-plane variant (GemmPlan::run_plane). Strip s is
+// output columns [16s, 16s + 16): 16 columns of one output row, or 2 or 4
+// whole rows (ow = 8, 4) of one image. Its tap k reads the operand bytes at
+// u + base(s) + toff[k], base(s) being the strip's first output position in
+// the plane (b·image + i·pw + j) and toff[k] = (c·ph + kh)·pw + kw.
+struct PlaneStrips {
+  int64_t image;    ///< plane elements per image: channels·ph·pw
+  int64_t pw;       ///< plane row pitch
+  int64_t ohw, ow;  ///< output positions per image and per row
+};
+
 // Vectorized kernels: compute output columns [j0, j1) for every row. The
 // weight operand arrives packed (plan.cpp layout: column-major in kFuse
 // groups); `lines` is the transposed LUT (256 activation lines of 16 nibble
@@ -71,6 +82,14 @@ void avx2_trunc_cols(const int32_t* wq, const int32_t* wsum, const int8_t* x, in
                      int64_t j1);
 void avx2_exact_cols(const uint8_t* wq, const int8_t* x, int32_t* c, int64_t m,
                      int64_t k, int64_t n, bool accumulate, int64_t j0, int64_t j1);
+// u[i] = the four operand bytes U_j = sign(a)·(|a| & mask_j) + 128 of
+// a = x[i] at depth t, for i < count (a zero gives 0x80 in each byte).
+void avx2_trunc_operands(const int8_t* x, int64_t count, int t, int32_t* u);
+// avx2_trunc_cols without accumulate over strips [s0, s1), X read from the
+// operand bytes `u` of a conv plane (see PlaneStrips).
+void avx2_trunc_plane(const int32_t* wq, const int32_t* wsum, const int32_t* u,
+                      const int32_t* toff, int32_t* c, int64_t m, int64_t k, int64_t n,
+                      const PlaneStrips& g, int64_t s0, int64_t s1);
 #endif
 #if defined(AXNN_HAVE_NEON_TU)
 void neon_approx_cols(const uint8_t* wq, const int8_t* x, int32_t* c, int64_t m,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <list>
@@ -208,6 +209,20 @@ void pack_weights(const int8_t* w, int64_t m, int64_t k, T* dst, Elem elem) {
     for (int64_t i = 0; i < m; ++i) dst[kk * m + i] = elem(w[i * k + kk]);
 }
 
+/// The closed-form kernel's weights: each weight's coefficient bytes in the
+/// pack_weights layout (wc), then each row's Σ_k w (wsum) of the 4-bit
+/// weights every kernel reads, the sign-extended nibbles.
+void pack_closed_form(const int8_t* w, int64_t m, int64_t k, int32_t* wc, int32_t* wsum) {
+  pack_weights(w, m, k, wc,
+               [](int8_t v) { return kTruncCoef[static_cast<uint8_t>(v) & 0xF]; });
+  for (int64_t i = 0; i < m; ++i) {
+    int32_t sum = 0;
+    for (int64_t kk = 0; kk < k; ++kk)
+      sum += ((static_cast<uint8_t>(w[i * k + kk]) & 0xF) ^ 8) - 8;
+    wsum[i] = sum;
+  }
+}
+
 MicroKernel choose_kernel(const PlanKey& key) {
   if (key.op == OpKind::kF32) {
     // Packing pays off only with rows to fill the 4x8 register tiles and
@@ -304,16 +319,9 @@ void GemmPlan::run_int(const int8_t* w, const int8_t* x, int32_t* c,
   auto* wq = static_cast<uint8_t*>(packed);
   auto* wc = static_cast<int32_t*>(packed);
   int32_t* wsum = closed_form ? wc + mk : nullptr;
-  if (closed_form) {
-    pack_weights(w, m, k, wc,
-                 [](int8_t v) { return kTruncCoef[static_cast<uint8_t>(v) & 0xF]; });
-    for (int64_t i = 0; i < m; ++i) {
-      int32_t sum = 0;  // of the 4-bit weights every kernel reads: sign-extended nibbles
-      for (int64_t kk = 0; kk < k; ++kk)
-        sum += ((static_cast<uint8_t>(w[i * k + kk]) & 0xF) ^ 8) - 8;
-      wsum[i] = sum;
-    }
-  } else if (lut)
+  if (closed_form)
+    pack_closed_form(w, m, k, wc, wsum);
+  else if (lut)
     pack_weights(w, m, k, wq, [](int8_t v) { return static_cast<uint8_t>(v & 0xF); });
   else
     pack_weights(w, m, k, wq, [](int8_t v) { return static_cast<uint8_t>(v); });
@@ -343,6 +351,49 @@ void GemmPlan::run_int(const int8_t* w, const int8_t* x, int32_t* c,
 #endif
       },
       detail::strip_grain(m, k));
+}
+
+bool GemmPlan::reads_plane(const ConvPlane& x) const {
+  if (kernel_ != MicroKernel::kTruncInt || key_.accumulate || x.stride != 1) return false;
+  const int64_t oh = x.oh(), ow = x.ow();
+  const bool whole_rows = ow % detail::kStrip == 0 ||
+                          ((ow == 4 || ow == 8) && oh * ow % detail::kStrip == 0);
+  // Tap offsets are int32: one image's plane must fit.
+  return whole_rows && oh > 0 && ow > 0 && key_.k == x.channels * x.kernel * x.kernel &&
+         key_.n == x.batch * oh * ow && x.channels * x.ph * x.pw <= INT32_MAX;
+}
+
+void GemmPlan::run_plane([[maybe_unused]] const int8_t* w, const ConvPlane& x,
+                         [[maybe_unused]] int32_t* c, [[maybe_unused]] ThreadPool* pool) const {
+  if (!reads_plane(x))
+    throw std::invalid_argument("kernels::GemmPlan::run_plane: the plan does not read " +
+                                key_.to_string() + " from this plane");
+#if defined(AXNN_HAVE_AVX2_TU)
+  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::global();
+  const int64_t m = key_.m, k = key_.k, n = key_.n, kernel = x.kernel;
+  // The packed weights, their row sums and each k-step's tap offset, then
+  // the plane's operand bytes: all built here, before the strip tasks start,
+  // and shared by them read-only.
+  const size_t mk = static_cast<size_t>(m) * static_cast<size_t>(k);
+  auto* wc = scratch<int32_t>(ScratchSlot::kWeights, mk + static_cast<size_t>(m + k));
+  int32_t* wsum = wc + mk;
+  int32_t* toff = wsum + m;
+  pack_closed_form(w, m, k, wc, wsum);
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const int64_t ch = kk / (kernel * kernel), kh = kk / kernel % kernel, kw = kk % kernel;
+    toff[kk] = static_cast<int32_t>((ch * x.ph + kh) * x.pw + kw);
+  }
+  const int64_t count = x.batch * x.channels * x.ph * x.pw;
+  auto* u = scratch<int32_t>(ScratchSlot::kPlane, static_cast<size_t>(count));
+  detail::avx2_trunc_operands(x.data, count, trunc_, u);
+  const detail::PlaneStrips g{x.channels * x.ph * x.pw, x.pw, x.oh() * x.ow(), x.ow()};
+  p.parallel_for(
+      n / detail::kStrip,
+      [&](int64_t s0, int64_t s1) {
+        detail::avx2_trunc_plane(wc, wsum, u, toff, c, m, k, n, g, s0, s1);
+      },
+      detail::strip_grain(m, k));
+#endif
 }
 
 // ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@
 // lines of 16 int32 — one 64-byte cache line each — so a k-step's 16-entry
 // nibble→product register file R is built from plain aligned loads plus
 // in-register 8×8 int32 transposes. Truncated multipliers skip the table:
-// their product has a closed form (avx2_trunc_cols).
+// their product has a closed form (avx2_trunc_cols), which a stride-1 conv
+// also runs straight from its padded plane (avx2_trunc_plane).
 #include "internal.hpp"
 
 #if defined(AXNN_HAVE_AVX2_TU)
@@ -245,21 +246,112 @@ inline void maddubs_weight(const __m256i u[2], int32_t coef, __m256i& s0, __m256
   s1 = _mm256_add_epi16(s1, _mm256_maddubs_epi16(u[1], cw));
 }
 
+/// The byte masks ~(2^(t−j) − 1), j = 0..3, of depth t.
+inline void trunc_masks(int t, __m256i mask[4]) {
+  for (int j = 0; j < 4; ++j)
+    mask[j] = _mm256_set1_epi8(static_cast<char>(~((1 << std::max(t - j, 0)) - 1)));
+}
+
+/// One fused pass of kf ≤ F k-steps from k-step kk, for every row, over the
+/// 16-column strip at column jj whose operand bytes are U[0..kf). Each
+/// output sums Σ_j c_j·Y_j = tab(a, w) over the same (k, w ≠ 0) terms the
+/// naive kernel looks up, plus 128·Σ_j c_j = 128·w per term from the U_j
+/// bias, which the row's first pass takes back out as 128·Σ_k w: the same
+/// int32 total. The int16 partial sums cannot saturate: a pair of terms is
+/// at most 255·Σ_j |c_j| = 255·|w| ≤ 2040, and a pass adds 8 k-steps
+/// (16,320) before widening to int32. A strip of fewer than 16 columns
+/// (kFull false) reads and writes C through the lane masks keep0/keep1.
+template <bool kFull>
+inline void trunc_pass(const __m256i U[][2], const int32_t* wq, const int32_t* wsum,
+                       int32_t* c, int64_t m, int64_t n, int64_t jj, int64_t kk, int64_t kf,
+                       bool accumulate, __m256i keep0, __m256i keep1) {
+  const __m256i ones = _mm256_set1_epi16(1);
+  const int32_t* wg = wq + kk * m;  // F-group (or flat remainder) base
+  for (int64_t i = 0; i < m; ++i) {
+    int32_t* cr = c + i * n + jj;
+    __m256i a0 = _mm256_setzero_si256(), a1 = _mm256_setzero_si256();
+    if (kk > 0 || accumulate) {
+      if constexpr (kFull) {
+        a0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cr));
+        a1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cr + 8));
+      } else {
+        a0 = _mm256_maskload_epi32(cr, keep0);
+        a1 = _mm256_maskload_epi32(cr + 8, keep1);
+      }
+    }
+    if (kk == 0) {
+      const __m256i bias = _mm256_set1_epi32(128 * wsum[i]);
+      a0 = _mm256_sub_epi32(a0, bias);
+      a1 = _mm256_sub_epi32(a1, bias);
+    }
+    __m256i s0 = _mm256_setzero_si256(), s1 = _mm256_setzero_si256();
+    if (kf == F) {
+      for (int64_t f = 0; f < F; ++f) maddubs_weight(U[f], wg[i * F + f], s0, s1);
+    } else {  // remainder k-steps: flat column layout wq[kk*m + i]
+      for (int64_t f = 0; f < kf; ++f) maddubs_weight(U[f], wg[f * m + i], s0, s1);
+    }
+    a0 = _mm256_add_epi32(a0, _mm256_madd_epi16(s0, ones));
+    a1 = _mm256_add_epi32(a1, _mm256_madd_epi16(s1, ones));
+    if constexpr (kFull) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(cr), a0);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(cr + 8), a1);
+    } else {
+      _mm256_maskstore_epi32(cr, keep0, a0);
+      _mm256_maskstore_epi32(cr + 8, keep1, a1);
+    }
+  }
+}
+
+/// The operand bytes of a plane strip's 16 columns for one tap, from `u` at
+/// the tap's offset: one row of 16 (L = 16), two rows of 8 or four rows of
+/// 4, pw apart. [0] holds columns 0-7, [1] 8-15, as build_u2 lays them out.
+template <int L>
+inline void load_plane_operands(const int32_t* u, int64_t pw, __m256i out[2]) {
+  const auto row8 = [](const int32_t* p) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  };
+  const auto rows4 = [](const int32_t* lo, const int32_t* hi) {
+    return _mm256_inserti128_si256(
+        _mm256_castsi128_si256(_mm_loadu_si128(reinterpret_cast<const __m128i*>(lo))),
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(hi)), 1);
+  };
+  if constexpr (L == 16) {
+    out[0] = row8(u);
+    out[1] = row8(u + 8);
+  } else if constexpr (L == 8) {
+    out[0] = row8(u);
+    out[1] = row8(u + pw);
+  } else {
+    static_assert(L == 4, "plane strips are rows of 16, 8 or 4 columns");
+    out[0] = rows4(u, u + pw);
+    out[1] = rows4(u + 2 * pw, u + 3 * pw);
+  }
+}
+
+template <int L>
+void trunc_plane_strips(const int32_t* wq, const int32_t* wsum, const int32_t* u,
+                        const int32_t* toff, int32_t* c, int64_t m, int64_t k, int64_t n,
+                        const PlaneStrips& g, int64_t s0, int64_t s1) {
+  const __m256i full = _mm256_set1_epi32(-1);  // plane strips hold 16 columns
+  __m256i U[F][2];
+  for (int64_t s = s0; s < s1; ++s) {
+    const int64_t jj = s * kStrip, b = jj / g.ohw, r = jj - b * g.ohw;
+    const int32_t* base = u + b * g.image + r / g.ow * g.pw + r % g.ow;
+    for (int64_t kk = 0; kk < k; kk += F) {
+      const int64_t kf = std::min(F, k - kk);
+      for (int64_t f = 0; f < kf; ++f) load_plane_operands<L>(base + toff[kk + f], g.pw, U[f]);
+      trunc_pass<true>(U, wq, wsum, c, m, n, jj, kk, kf, false, full, full);
+    }
+  }
+}
+
 }  // namespace
 
 void avx2_trunc_cols(const int32_t* wq, const int32_t* wsum, const int8_t* x, int32_t* c,
                      int64_t m, int64_t k, int64_t n, int t, bool accumulate, int64_t j0,
                      int64_t j1) {
-  // Each output sums Σ_j c_j·Y_j = tab(a, w) over the same (k, w ≠ 0) terms
-  // the naive kernel looks up, plus 128·Σ_j c_j = 128·w per term from the
-  // U_j bias, which the row's first pass takes back out as 128·Σ_k w: the
-  // same int32 total. The int16 partial sums cannot saturate: a pair of
-  // terms is at most 255·Σ_j |c_j| = 255·|w| ≤ 2040, and a pass adds 8
-  // k-steps (16,320) before widening to int32.
   __m256i mask[4];
-  for (int j = 0; j < 4; ++j)
-    mask[j] = _mm256_set1_epi8(static_cast<char>(~((1 << std::max(t - j, 0)) - 1)));
-  const __m256i ones = _mm256_set1_epi16(1);
+  trunc_masks(t, mask);
   const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
   __m256i U[F][2];
   for (int64_t jj = j0; jj < j1; jj += 16) {
@@ -277,42 +369,52 @@ void avx2_trunc_cols(const int32_t* wq, const int32_t* wsum, const int8_t* x, in
                  f + 1 < kf ? load_strip_row(x, off + n, nc, k * n) : _mm_setzero_si128(),
                  mask, U[f], U[f + 1]);
       }
-      const int32_t* wg = wq + kk * m;  // F-group (or flat remainder) base
-      for (int64_t i = 0; i < m; ++i) {
-        int32_t* cr = c + i * n + jj;
-        __m256i a0 = _mm256_setzero_si256(), a1 = _mm256_setzero_si256();
-        if (kk > 0 || accumulate) {
-          if (nc == 16) {
-            a0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cr));
-            a1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cr + 8));
-          } else {
-            a0 = _mm256_maskload_epi32(cr, keep0);
-            a1 = _mm256_maskload_epi32(cr + 8, keep1);
-          }
-        }
-        if (kk == 0) {
-          const __m256i bias = _mm256_set1_epi32(128 * wsum[i]);
-          a0 = _mm256_sub_epi32(a0, bias);
-          a1 = _mm256_sub_epi32(a1, bias);
-        }
-        __m256i s0 = _mm256_setzero_si256(), s1 = _mm256_setzero_si256();
-        if (kf == F) {
-          for (int64_t f = 0; f < F; ++f) maddubs_weight(U[f], wg[i * F + f], s0, s1);
-        } else {  // remainder k-steps: flat column layout wq[kk*m + i]
-          for (int64_t f = 0; f < kf; ++f) maddubs_weight(U[f], wg[f * m + i], s0, s1);
-        }
-        a0 = _mm256_add_epi32(a0, _mm256_madd_epi16(s0, ones));
-        a1 = _mm256_add_epi32(a1, _mm256_madd_epi16(s1, ones));
-        if (nc == 16) {
-          _mm256_storeu_si256(reinterpret_cast<__m256i*>(cr), a0);
-          _mm256_storeu_si256(reinterpret_cast<__m256i*>(cr + 8), a1);
-        } else {
-          _mm256_maskstore_epi32(cr, keep0, a0);
-          _mm256_maskstore_epi32(cr + 8, keep1, a1);
-        }
-      }
+      if (nc == 16)
+        trunc_pass<true>(U, wq, wsum, c, m, n, jj, kk, kf, accumulate, keep0, keep1);
+      else
+        trunc_pass<false>(U, wq, wsum, c, m, n, jj, kk, kf, accumulate, keep0, keep1);
     }
   }
+}
+
+void avx2_trunc_operands(const int8_t* x, int64_t count, int t, int32_t* u) {
+  __m256i mask[4];
+  trunc_masks(t, mask);
+  __m256i ua[2], ub[2];
+  const auto store = [](int32_t* p, __m256i v) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+  };
+  int64_t i = 0;
+  for (; i + 32 <= count; i += 32) {
+    build_u2(_mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i)),
+             _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i + 16)), mask, ua, ub);
+    store(u + i, ua[0]);
+    store(u + i + 8, ua[1]);
+    store(u + i + 16, ub[0]);
+    store(u + i + 24, ub[1]);
+  }
+  if (i == count) return;
+  alignas(32) int8_t xt[32] = {};
+  alignas(32) int32_t ut[32];
+  std::memcpy(xt, x + i, static_cast<size_t>(count - i));
+  build_u2(_mm_load_si128(reinterpret_cast<const __m128i*>(xt)),
+           _mm_load_si128(reinterpret_cast<const __m128i*>(xt + 16)), mask, ua, ub);
+  store(ut, ua[0]);
+  store(ut + 8, ua[1]);
+  store(ut + 16, ub[0]);
+  store(ut + 24, ub[1]);
+  std::memcpy(u + i, ut, static_cast<size_t>(count - i) * sizeof(int32_t));
+}
+
+void avx2_trunc_plane(const int32_t* wq, const int32_t* wsum, const int32_t* u,
+                      const int32_t* toff, int32_t* c, int64_t m, int64_t k, int64_t n,
+                      const PlaneStrips& g, int64_t s0, int64_t s1) {
+  if (g.ow % kStrip == 0)
+    trunc_plane_strips<16>(wq, wsum, u, toff, c, m, k, n, g, s0, s1);
+  else if (g.ow == 8)
+    trunc_plane_strips<8>(wq, wsum, u, toff, c, m, k, n, g, s0, s1);
+  else
+    trunc_plane_strips<4>(wq, wsum, u, toff, c, m, k, n, g, s0, s1);
 }
 
 void avx2_exact_cols(const uint8_t* wq, const int8_t* x, int32_t* c, int64_t m,

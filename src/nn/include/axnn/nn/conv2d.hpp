@@ -1,11 +1,17 @@
 // axnn — 2-D convolution with a float and a quantized execution path.
 //
 // Forward lowers to GEMM via im2col: out[O, P] = W[O, K] · cols[K, P] per
-// group. Both quantized modes lower the input straight to int8 columns
-// (quantize_im2col: one pass, no int8 copy of the input), quantize the
-// weights to int8 and run an integer GEMM: the exact kernel in kQuantExact
-// mode (or when the monitor forces it), the approximate-multiplier table in
-// kQuantApprox mode (Eq. 4). The backward pass uses the straight-through
+// group. Both quantized modes quantize the weights to int8 and run an
+// integer GEMM: the exact kernel in kQuantExact mode (or when the monitor
+// forces it), the approximate-multiplier table in kQuantApprox mode
+// (Eq. 4). A stride-1 conv whose plan reads the padded int8 input plane
+// (kernels::GemmPlan::reads_plane: the closed-form kernel, whole-row
+// strips) quantizes its input into that plane (quantize_plane) and runs
+// the GEMM from it, lowering columns only for a training forward's
+// backward state, a monitor or the ge_residual diagnostics; every other
+// quantized conv lowers its input straight to int8 columns
+// (quantize_im2col: one pass, no int8 copy of the input). The columns are
+// the same bytes either way. The backward pass uses the straight-through
 // estimator of the exact GEMM of the dequantized operands (Eq. 5),
 // optionally refined by the gradient-estimation scale (1 + K) on the weight
 // gradient (Eq. 12).

@@ -1,11 +1,14 @@
 // axnn — im2col / col2im lowering for GEMM-based convolution.
 //
-// Both lowerings work one input plane (n, c) at a time: the plane goes into
-// a pooled zero-padded buffer once (copied by im2col, quantized by
-// quantize_im2col), then each of its k·k cols rows is gathered out of that
-// buffer. Out-of-image taps land on the zero border, so no element is
-// bounds-tested; stride-1 rows of width 16, 8 or 4 are one fixed-size copy
-// per output row.
+// Every lowering works one input plane (n, c) at a time: the plane goes into
+// a zero-padded buffer once (copied by im2col, quantized by quantize_im2col
+// and quantize_plane), then each of its k·k cols rows is gathered out of
+// that buffer. Out-of-image taps land on the zero border, so no element is
+// bounds-tested; stride-1 rows of width 16, 8 or 4 and stride-2 rows of
+// width 8 or 4 are one fixed-width copy or gather per output row.
+// quantize_plane keeps the padded int8 planes: a stride-1 conv whose plan
+// reads them (kernels::GemmPlan::reads_plane) runs its GEMM from them and
+// lowers columns only for a consumer that reads X[k, n].
 #pragma once
 
 #include <cstdint>
@@ -34,6 +37,13 @@ Tensor im2col(const Tensor& x, const ConvGeom& g);
 /// padded buffer, so no int8 copy of x is made. Records quantize.clip_rate
 /// over x when a collector is attached, as quantize_i8(x, p) does.
 TensorI8 quantize_im2col(const Tensor& x, const ConvGeom& g, const quant::QuantParams& p);
+
+/// The quantized conv input as its zero-padded int8 planes
+/// [N, C, H+2p, W+2p], the operand kernels::ConvPlane describes, and, when
+/// `cols` is given, quantize_im2col's columns lowered from those planes in
+/// the same pass. Records quantize.clip_rate over x like quantize_im2col.
+TensorI8 quantize_plane(const Tensor& x, const ConvGeom& g, const quant::QuantParams& p,
+                        TensorI8* cols = nullptr);
 
 /// Scatter-add of cols gradients back to the input layout (adjoint of
 /// im2col).

@@ -16,7 +16,9 @@
 //     exact or approximate (both run the integer path), after the kernel
 //     wrote `c` — never for the adder-accumulation path (gemm_approx_accum
 //     fixes its own reduction order; checksums over it would re-derive the
-//     adder model).
+//     adder model). `x` is always the dense X[k, n]: a conv that ran its
+//     GEMM from its padded input plane lowers these columns for the
+//     monitor, and the GEMM itself is the same whether or not one watches.
 //   * force_exact is asked only by leaves that would otherwise multiply
 //     through a table without an adder.
 //   * A monitor must not change any tensor it is handed except `c`, and a

@@ -29,84 +29,111 @@ ConvGeom ConvGeom::of(const Shape& x, int64_t kernel, int64_t stride, int64_t pa
 namespace {
 
 /// `rows` rows of W elements from `src` (advancing by `pitch`) to `dst`
-/// (contiguous): a compile-time width makes each row one fixed-size move.
-template <int64_t W, typename T>
+/// (contiguous), taking every S-th element: a compile-time width and step
+/// make each row one fixed-size move (S = 1) or a fixed gather.
+template <int64_t W, int64_t S, typename T>
 void copy_rows(T* dst, const T* src, int64_t rows, int64_t pitch) {
-  for (int64_t i = 0; i < rows; ++i, dst += W, src += pitch) std::memcpy(dst, src, W * sizeof(T));
+  for (int64_t i = 0; i < rows; ++i, dst += W, src += pitch) {
+    if constexpr (S == 1)
+      std::memcpy(dst, src, W * sizeof(T));
+    else
+      for (int64_t j = 0; j < W; ++j) dst[j] = src[j * S];
+  }
 }
 
 /// Writes the k·k cols rows of input plane (n, c) from `src`, the plane
 /// zero-padded to pitch w + 2·padding: tap (kh, kw) of output (i, j) reads
-/// src[(i·stride + kh)·pitch + j·stride + kw]. The geometry is held in
-/// locals, which an int8 store could otherwise force the loops to reload.
+/// src[(i·stride + kh)·pitch + j·stride + kw]. Stride-1 output widths 16, 8
+/// and 4 and stride-2 widths 8 and 4 take fixed-width rows; other widths a
+/// runtime-length copy (stride 1) or the element loop. The geometry is held
+/// in locals, which an int8 store could otherwise force the loops to reload.
 template <typename T>
 void emit_patch_rows(const T* src, int64_t n, int64_t c, const ConvGeom& g, T* cols) {
   const int64_t k = g.kernel, s = g.stride, oh = g.oh, ow = g.ow;
-  const int64_t pw = g.w + 2 * g.padding, cols_n = g.out_cols();
+  const int64_t pw = g.w + 2 * g.padding, pitch = s * pw, cols_n = g.out_cols();
   T* out = cols + c * k * k * cols_n + n * oh * ow;
   for (int64_t kh = 0; kh < k; ++kh)
     for (int64_t kw = 0; kw < k; ++kw, out += cols_n) {
       const T* base = src + kh * pw + kw;
-      if (s != 1) {
-        T* dst = out;
-        for (int64_t i = 0; i < oh; ++i, dst += ow) {
-          const T* row = base + i * s * pw;
-          for (int64_t j = 0; j < ow; ++j) dst[j] = row[j * s];
-        }
-        continue;
-      }
-      switch (ow) {
-        case 16: copy_rows<16>(out, base, oh, pw); break;
-        case 8: copy_rows<8>(out, base, oh, pw); break;
-        case 4: copy_rows<4>(out, base, oh, pw); break;
-        default:
-          for (int64_t i = 0; i < oh; ++i)
-            std::memcpy(out + i * ow, base + i * pw, static_cast<size_t>(ow) * sizeof(T));
-      }
+      if (s == 1 && ow == 16)
+        copy_rows<16, 1>(out, base, oh, pitch);
+      else if (s == 1 && ow == 8)
+        copy_rows<8, 1>(out, base, oh, pitch);
+      else if (s == 1 && ow == 4)
+        copy_rows<4, 1>(out, base, oh, pitch);
+      else if (s == 2 && ow == 8)
+        copy_rows<8, 2>(out, base, oh, pitch);
+      else if (s == 2 && ow == 4)
+        copy_rows<4, 2>(out, base, oh, pitch);
+      else if (s == 1)
+        for (int64_t i = 0; i < oh; ++i)
+          std::memcpy(out + i * ow, base + i * pw, static_cast<size_t>(ow) * sizeof(T));
+      else
+        for (int64_t i = 0; i < oh; ++i)
+          for (int64_t j = 0; j < ow; ++j) out[i * ow + j] = base[i * pitch + j * s];
     }
 }
 
 /// One task per input plane (n, c): `fill_row(src, dst, len)` writes len
-/// input values into the interior of a zero-padded buffer, row by row (as
+/// input values into the interior of the zero-padded plane, row by row (as
 /// one row when there is no padding, since the rows are then contiguous),
-/// and emit_patch_rows copies the plane's cols rows out of it. Each chunk
-/// owns one pooled buffer whose border stays zero, so steady-state forwards
-/// stay allocation-free.
+/// and emit_patch_rows copies the plane's cols rows out of it when `cols`
+/// is given. The planes land in `planes` ([N, C, H+2p, W+2p], border
+/// already zero) when given; otherwise each chunk reuses one pooled buffer
+/// whose border stays zero. Either way steady-state forwards stay
+/// allocation-free.
 template <typename T, typename FillRow>
-BasicTensor<T> lower(const Tensor& x, const ConvGeom& g, FillRow fill_row) {
-  BasicTensor<T> cols(Shape{g.patch_rows(), g.out_cols()});
-  T* const out = cols.data();
+void lower(const Tensor& x, const ConvGeom& g, T* planes, T* cols, FillRow fill_row) {
   const int64_t pad = g.padding, pw = g.w + 2 * pad;
-  const size_t plane = static_cast<size_t>((g.h + 2 * pad) * pw);
+  const int64_t plane = (g.h + 2 * pad) * pw;
   const int64_t rows = pad > 0 ? g.h : 1, len = pad > 0 ? g.w : g.h * g.w;
   parallel_for(g.n * g.c, [&](int64_t p0, int64_t p1) {
-    std::vector<T, PoolAllocator<T>> padded(plane, T{});
-    T* const interior = padded.data() + pad * pw + pad;
+    std::vector<T, PoolAllocator<T>> own(planes != nullptr ? 0 : static_cast<size_t>(plane),
+                                         T{});
     for (int64_t pc = p0; pc < p1; ++pc) {
+      T* dst = planes != nullptr ? planes + pc * plane : own.data();
       const float* src = x.data() + pc * g.h * g.w;
-      for (int64_t r = 0; r < rows; ++r) fill_row(src + r * len, interior + r * pw, len);
-      emit_patch_rows(padded.data(), pc / g.c, pc % g.c, g, out);
+      for (int64_t r = 0; r < rows; ++r)
+        fill_row(src + r * len, dst + (pad + r) * pw + pad, len);
+      if (cols != nullptr) emit_patch_rows(dst, pc / g.c, pc % g.c, g, cols);
     }
   });
-  return cols;
+}
+
+/// lower() quantizing x with `p`; records quantize.clip_rate over x when a
+/// collector is attached, as quantize_i8(x, p) does.
+void quantize_lower(const Tensor& x, const ConvGeom& g, const quant::QuantParams& p,
+                    int8_t* planes, int8_t* cols) {
+  const float inv = 1.0f / p.step;
+  const int32_t lo = p.qmin(), hi = p.qmax();
+  lower<int8_t>(x, g, planes, cols, [inv, lo, hi](const float* src, int8_t* dst, int64_t len) {
+    quantize_row_i8(src, dst, len, inv, lo, hi);
+  });
+  if (obs::enabled()) quant::record_clip_rate(x, p);
 }
 
 }  // namespace
 
 Tensor im2col(const Tensor& x, const ConvGeom& g) {
-  return lower<float>(x, g, [](const float* src, float* dst, int64_t len) {
+  Tensor cols(Shape{g.patch_rows(), g.out_cols()});
+  lower<float>(x, g, nullptr, cols.data(), [](const float* src, float* dst, int64_t len) {
     std::memcpy(dst, src, static_cast<size_t>(len) * sizeof(float));
   });
+  return cols;
 }
 
 TensorI8 quantize_im2col(const Tensor& x, const ConvGeom& g, const quant::QuantParams& p) {
-  const float inv = 1.0f / p.step;
-  const int32_t lo = p.qmin(), hi = p.qmax();
-  TensorI8 cols = lower<int8_t>(x, g, [inv, lo, hi](const float* src, int8_t* dst, int64_t len) {
-    quantize_row_i8(src, dst, len, inv, lo, hi);
-  });
-  if (obs::enabled()) quant::record_clip_rate(x, p);
+  TensorI8 cols(Shape{g.patch_rows(), g.out_cols()});
+  quantize_lower(x, g, p, nullptr, cols.data());
   return cols;
+}
+
+TensorI8 quantize_plane(const Tensor& x, const ConvGeom& g, const quant::QuantParams& p,
+                        TensorI8* cols) {
+  TensorI8 planes(Shape{g.n, g.c, g.h + 2 * g.padding, g.w + 2 * g.padding});
+  if (cols != nullptr) *cols = TensorI8(Shape{g.patch_rows(), g.out_cols()});
+  quantize_lower(x, g, p, planes.data(), cols != nullptr ? cols->data() : nullptr);
+  return planes;
 }
 
 Tensor col2im(const Tensor& cols, const ConvGeom& g) {

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "axnn/kernels/int_gemm.hpp"
+#include "axnn/nn/exec.hpp"
 #include "axnn/obs/telemetry.hpp"
 #include "obs_hooks.hpp"
 
@@ -16,28 +17,51 @@ void check_leaf_exec(const LeafExec& ex, int weight_bits, const char* who) {
                            ": approximate execution requires weight_bits <= 4 (LUT operand)");
 }
 
+namespace {
+
+bool ge_residual_on(const LeafExec& ex) {
+  if (ex.mul == nullptr || !obs::enabled()) return false;
+  const obs::Collector* col = obs::collector();
+  return col != nullptr && col->config().ge_residual;
+}
+
+}  // namespace
+
+bool reads_plane(const LeafExec& ex, kernels::PlanMemo& memo, int64_t m, int64_t k,
+                 int64_t n, const kernels::ConvPlane& x) {
+  if (ex.mul == nullptr || ex.adder != nullptr) return false;
+  const kernels::PlanKey key = kernels::make_int_key(kernels::OpKind::kApprox, {}, m, k, n,
+                                                     kernels::Backend::kBlocked, ex.mul);
+  return memo.find_or_acquire(key, ex.mul)->reads_plane(x);
+}
+
+bool cols_consumed(const ExecContext& ctx, const LeafExec& ex) {
+  return ctx.training || ctx.monitor != nullptr || ge_residual_on(ex);
+}
+
 void leaf_gemm(const Layer& leaf, const LeafExec& ex, ForwardMonitor* monitor,
                kernels::PlanMemo& memo, const std::string& obs_path, int64_t groups,
-               const int8_t* w, const int8_t* x, int32_t* c, int64_t m, int64_t k, int64_t n) {
+               const int8_t* w, const int8_t* x, int32_t* c, int64_t m, int64_t k, int64_t n,
+               const kernels::ConvPlane* plane) {
   const bool exact = ex.mul == nullptr || (monitor != nullptr && ex.adder == nullptr &&
                                            monitor->force_exact(leaf));
   for (int64_t g = 0; g < groups; ++g) {
     const int8_t* wg = w + g * m * k;
-    const int8_t* xg = x + g * k * n;
+    const int8_t* xg = x != nullptr ? x + g * k * n : nullptr;
     int32_t* cg = c + g * m * n;
     if (ex.adder != nullptr)
       kernels::gemm_approx_accum({}, wg, xg, cg, m, k, n, *ex.mul, *ex.adder);
     else if (exact)
       kernels::gemm_exact({}, wg, xg, cg, m, k, n, &memo);
+    else if (plane != nullptr)
+      kernels::gemm_approx_plane(wg, *plane, cg, m, k, n, *ex.mul, &memo);
     else
       kernels::gemm_approx({}, wg, xg, cg, m, k, n, *ex.mul, &memo);
     if (monitor != nullptr && ex.adder == nullptr)
       monitor->on_leaf_gemm(leaf, g, !exact, wg, xg, cg, m, k, n, exact ? nullptr : ex.mul);
   }
 
-  if (ex.mul == nullptr || !obs::enabled()) return;
-  obs::Collector* col = obs::collector();
-  if (col == nullptr || !col->config().ge_residual) return;
+  if (!ge_residual_on(ex)) return;
   // Diagnostics: re-run the GEMM exactly to observe eps = y~ - y and its
   // residual against the GE fit (roughly doubles forward cost).
   TensorI32 ref(Shape{groups * m, n});

@@ -21,15 +21,30 @@ namespace axnn::nn::detail {
 /// `who` prefixes the message ("Conv2d", "Linear").
 void check_leaf_exec(const LeafExec& ex, int weight_bits, const char* who);
 
+/// Whether the leaf's GEMM runs from the conv plane `x` instead of its
+/// columns: a table leaf without an adder whose approximate plan reads the
+/// plane. kernels::GemmPlan::reads_plane decides, from the kernel the plan
+/// binds and the conv geometry.
+bool reads_plane(const LeafExec& ex, kernels::PlanMemo& memo, int64_t m, int64_t k,
+                 int64_t n, const kernels::ConvPlane& x);
+
+/// Whether anything besides the GEMM reads the leaf's columns X[k, n] in
+/// this forward: a training forward's backward state, an attached monitor
+/// (on_leaf_gemm) or the ge_residual diagnostics (an exact re-run).
+bool cols_consumed(const ExecContext& ctx, const LeafExec& ex);
+
 /// C_g[m,n] = W_g[m,k] · X_g[k,n] for each of `groups` groups stored back to
 /// back (W_g at w + g·m·k, X_g at x + g·k·n, C_g at c + g·m·n). The kernel:
 /// gemm_approx_accum when the leaf has an adder; gemm_exact when it has no
-/// table or the monitor forces it exact; gemm_approx otherwise. Every group
-/// not accumulated through an adder is reported to the monitor, which may
-/// repair C_g. With a collector asking for ge_residual, an approximate leaf
-/// re-runs its GEMM exactly and records eps = y~ - y against its fit.
+/// table or the monitor forces it exact; gemm_approx otherwise, from
+/// `plane` when given (one group; reads_plane holds, and `x` may be null
+/// unless cols_consumed). Every group not accumulated through an adder is
+/// reported to the monitor with X_g, which may repair C_g. With a collector
+/// asking for ge_residual, an approximate leaf re-runs its GEMM exactly and
+/// records eps = y~ - y against its fit.
 void leaf_gemm(const Layer& leaf, const LeafExec& ex, ForwardMonitor* monitor,
                kernels::PlanMemo& memo, const std::string& obs_path, int64_t groups,
-               const int8_t* w, const int8_t* x, int32_t* c, int64_t m, int64_t k, int64_t n);
+               const int8_t* w, const int8_t* x, int32_t* c, int64_t m, int64_t k, int64_t n,
+               const kernels::ConvPlane* plane = nullptr);
 
 }  // namespace axnn::nn::detail

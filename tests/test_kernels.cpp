@@ -9,12 +9,14 @@
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "axnn/approx/kernels.hpp"
 #include "axnn/approx/approx_gemm.hpp"
 #include "axnn/axmul/adder.hpp"
 #include "axnn/axmul/registry.hpp"
+#include "axnn/kernels/int_gemm.hpp"
 #include "axnn/kernels/isa.hpp"
 #include "axnn/kernels/plan.hpp"
 #include "axnn/tensor/gemm.hpp"
@@ -501,6 +503,119 @@ TEST(ClosedForm, CorruptedTruncatedTableRunsThroughTheLut) {
     EXPECT_EQ(c_naive, c_plan) << "m=" << m;
     EXPECT_EQ(c_clean[0] + 1, c_plan[0]) << "m=" << m;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Conv-plane GEMM: a stride-1 conv under the closed form reads X from its
+// padded int8 plane; every other conv lowers the plane to columns.
+// ---------------------------------------------------------------------------
+
+struct PlaneCase {
+  int64_t width, kernel, stride;
+  int64_t groups = 1;
+  int64_t height = 0;  ///< output height; 0: square
+};
+
+// X[k, n] of `x` (one group of `groups`) by direct taps: row
+// (c·kernel + kh)·kernel + kw, column (b·oh + i)·ow + j.
+std::vector<int8_t> lower_plane(const std::vector<int8_t>& plane, const kernels::ConvPlane& x,
+                                int64_t groups, int64_t group) {
+  const int64_t oh = x.oh(), ow = x.ow(), taps = x.kernel * x.kernel;
+  const int64_t cg = x.channels / groups, k = cg * taps, n = x.batch * oh * ow;
+  std::vector<int8_t> cols(static_cast<size_t>(k * n));
+  for (int64_t r = 0; r < k; ++r) {
+    const int64_t ch = group * cg + r / taps, kh = r / x.kernel % x.kernel, kw = r % x.kernel;
+    for (int64_t col = 0; col < n; ++col) {
+      const int64_t b = col / (oh * ow), i = col / ow % oh, j = col % ow;
+      cols[static_cast<size_t>(r * n + col)] = plane[static_cast<size_t>(
+          ((b * x.channels + ch) * x.ph + i * x.stride + kh) * x.pw + j * x.stride + kw)];
+    }
+  }
+  return cols;
+}
+
+TEST(ClosedForm, PlaneGemmMatchesDenseGemmAndNaive) {
+  // Eligible geometries (stride 1, kernel 1, 3 or 5, output width 4, 8, 16
+  // or 32 with whole 16-column strips) read the plane on AVX2 and must give the accumulators
+  // of the dense and naive GEMMs over the lowered columns; the others —
+  // widths 5, 7 and 12, images of 12 or 8 outputs (strips would span two
+  // images), stride 2, two groups, a LUT-only table — decline the plane and
+  // run the dense GEMM. Every plane holds −128 and 127, and the weights hold
+  // all 16 nibbles.
+  const bool avx2 = kernels::active_isa() == kernels::Isa::kAvx2;
+  std::vector<std::pair<std::string, bool>> tables{{"evoa228", false}};
+  for (int t = 0; t <= 11; ++t)
+    tables.emplace_back(t == 0 ? "exact" : "trunc" + std::to_string(t), true);
+  const PlaneCase eligible[] = {{4, 3, 1}, {8, 3, 1}, {16, 3, 1}, {32, 3, 1}, {4, 1, 1},
+                                {8, 1, 1}, {16, 1, 1}, {32, 1, 1}, {8, 5, 1}};
+  const PlaneCase declined[] = {{5, 3, 1},       {7, 3, 1}, {12, 3, 1},   {12, 1, 1},
+                                {8, 3, 2},       {8, 1, 2}, {8, 3, 1, 2}, {16, 1, 1, 2},
+                                {4, 3, 1, 1, 3}, {8, 1, 1, 1, 1}};
+  constexpr int64_t kChannels = 4, kRows = 8;
+  int64_t plane_runs = 0;
+  for (const auto& [name, truncated] : tables) {
+    const approx::SignedMulTable tab(axmul::make_lut(name));
+    for (const bool reads : {true, false})
+      for (const PlaneCase& pc : reads ? std::vector<PlaneCase>(std::begin(eligible),
+                                                                std::end(eligible))
+                                       : std::vector<PlaneCase>(std::begin(declined),
+                                                                std::end(declined)))
+        for (int64_t batch = 1; batch <= 8; ++batch) {
+          // An input of in_h × in_w with padding kernel/2 gives outputs of
+          // pc.height × pc.width.
+          const int64_t pad = pc.kernel / 2, height = pc.height > 0 ? pc.height : pc.width;
+          const int64_t in_w = (pc.width - 1) * pc.stride + pc.kernel - 2 * pad;
+          const int64_t in_h = (height - 1) * pc.stride + pc.kernel - 2 * pad;
+          kernels::ConvPlane x{nullptr,        batch,     kChannels, in_h + 2 * pad,
+                               in_w + 2 * pad, pc.kernel, pc.stride};
+          ASSERT_EQ(pc.width, x.ow());
+          ASSERT_EQ(height, x.oh());
+          std::vector<int8_t> plane(static_cast<size_t>(batch * kChannels * x.ph * x.pw));
+          Rng rng(static_cast<uint64_t>(97 * batch + pc.width + 7 * pc.kernel));
+          for (int64_t p = 0; p < static_cast<int64_t>(plane.size()); ++p) {
+            const int64_t i = p / x.pw % x.ph, j = p % x.pw;
+            const bool border = i < pad || i >= x.ph - pad || j < pad || j >= x.pw - pad;
+            plane[static_cast<size_t>(p)] =
+                border ? 0 : static_cast<int8_t>(-128 + rng.uniform_int(256));
+          }
+          for (int64_t b = 0; b < batch; ++b) {  // the byte extremes in every image
+            int8_t* img = plane.data() + b * kChannels * x.ph * x.pw;
+            img[pad * x.pw + pad] = -128;
+            img[(x.ph - pad - 1) * x.pw + x.pw - pad - 1] = 127;
+          }
+          x.data = plane.data();
+          const int64_t m = kRows, k = kChannels / pc.groups * pc.kernel * pc.kernel;
+          const int64_t n = batch * x.oh() * x.ow();
+          auto w = random_i8(m * k, static_cast<uint64_t>(31 * batch + k), -8, 7);
+          ASSERT_GE(m * k, 16);
+          for (int64_t i = 0; i < 16; ++i) w[static_cast<size_t>(i)] = static_cast<int8_t>(i - 8);
+          const auto cols = lower_plane(plane, x, pc.groups, 0);
+          std::vector<int32_t> naive(static_cast<size_t>(m * n)), dense(naive.size());
+          kernels::gemm_approx({}, w.data(), cols.data(), naive.data(), m, k, n, tab,
+                               Backend::kNaive);
+          kernels::gemm_approx({}, w.data(), cols.data(), dense.data(), m, k, n, tab,
+                               Backend::kBlocked);
+          SCOPED_TRACE(::testing::Message()
+                       << name << " width=" << pc.width << " kernel=" << pc.kernel
+                       << " height=" << height << " stride=" << pc.stride
+                       << " groups=" << pc.groups
+                       << " batch=" << batch);
+          ASSERT_EQ(naive, dense);
+          const kernels::PlanHandle plan = approx_plan(tab, m, k, n);
+          ASSERT_EQ(avx2 && truncated && reads, plan->reads_plane(x));
+          std::vector<int32_t> from_plane(naive.size(), 7);
+          if (!plan->reads_plane(x)) {
+            EXPECT_THROW(kernels::gemm_approx_plane(w.data(), x, from_plane.data(), m, k, n,
+                                                    tab),
+                         std::invalid_argument);
+            continue;
+          }
+          kernels::gemm_approx_plane(w.data(), x, from_plane.data(), m, k, n, tab);
+          ASSERT_EQ(naive, from_plane);
+          ++plane_runs;
+        }
+  }
+  EXPECT_EQ(avx2 ? 12 * static_cast<int64_t>(std::size(eligible)) * 8 : 0, plane_runs);
 }
 
 TEST(BackendConfig, RowGrainScalesInverselyWithWork) {

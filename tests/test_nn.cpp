@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -18,11 +19,14 @@
 #include "axnn/axmul/registry.hpp"
 #include "axnn/ge/error_fit.hpp"
 #include "axnn/kernels/int_gemm.hpp"
+#include "axnn/kernels/isa.hpp"
+#include "axnn/kernels/plan.hpp"
 #include "axnn/nn/activations.hpp"
 #include "axnn/nn/batchnorm.hpp"
 #include "axnn/nn/conv2d.hpp"
 #include "axnn/nn/linear.hpp"
 #include "axnn/nn/loss.hpp"
+#include "axnn/nn/monitor.hpp"
 #include "axnn/nn/pooling.hpp"
 #include "axnn/nn/qutils.hpp"
 #include "axnn/nn/sequential.hpp"
@@ -62,14 +66,16 @@ TEST(Im2col, ValuesAndPadding) {
 }
 
 TEST(Im2col, Int8MatchesQuantizedFloatAndDirectTaps) {
-  // quantize_im2col must give the bytes of quantize_i8(im2col(x)) and the
-  // float lowering must put every element at its direct tap (out-of-image
-  // taps are zero), across the geometries the layers use: stride-1 output
-  // widths 16, 8 and 4 take the fixed-width copies, the others the generic
-  // ones. Every third input is a special value (NaN, ±inf, ±1e30, 3e9,
-  // exact half-steps, the saturation edge), so specials land both in the
-  // vectorized body of a quantized row and in its scalar tail (rows of up to
-  // 17 values; the whole plane is one row when there is no padding).
+  // quantize_im2col and quantize_plane's columns must give the bytes of
+  // quantize_i8(im2col(x)), quantize_plane's planes the quantized input on
+  // a zero border, and the float lowering must put every element at its
+  // direct tap (out-of-image taps are zero), across the geometries the
+  // layers use: stride-1 output widths 16, 8 and 4 take the fixed-width
+  // copies, stride-2 widths 8 and 4 the fixed-width gathers, the others the
+  // generic ones. Every third input is a special value (NaN, ±inf, ±1e30,
+  // 3e9, exact half-steps, the saturation edge), so specials land both in
+  // the vectorized body of a quantized row and in its scalar tail (rows of
+  // up to 17 values; the whole plane is one row when there is no padding).
   const quant::QuantParams qp{1.0f / 32.0f, 8};
   const float inf = std::numeric_limits<float>::infinity();
   const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
@@ -86,7 +92,7 @@ TEST(Im2col, Int8MatchesQuantizedFloatAndDirectTaps) {
                             -127.5f / 32};
   const auto bits = [](float v) { return std::bit_cast<uint32_t>(v); };
   Rng rng(7);
-  int64_t fixed_width = 0, generic_width = 0;
+  int64_t fixed_width = 0, fixed_gather = 0, generic_width = 0;
   for (int64_t kernel : {1, 3})
     for (int64_t stride : {1, 2})
       for (int64_t pad : {0, 1})
@@ -105,6 +111,23 @@ TEST(Im2col, Int8MatchesQuantizedFloatAndDirectTaps) {
                                               << " n=" << batch);
             ASSERT_EQ(qcols.shape(), ref.shape());
             ASSERT_EQ(0, std::memcmp(ref.data(), qcols.data(), static_cast<size_t>(ref.numel())));
+            // quantize_plane keeps the padded planes and lowers the same
+            // columns from them.
+            TensorI8 plane_cols;
+            const TensorI8 planes = quantize_plane(x, g, qp, &plane_cols);
+            ASSERT_EQ(plane_cols.shape(), ref.shape());
+            ASSERT_EQ(0, std::memcmp(ref.data(), plane_cols.data(),
+                                     static_cast<size_t>(ref.numel())));
+            const int64_t ph = hw + 2 * pad;
+            ASSERT_EQ(planes.shape(), (Shape{batch, 2, ph, ph}));
+            for (int64_t e = 0; e < planes.numel(); ++e) {
+              const int64_t i = e / ph % ph - pad, j = e % ph - pad, nc = e / (ph * ph);
+              const bool inside = i >= 0 && i < hw && j >= 0 && j < hw;
+              ASSERT_EQ(inside ? quant::quantize_level(x[(nc * hw + i) * hw + j], 32.0f, -127, 127)
+                               : 0,
+                        planes[e])
+                  << "plane element " << e;
+            }
             for (int64_t r = 0; r < g.patch_rows(); ++r)
               for (int64_t col = 0; col < g.out_cols(); ++col) {
                 const int64_t kw = r % kernel, kh = r / kernel % kernel, c = r / kernel / kernel;
@@ -116,10 +139,15 @@ TEST(Im2col, Int8MatchesQuantizedFloatAndDirectTaps) {
                 ASSERT_EQ(quant::quantize_level(tap, 32.0f, -127, 127), qcols(r, col))
                     << "r=" << r << " col=" << col << " tap=" << tap;
               }
-            const bool fixed = stride == 1 && (g.ow == 16 || g.ow == 8 || g.ow == 4);
-            ++(fixed ? fixed_width : generic_width);
+            if (stride == 1 && (g.ow == 16 || g.ow == 8 || g.ow == 4))
+              ++fixed_width;
+            else if (stride == 2 && (g.ow == 8 || g.ow == 4))
+              ++fixed_gather;
+            else
+              ++generic_width;
           }
   EXPECT_GT(fixed_width, 0);
+  EXPECT_GT(fixed_gather, 0);
   EXPECT_GT(generic_width, 0);
 }
 
@@ -518,6 +546,132 @@ TEST(InferenceForward, Conv2dMatchesTrainingForwardBitwise) {
           ref[(b * o + ch) * hw + i] = out_mat[ch * p + b * hw + i] + bias_v;
       }
     expect_bitwise_equal(ref, conv.forward(x, ExecContext::quant_approx(tab)));
+  }
+}
+
+/// Keeps what every on_leaf_gemm hands it: the columns X[k, n] and the
+/// accumulators C[m, n] of each GEMM group.
+class RecordingMonitor final : public ForwardMonitor {
+public:
+  bool force_exact(const Layer&) override { return false; }
+  void on_leaf_input(const Layer&, const Tensor&) override {}
+  bool on_leaf_gemm(const Layer&, int64_t, bool, const int8_t*, const int8_t* x, int32_t* c,
+                    int64_t m, int64_t k, int64_t n, const approx::SignedMulTable*) override {
+    cols.insert(cols.end(), x, x + k * n);
+    acc.insert(acc.end(), c, c + m * n);
+    return false;
+  }
+  std::vector<int8_t> cols;
+  std::vector<int32_t> acc;
+};
+
+struct PlaneConvCase {
+  Conv2dConfig cfg;
+  int64_t hw;
+  bool eligible;  ///< reads its plane where the closed form runs
+};
+
+/// Stride-1 convs whose output width is 4, 8, 16 or 32 (whole 16-column
+/// strips) read their plane on AVX2 under a truncated table; width 6,
+/// stride 2 and two groups lower columns.
+const PlaneConvCase kPlaneConvCases[] = {
+    {{3, 4, 3, 1, 1, 1, true}, 16, true},   {{4, 8, 3, 1, 1, 1, false}, 8, true},
+    {{8, 5, 3, 1, 1, 1, true}, 4, true},    {{2, 4, 1, 1, 0, 1, true}, 32, true},
+    {{3, 4, 3, 1, 1, 1, true}, 6, false},   {{4, 4, 3, 2, 1, 1, true}, 16, false},
+    {{4, 6, 3, 1, 1, 2, true}, 8, false},
+};
+
+/// A calibrated conv of `pc` and an input batch of 3 for it.
+std::pair<std::unique_ptr<Conv2d>, Tensor> plane_conv(const PlaneConvCase& pc) {
+  Rng rng(static_cast<uint64_t>(40 + pc.hw + pc.cfg.out_channels));
+  auto conv = std::make_unique<Conv2d>(pc.cfg, rng);
+  Tensor x = randn(Shape{3, pc.cfg.in_channels, pc.hw, pc.hw}, rng, 0.1f, 0.6f);
+  (void)conv->forward(x, ExecContext::calibrate());
+  conv->finalize_calibration(quant::Calibration::kMinPropQE);
+  return {std::move(conv), std::move(x)};
+}
+
+TEST(Conv2d, PlaneGemmGivesTheBitsOfTheColumnsPath) {
+  // The same quantized forward with and without a monitor: the monitor's
+  // columns are quantize_im2col's bytes, its accumulators the naive GEMM's
+  // over them, and the outputs are equal bit for bit whether or not a
+  // conv ran its GEMM from the plane.
+  const bool avx2 = kernels::active_isa() == kernels::Isa::kAvx2;
+  int64_t plane_convs = 0;
+  for (const char* name : {"trunc5", "exact", "trunc11", "evoa228"}) {
+    const approx::SignedMulTable tab(axmul::make_lut(name));
+    const bool truncated = std::string(name) != "evoa228";
+    for (const PlaneConvCase& pc : kPlaneConvCases) {
+      auto [conv, x] = plane_conv(pc);
+      SCOPED_TRACE(::testing::Message() << name << " " << conv->name() << " hw=" << pc.hw
+                                        << " stride=" << pc.cfg.stride);
+      const ConvGeom g = ConvGeom::of(x.shape(), pc.cfg.kernel, pc.cfg.stride, pc.cfg.padding);
+      const int64_t grp = pc.cfg.groups, og = pc.cfg.out_channels / grp;
+      const int64_t kg = pc.cfg.in_channels / grp * pc.cfg.kernel * pc.cfg.kernel;
+      const int64_t p = g.out_cols();
+      const kernels::ConvPlane plane{nullptr, g.n, g.c, g.h + 2 * g.padding,
+                                     g.w + 2 * g.padding, g.kernel, g.stride};
+      const bool reads =
+          kernels::PlanCache::global()
+              .acquire(kernels::make_int_key(kernels::OpKind::kApprox, {}, og, kg, p,
+                                             kernels::Backend::kBlocked, &tab),
+                       &tab)
+              ->reads_plane(plane);
+      ASSERT_EQ(avx2 && truncated && pc.eligible, reads);
+      plane_convs += reads ? 1 : 0;
+
+      const Tensor y = conv->forward(x, ExecContext::quant_approx(tab));
+      RecordingMonitor mon;
+      ExecContext watched = ExecContext::quant_approx(tab);
+      watched.monitor = &mon;
+      expect_bitwise_equal(y, conv->forward(x, watched));
+
+      const TensorI8 cols = quantize_im2col(x, g, conv->act_qparams());
+      ASSERT_EQ(static_cast<size_t>(cols.numel()), mon.cols.size());
+      ASSERT_EQ(0, std::memcmp(cols.data(), mon.cols.data(), mon.cols.size()));
+      const TensorI8 qw = quantize_i8(conv->weight().value, conv->weight_qparams());
+      std::vector<int32_t> naive(static_cast<size_t>(pc.cfg.out_channels * p));
+      for (int64_t gi = 0; gi < grp; ++gi)
+        kernels::gemm_approx({}, qw.data() + gi * og * kg, cols.data() + gi * kg * p,
+                             naive.data() + gi * og * p, og, kg, p, tab,
+                             kernels::Backend::kNaive);
+      EXPECT_EQ(naive, mon.acc);
+    }
+  }
+  EXPECT_EQ(avx2 ? 3 * 4 : 0, plane_convs);
+}
+
+TEST(Conv2d, PlaneGemmTrainingForwardKeepsTheDequantizedColumns) {
+  // A training forward that runs its GEMM from the plane still keeps the
+  // dequantized quantize_im2col columns: the weight gradient is the float
+  // GEMM of dy against them.
+  const approx::SignedMulTable tab(axmul::make_lut("trunc5"));
+  for (const PlaneConvCase& pc : kPlaneConvCases) {
+    if (!pc.eligible) continue;
+    auto [conv, x] = plane_conv(pc);
+    SCOPED_TRACE(::testing::Message() << conv->name() << " hw=" << pc.hw);
+    conv->zero_grad();
+    const Tensor y = conv->forward(x, ExecContext::quant_approx(tab, nullptr, true));
+    expect_bitwise_equal(y, conv->forward(x, ExecContext::quant_approx(tab)));
+    (void)conv->forward(x, ExecContext::quant_approx(tab, nullptr, true));
+    Rng rng(5);
+    const Tensor dy = randn(y.shape(), rng);
+    (void)conv->backward(dy);
+
+    const ConvGeom g = ConvGeom::of(x.shape(), pc.cfg.kernel, 1, pc.cfg.padding);
+    const int64_t o = pc.cfg.out_channels, p = g.out_cols(), hw = g.oh * g.ow;
+    const Tensor cols = dequantize_i8(quantize_im2col(x, g, conv->act_qparams()),
+                                      conv->act_qparams());
+    Tensor dy_mat(Shape{o, p});
+    for (int64_t b = 0; b < g.n; ++b)
+      for (int64_t ch = 0; ch < o; ++ch)
+        for (int64_t i = 0; i < hw; ++i) dy_mat[ch * p + b * hw + i] = dy[(b * o + ch) * hw + i];
+    Tensor dw(Shape{o, g.patch_rows()});
+    kernels::gemm({.trans_b = true}, dy_mat.data(), cols.data(), dw.data(), o, p,
+                  g.patch_rows());
+    const Tensor& grad = conv->weight().grad;
+    ASSERT_EQ(dw.numel(), grad.numel());
+    for (int64_t i = 0; i < dw.numel(); ++i) ASSERT_EQ(dw[i], grad[i]) << "element " << i;
   }
 }
 
