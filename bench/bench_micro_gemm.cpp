@@ -1,6 +1,6 @@
 // Kernel microbenchmarks (google-benchmark): float GEMM, approximate LUT
 // GEMM, im2col, the quantized conv prep, whole conv leaves on the cols and
-// plane paths, fake-quant — the per-iteration
+// plane paths, the sentinel's table checksum, fake-quant — the per-iteration
 // costs behind Table IV's overhead numbers. GEMM benches are parameterised
 // over the kernel backend (0 = naive golden reference, 1 = cache-blocked)
 // so `--benchmark_filter` can compare them directly; the ResNet20 conv
@@ -25,6 +25,7 @@
 #include "axnn/axmul/registry.hpp"
 #include "axnn/core/profile.hpp"
 #include "axnn/ge/monte_carlo.hpp"
+#include "axnn/kernels/checksum.hpp"
 #include "axnn/kernels/int_gemm.hpp"
 #include "axnn/kernels/isa.hpp"
 #include "axnn/kernels/plan.hpp"
@@ -377,6 +378,46 @@ void BM_ConvLeafResNet20(benchmark::State& state) {
 BENCHMARK(BM_ConvLeafResNet20)
     ->ArgsProduct({{0, 1, 2, 3}, {0, 1}})
     ->ArgNames({"shape", "plane"});
+
+// The sentinel's table checksum Σ_k S_k(X[k, n]) on the same four leaves at
+// batch 8, one distinct 256-entry row per k-step: tier 0 the scalar tier on
+// columns, tier 1 the AVX2 tier on columns, tier 2 the AVX2 tier read
+// straight from the padded plane (what a plane conv's check runs).
+void BM_SentinelChecksumResNet20(benchmark::State& state) {
+  const ConvLeafOperands op(kResNet20Stride1[state.range(0)], 8, 14);
+  const int64_t tier = state.range(1);
+  if (tier > 0 && kernels::active_isa() != kernels::Isa::kAvx2) {
+    state.SkipWithError("no AVX2 tier on this machine");
+    return;
+  }
+  const quant::QuantParams p{1.0f / 32.0f, 8};
+  TensorI8 cols;
+  const TensorI8 planes = nn::quantize_plane(op.x, op.g, p, &cols);
+  Rng rng(15);
+  std::vector<int32_t> rows(static_cast<size_t>(256 * op.k));
+  for (auto& v : rows) v = static_cast<int32_t>(rng.uniform_int(1 << 16)) - (1 << 15);
+  std::vector<uint32_t> row_of(static_cast<size_t>(op.k));
+  for (int64_t kk = 0; kk < op.k; ++kk) row_of[static_cast<size_t>(kk)] = static_cast<uint32_t>(kk);
+  const kernels::ChecksumTable t{rows.data(), row_of.data(), op.k, true};
+  std::vector<int64_t> sums(static_cast<size_t>(op.n));
+  const kernels::Isa isa = kernels::active_isa();
+  if (tier == 0) kernels::set_isa(kernels::Isa::kScalar);
+  state.SetLabel(std::to_string(op.k) + "x" + std::to_string(op.n) +
+                 (tier == 0 ? " scalar cols" : tier == 1 ? " avx2 cols" : " avx2 plane"));
+  for (auto _ : state) {
+    if (tier == 2)
+      kernels::table_checksum(t, op.plane(planes), sums.data());
+    else
+      kernels::table_checksum(t, cols.data(), op.n, sums.data());
+    benchmark::DoNotOptimize(sums.data());
+    benchmark::ClobberMemory();
+  }
+  kernels::set_isa(isa);
+  state.SetItemsProcessed(state.iterations() * op.k * op.n);
+}
+BENCHMARK(BM_SentinelChecksumResNet20)
+    ->ArgsProduct({{0, 1, 2, 3}, {0, 1, 2}})
+    ->ArgNames({"shape", "tier"});
 
 void BM_FakeQuantize(benchmark::State& state) {
   const int64_t n = state.range(0);

@@ -8,9 +8,10 @@
 // (kernels::GemmPlan::reads_plane: the closed-form kernel, whole-row
 // strips) quantizes its input into that plane (quantize_plane) and runs
 // the GEMM from it, lowering columns only for a training forward's
-// backward state, a monitor or the ge_residual diagnostics; every other
-// quantized conv lowers its input straight to int8 columns
-// (quantize_im2col: one pass, no int8 copy of the input). The columns are
+// backward state, a monitor that does not take planes (the sentinel takes
+// them) or the ge_residual diagnostics; every other quantized conv lowers
+// its input straight to int8 columns (quantize_im2col: one pass, no int8
+// copy of the input). The columns are
 // the same bytes either way. The backward pass uses the straight-through
 // estimator of the exact GEMM of the dequantized operands (Eq. 5),
 // optionally refined by the gradient-estimation scale (1 + K) on the weight

@@ -16,11 +16,15 @@
 //     exact or approximate (both run the integer path), after the kernel
 //     wrote `c` — never for the adder-accumulation path (gemm_approx_accum
 //     fixes its own reduction order; checksums over it would re-derive the
-//     adder model). `x` is always the dense X[k, n]: a conv that ran its
-//     GEMM from its padded input plane lowers these columns for the
-//     monitor, and the GEMM itself is the same whether or not one watches.
+//     adder model). `x` is the dense X[k, n]: a conv that ran its GEMM from
+//     its padded input plane lowers these columns for the monitor, unless
+//     the monitor takes planes (takes_planes()): then the conv lowers none
+//     for it and calls on_leaf_plane_gemm with the plane instead. The GEMM
+//     itself is the same whether or not one watches.
 //   * force_exact is asked only by leaves that would otherwise multiply
-//     through a table without an adder.
+//     through a table without an adder, once per pass, after on_leaf_input
+//     and before the leaf picks its lowering: a leaf forced exact runs the
+//     exact kernel on columns, like every exact leaf.
 //   * A monitor must not change any tensor it is handed except `c`, and a
 //     repair must leave `c` a valid [m, n] int32 accumulator block.
 #pragma once
@@ -31,6 +35,10 @@
 
 namespace axnn::approx {
 class SignedMulTable;
+}
+
+namespace axnn::kernels {
+struct ConvPlane;
 }
 
 namespace axnn::nn {
@@ -60,6 +68,22 @@ public:
   virtual bool on_leaf_gemm(const Layer& leaf, int64_t group, bool approx,
                             const int8_t* w, const int8_t* x, int32_t* c, int64_t m,
                             int64_t k, int64_t n, const approx::SignedMulTable* tab) = 0;
+
+  /// The plane hook, opt-in: a monitor that returns true here is handed a
+  /// conv GEMM that ran from the conv's padded int8 plane as that plane
+  /// (on_leaf_plane_gemm), and the conv lowers no columns for it. The
+  /// default keeps columns: every GEMM reaches on_leaf_gemm.
+  virtual bool takes_planes() const { return false; }
+
+  /// on_leaf_gemm for an approximate single-group conv GEMM whose X[k, n]
+  /// is the im2col lowering of `x` (kernels::ConvPlane), read through
+  /// `tab`. Called only when takes_planes(); may rewrite `c` likewise.
+  virtual bool on_leaf_plane_gemm(const Layer& /*leaf*/, const int8_t* /*w*/,
+                                  const kernels::ConvPlane& /*x*/, int32_t* /*c*/,
+                                  int64_t /*m*/, int64_t /*k*/, int64_t /*n*/,
+                                  const approx::SignedMulTable& /*tab*/) {
+    return false;
+  }
 };
 
 }  // namespace axnn::nn

@@ -11,12 +11,18 @@
 //       Σ_m C[m,n] = Σ_k S_k(X[k,n]),  S_k(a) = Σ_{m: W[m,k]≠0} T(W[m,k], a)
 //     exactly, where W are the golden weights captured at calibration and T
 //     is the registry-pristine table. Any difference is a violation: a
-//     corrupted LUT entry and a corrupted weight operand both break it. An
-//     exact GEMM (kQuantExact leaves, `mode=exact` plan entries, leaves
-//     forced exact) checks Σ_m C[m,n] = Σ_k (Σ_m W[m,k])·X[k,n].
+//     corrupted LUT entry and a corrupted weight operand both break it.
+//     The right-hand side is kernels::table_checksum (AVX2 gathers or the
+//     scalar loop). The sentinel takes ForwardMonitor's plane hook: a conv
+//     that ran its GEMM from its padded int8 plane is checked, and
+//     repaired, from that plane, and lowers no columns for it. An exact
+//     GEMM (kQuantExact leaves, `mode=exact` plan entries, leaves forced
+//     exact) runs on columns and checks
+//     Σ_m C[m,n] = Σ_k (Σ_m W[m,k])·X[k,n].
 //   * Activation range guards (Ranger-style). Each leaf's pre-quantization
 //     inputs are checked against the bound and clip statistics the
-//     quantizer's RangeObserver gathered during calibration.
+//     quantizer's RangeObserver gathered during calibration, on |x|'s bit
+//     patterns: NaN and ±inf always violate.
 //
 // Reaction is the DegradationPolicy: a violated GEMM is re-executed with the
 // golden weights — by default through a pristine multiplier table rebuilt
@@ -134,9 +140,18 @@ public:
   bool on_leaf_gemm(const nn::Layer& leaf, int64_t group, bool approx, const int8_t* w,
                     const int8_t* x, int32_t* c, int64_t m, int64_t k, int64_t n,
                     const approx::SignedMulTable* tab) override;
+  /// The sentinel checks a plane conv from its plane: no columns lowered.
+  bool takes_planes() const override { return true; }
+  bool on_leaf_plane_gemm(const nn::Layer& leaf, const int8_t* w, const kernels::ConvPlane& x,
+                          int32_t* c, int64_t m, int64_t k, int64_t n,
+                          const approx::SignedMulTable& tab) override;
 
   /// Snapshot of the per-leaf statistics (depth-first model order).
   SentinelReport report() const;
+
+  /// report().total_violations() without the snapshot: the counters summed
+  /// under the lock, nothing copied.
+  int64_t total_violations() const;
 
   /// Zero every counter and degradation flag, keeping the calibration.
   /// (Measure false positives on a clean run, then reuse the sentinel.)
@@ -146,8 +161,11 @@ private:
   struct LeafState {
     std::string path;
     int64_t index = 0;          ///< depth-first position (report order)
-    double range_bound = 0.0;   ///< calibrated max |x|
-    double qrange = 0.0;        ///< activation quantization range
+    /// Range guard bounds as bit patterns of |x| (which order like the
+    /// values): kRangeScale × the calibrated max |x|, capped at the largest
+    /// finite float, and the activation quantization range.
+    uint32_t bound_bits = 0;
+    uint32_t qrange_bits = 0;
     double clip_limit = 0.0;    ///< tolerated clip rate
     int64_t groups = 0, rows = 0, cols = 0;  ///< one group's GEMM is [rows, cols]
     TensorI8 golden_w;          ///< quantized weights at calibration
@@ -157,6 +175,8 @@ private:
     /// with equal weight histograms share a row. Empty for exact-mode leaves.
     std::vector<uint32_t> table_row;
     std::vector<int32_t> tables;
+    /// Every group's Σ_k max_a |S_k(a)| < 2^31: the checksum sums in int32.
+    bool int32_sums = false;
     /// Pristine multiplier table rebuilt from the registry at calibration
     /// (kGoldenTable repairs); null for exact-mode leaves.
     const approx::SignedMulTable* golden_tab = nullptr;
@@ -164,9 +184,17 @@ private:
     int events_emitted = 0;     ///< obs event cap per leaf
   };
 
+  /// A checked GEMM's X: dense columns, or the conv plane they lower from.
+  struct Operand {
+    const int8_t* cols;
+    const kernels::ConvPlane* plane;
+  };
+
   void calibrate_leaf(const nn::GemmLeaf& leaf, const std::string* mul_id);
   static void build_checksum_tables(LeafState& st);
-  void repair(const LeafState& st, int64_t group, bool approx, const int8_t* x, int32_t* c,
+  bool check(const nn::Layer& leaf, int64_t group, bool approx, const Operand& x, int32_t* c,
+             int64_t m, int64_t k, int64_t n);
+  void repair(const LeafState& st, int64_t group, bool approx, const Operand& x, int32_t* c,
               int64_t n) const;
   void record_violation(LeafState& st, const char* kind, double deviation, double tolerance);
   void maybe_degrade(LeafState& st);

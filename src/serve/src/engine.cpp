@@ -1076,7 +1076,7 @@ void Engine::finish_batch(BatchWork& work, const Tensor* logits, std::exception_
   Session::Lane& lane_ctx =
       sess.points_[static_cast<size_t>(work.point)][static_cast<size_t>(work.lane)];
   if (lane_ctx.sentinel) {
-    const int64_t total = lane_ctx.sentinel->report().total_violations();
+    const int64_t total = lane_ctx.sentinel->total_violations();
     const int64_t delta = total - lane_ctx.last_violations;
     lane_ctx.last_violations = total;
     if (watchdog_->on_batch_violations(work.lane, delta, now)) {

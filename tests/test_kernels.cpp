@@ -16,6 +16,7 @@
 #include "axnn/approx/approx_gemm.hpp"
 #include "axnn/axmul/adder.hpp"
 #include "axnn/axmul/registry.hpp"
+#include "axnn/kernels/checksum.hpp"
 #include "axnn/kernels/int_gemm.hpp"
 #include "axnn/kernels/isa.hpp"
 #include "axnn/kernels/plan.hpp"
@@ -616,6 +617,103 @@ TEST(ClosedForm, PlaneGemmMatchesDenseGemmAndNaive) {
         }
   }
   EXPECT_EQ(avx2 ? 12 * static_cast<int64_t>(std::size(eligible)) * 8 : 0, plane_runs);
+}
+
+// ---------------------------------------------------------------------------
+// Table checksums (the sentinel's Σ_k S_k(X[k, n])): the vector tier, the
+// scalar tier and the per-element definition agree on dense columns and on
+// plane views.
+// ---------------------------------------------------------------------------
+
+// Σ_k S_k(X[k, j]) by definition, one element at a time.
+std::vector<int64_t> checksum_by_definition(const kernels::ChecksumTable& t,
+                                            const std::vector<int8_t>& cols, int64_t n) {
+  std::vector<int64_t> sums(static_cast<size_t>(n), 0);
+  for (int64_t kk = 0; kk < t.k; ++kk)
+    for (int64_t j = 0; j < n; ++j)
+      sums[static_cast<size_t>(j)] +=
+          t.rows[256 * static_cast<size_t>(t.row_of[kk]) +
+                 static_cast<uint8_t>(cols[static_cast<size_t>(kk * n + j)])];
+  return sums;
+}
+
+TEST(TableChecksum, VectorTierMatchesScalarTierAndDefinition) {
+  // Planes of 2 channels with output widths 4, 8, 16 and 32 (kernels 1 and
+  // 3, batch 1-8) and the widths 5 and stride 2 that no strip layout reads;
+  // the same X as dense columns, plus dense widths that leave a short last
+  // strip. Every plane's interior cycles through all 256 byte values, −128
+  // first. Rows: one shared row, K distinct rows, and K rows large enough
+  // that only int64 sums are exact (the int64 fallback).
+  const kernels::Isa vector_isa = kernels::active_isa();
+  struct Restore {
+    kernels::Isa isa;
+    ~Restore() { kernels::set_isa(isa); }
+  } restore{vector_isa};
+  constexpr int64_t kChannels = 2;
+  const auto random_rows = [](int64_t count, int32_t mag, uint64_t seed) {
+    Rng rng(seed);
+    std::vector<int32_t> rows(static_cast<size_t>(256 * count));
+    for (auto& v : rows) v = static_cast<int32_t>(rng.uniform_int(int64_t{2} * mag + 1) - mag);
+    return rows;
+  };
+  // Runs both tiers on X given as dense columns and, when `plane` is set,
+  // as that plane; each must equal the definition.
+  const auto check = [&](const std::vector<int8_t>& cols, int64_t k, int64_t n,
+                         const kernels::ConvPlane* plane) {
+    const std::vector<int32_t> shared = random_rows(1, 1 << 20, 41 + k);
+    const std::vector<int32_t> distinct = random_rows(k, 1 << 20, 43 + k);
+    std::vector<int32_t> huge = random_rows(k, 1 << 20, 47 + k);
+    for (auto& v : huge) v += (1 << 30) + (1 << 21);  // any two sum past 2^31
+    std::vector<uint32_t> zero(static_cast<size_t>(k), 0), iota(static_cast<size_t>(k));
+    for (int64_t kk = 0; kk < k; ++kk) iota[static_cast<size_t>(kk)] = static_cast<uint32_t>(kk);
+    const kernels::ChecksumTable tables[] = {{shared.data(), zero.data(), k, true},
+                                             {distinct.data(), iota.data(), k, true},
+                                             {huge.data(), iota.data(), k, false}};
+    for (const kernels::ChecksumTable& t : tables) {
+      const std::vector<int64_t> want = checksum_by_definition(t, cols, n);
+      if (!t.int32_sums) {  // the fallback is needed: int32 sums would wrap
+        ASSERT_NE(want[0], static_cast<int32_t>(want[0]));
+      }
+      for (const kernels::Isa isa : {vector_isa, kernels::Isa::kScalar}) {
+        kernels::set_isa(isa);
+        std::vector<int64_t> got(static_cast<size_t>(n), -1);
+        kernels::table_checksum(t, cols.data(), n, got.data());
+        ASSERT_EQ(want, got) << "dense, " << kernels::isa_name(isa)
+                             << " int32_sums=" << t.int32_sums;
+        if (plane == nullptr) continue;
+        std::fill(got.begin(), got.end(), -1);
+        kernels::table_checksum(t, *plane, got.data());
+        ASSERT_EQ(want, got) << "plane, " << kernels::isa_name(isa)
+                             << " int32_sums=" << t.int32_sums;
+      }
+    }
+  };
+  const PlaneCase cases[] = {{4, 3, 1},  {8, 3, 1},  {16, 3, 1}, {32, 3, 1}, {4, 1, 1},
+                             {8, 1, 1},  {16, 1, 1}, {32, 1, 1}, {5, 3, 1}, {8, 3, 2}};
+  for (const PlaneCase& pc : cases)
+    for (int64_t batch = 1; batch <= 8; ++batch) {
+      const int64_t pad = pc.kernel / 2;
+      const int64_t in = (pc.width - 1) * pc.stride + pc.kernel - 2 * pad;
+      kernels::ConvPlane x{nullptr,       batch,     kChannels, in + 2 * pad,
+                           in + 2 * pad, pc.kernel, pc.stride};
+      std::vector<int8_t> plane(static_cast<size_t>(batch * kChannels * x.ph * x.pw));
+      int64_t next = 0;  // interior elements cycle through every byte, -128 first
+      for (int64_t p = 0; p < static_cast<int64_t>(plane.size()); ++p) {
+        const int64_t i = p / x.pw % x.ph, j = p % x.pw;
+        const bool border = i < pad || i >= x.ph - pad || j < pad || j >= x.pw - pad;
+        plane[static_cast<size_t>(p)] =
+            border ? 0 : static_cast<int8_t>(static_cast<uint8_t>(128 + 37 * next++));
+      }
+      x.data = plane.data();
+      const int64_t k = kChannels * pc.kernel * pc.kernel, n = batch * x.oh() * x.ow();
+      SCOPED_TRACE(::testing::Message() << "width=" << pc.width << " kernel=" << pc.kernel
+                                        << " stride=" << pc.stride << " batch=" << batch);
+      check(lower_plane(plane, x, 1, 0), k, n, &x);
+    }
+  for (const int64_t n : {1, 7, 8, 15, 17, 40}) {  // dense only: short last strips
+    SCOPED_TRACE(::testing::Message() << "dense n=" << n);
+    check(random_i8(27 * n, static_cast<uint64_t>(53 + n), -128, 127), 27, n, nullptr);
+  }
 }
 
 TEST(BackendConfig, RowGrainScalesInverselyWithWork) {

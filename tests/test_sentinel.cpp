@@ -7,12 +7,15 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
 #include <thread>
 
 #include "axnn/approx/signed_lut.hpp"
 #include "axnn/axmul/registry.hpp"
 #include "axnn/core/report_adapters.hpp"
 #include "axnn/data/synthetic.hpp"
+#include "axnn/kernels/isa.hpp"
+#include "axnn/kernels/plan.hpp"
 #include "axnn/nn/activations.hpp"
 #include "axnn/nn/conv2d.hpp"
 #include "axnn/nn/linear.hpp"
@@ -22,6 +25,7 @@
 #include "axnn/nn/sequential.hpp"
 #include "axnn/resilience/fault.hpp"
 #include "axnn/sentinel/sentinel.hpp"
+#include "axnn/tensor/buffer_pool.hpp"
 #include "axnn/train/evaluate.hpp"
 
 namespace axnn::sentinel {
@@ -248,6 +252,59 @@ TEST_F(SentinelFixture, RangeGuardFlagsOutOfRangeActivations) {
   EXPECT_EQ(rep.degraded_leaves(), 0);
 }
 
+TEST_F(SentinelFixture, RangeGuardFlagsNonFiniteActivations) {
+  // Corrupted floats are often NaN or ±inf; each, planted in one element of
+  // the first leaf's input, is a range violation there. The clean batch
+  // raises none.
+  const auto ctx = nn::ExecContext::quant_exact();
+  Sentinel s;
+  s.calibrate_uniform(*net_, "exact");
+  (void)net_->forward(batch_, ctx.with_monitor(s));
+  ASSERT_EQ(s.report().total_violations(), 0) << s.report().summary();
+  for (const float v : {std::numeric_limits<float>::quiet_NaN(),
+                        std::numeric_limits<float>::infinity(),
+                        -std::numeric_limits<float>::infinity()}) {
+    s.reset_counters();
+    Tensor bad = batch_;
+    bad[5] = v;
+    (void)net_->forward(bad, ctx.with_monitor(s));
+    const SentinelReport rep = s.report();
+    EXPECT_EQ(rep.leaves.at(0).range_violations, 1) << v << ": " << rep.summary();
+  }
+}
+
+TEST_F(SentinelFixture, TotalViolationsMatchesTheReport) {
+  // The engine reads total_violations() once per batch; it must count what
+  // report() does, after faults of both kinds and after a reset.
+  approx::SignedMulTable bad(axmul::make_lut("trunc5"));
+  resilience::FaultSpec spec;
+  spec.rate = 0.3;
+  spec.kind = resilience::FaultKind::kStuckAt;
+  spec.bit_lo = 8;
+  spec.bit_hi = 16;
+  spec.seed = 99;
+  resilience::FaultInjector inj(spec);
+  resilience::corrupt_lut(bad, inj);
+  Sentinel s;
+  s.calibrate_uniform(*net_, "trunc5");
+  Tensor blown = batch_;
+  for (int64_t i = 0; i < blown.numel(); ++i) blown[i] *= 1000.0f;
+  (void)net_->forward(blown, nn::ExecContext::quant_approx(bad).with_monitor(s));
+
+  const SentinelReport rep = s.report();
+  int64_t abft = 0, range = 0;
+  for (const auto& l : rep.leaves) {
+    abft += l.abft_violations;
+    range += l.range_violations;
+  }
+  ASSERT_GT(abft, 0);
+  ASSERT_GT(range, 0);
+  EXPECT_EQ(s.total_violations(), rep.total_violations());
+  s.reset_counters();
+  EXPECT_EQ(s.total_violations(), 0);
+  EXPECT_EQ(s.total_violations(), s.report().total_violations());
+}
+
 /// Flips exponent bits in the first conv's weights (bias untouched, so a
 /// golden repair restores the output exactly).
 void corrupt_first_conv_weights(nn::Sequential& net) {
@@ -266,6 +323,141 @@ void corrupt_first_conv_weights(nn::Sequential& net) {
 nn::PlanResolution first_leaf_exact_plan(nn::Sequential& net) {
   const std::string first = nn::enumerate_gemm_leaves(net).at(0).path;
   return nn::NetPlan::parse("default=trunc5; " + first + "=trunc5:mode=exact").resolve(net);
+}
+
+/// Forwards every hook to a sentinel, counting which GEMM hook each leaf
+/// got; it takes planes only when `planes`, and otherwise gets columns.
+class HookProbe final : public nn::ForwardMonitor {
+public:
+  HookProbe(Sentinel& s, bool planes) : s_(s), planes_(planes) {}
+  bool force_exact(const nn::Layer& l) override { return s_.force_exact(l); }
+  void on_leaf_input(const nn::Layer& l, const Tensor& x) override { s_.on_leaf_input(l, x); }
+  bool on_leaf_gemm(const nn::Layer& l, int64_t group, bool approx, const int8_t* w,
+                    const int8_t* x, int32_t* c, int64_t m, int64_t k, int64_t n,
+                    const approx::SignedMulTable* tab) override {
+    ++cols[&l];
+    return s_.on_leaf_gemm(l, group, approx, w, x, c, m, k, n, tab);
+  }
+  bool takes_planes() const override { return planes_; }
+  bool on_leaf_plane_gemm(const nn::Layer& l, const int8_t* w, const kernels::ConvPlane& x,
+                          int32_t* c, int64_t m, int64_t k, int64_t n,
+                          const approx::SignedMulTable& tab) override {
+    ++planes[&l];
+    return s_.on_leaf_plane_gemm(l, w, x, c, m, k, n, tab);
+  }
+  std::map<const nn::Layer*, int> cols, planes;
+
+private:
+  Sentinel& s_;
+  bool planes_;
+};
+
+/// Whether `leaf` (a stride-1 conv of the micro model) runs its trunc5 GEMM
+/// from its padded plane: on AVX2, under the closed-form kernel.
+bool runs_from_plane(const nn::Conv2d& conv, const Tensor& batch,
+                     const approx::SignedMulTable& tab) {
+  const auto& cfg = conv.config();
+  const nn::ConvGeom g = nn::ConvGeom::of(batch.shape(), cfg.kernel, cfg.stride, cfg.padding);
+  const kernels::ConvPlane plane{nullptr, g.n, g.c, g.h + 2 * g.padding, g.w + 2 * g.padding,
+                                 g.kernel, g.stride};
+  const kernels::PlanKey key =
+      kernels::make_int_key(kernels::OpKind::kApprox, {}, cfg.out_channels, g.patch_rows(),
+                            g.out_cols(), kernels::Backend::kBlocked, &tab);
+  return kernels::PlanCache::global().acquire(key, &tab)->reads_plane(plane);
+}
+
+TEST_F(SentinelFixture, PlaneConvIsCheckedFromItsPlaneWithoutColumns) {
+  // The first conv (stride 1, 8x8 outputs) runs trunc5 from its padded
+  // plane on AVX2. With the sentinel attached it still does: the sentinel
+  // takes the plane hook, and the conv lowers no columns for it, so the
+  // forward makes exactly one pool allocation fewer than with a monitor
+  // that asks for columns.
+  const approx::SignedMulTable tab(axmul::make_lut("trunc5"));
+  const auto leaves = nn::enumerate_gemm_leaves(*net_);
+  auto* conv0 = dynamic_cast<nn::Conv2d*>(leaves.at(0).layer);
+  ASSERT_NE(conv0, nullptr);
+  if (!runs_from_plane(*conv0, batch_, tab)) GTEST_SKIP() << "no plane GEMM on this ISA";
+  Sentinel s;
+  s.calibrate_uniform(*net_, "trunc5");
+  EXPECT_TRUE(s.takes_planes());
+  const auto ctx = nn::ExecContext::quant_approx(tab);
+  const Tensor want = net_->forward(batch_, ctx);
+
+  int64_t allocs[2] = {};
+  for (const bool planes : {true, false}) {
+    HookProbe probe(s, planes);
+    (void)net_->forward(batch_, ctx.with_monitor(probe));  // warm the plans and the pool
+    probe.cols.clear();
+    probe.planes.clear();
+    buffer_pool_reset_stats();
+    expect_bit_identical(want, net_->forward(batch_, ctx.with_monitor(probe)));
+    const BufferPoolStats ps = buffer_pool_stats();
+    allocs[planes ? 0 : 1] = ps.hits + ps.misses;
+    EXPECT_EQ(probe.planes[conv0], planes ? 1 : 0);
+    EXPECT_EQ(probe.cols[conv0], planes ? 0 : 1);
+    for (size_t i = 1; i < leaves.size(); ++i) {  // stride 2 and the FC: columns
+      EXPECT_EQ(probe.planes[leaves[i].layer], 0) << leaves[i].path;
+      EXPECT_EQ(probe.cols[leaves[i].layer], 1) << leaves[i].path;
+    }
+  }
+  EXPECT_EQ(allocs[0] + 1, allocs[1]);  // the first conv's columns
+  const SentinelReport rep = s.report();
+  EXPECT_EQ(rep.total_violations(), 0) << rep.summary();
+  EXPECT_EQ(rep.leaves.at(0).gemm_checks, 4);
+}
+
+TEST(SentinelPlaneConv, WeightFaultRepairedUnderBothPoliciesAndOnceDegraded) {
+  // A weight fault on the plane conv is detected from the plane and
+  // repaired bit-identically: from the plane through the pristine table
+  // under kGoldenTable (before and after degradation), and with the exact
+  // kernel under kExact, whose degraded leaf is forced exact, lowers
+  // columns and stays checked.
+  const data::SyntheticCifar data = micro_data();
+  const Tensor batch = data.test.slice(0, 24).first;
+  const approx::SignedMulTable tab(axmul::make_lut("trunc5"));
+  const auto ctx = nn::ExecContext::quant_approx(tab);
+  for (const auto mode :
+       {DegradationPolicy::RepairMode::kGoldenTable, DegradationPolicy::RepairMode::kExact}) {
+    const bool golden = mode == DegradationPolicy::RepairMode::kGoldenTable;
+    SCOPED_TRACE(golden ? "kGoldenTable" : "kExact");
+    auto net = micro_net();
+    train::calibrate_model(*net, data.train, 60, 30, quant::Calibration::kMinPropQE);
+    const nn::Layer* conv0 = nn::enumerate_gemm_leaves(*net).at(0).layer;
+    if (!runs_from_plane(dynamic_cast<const nn::Conv2d&>(*conv0), batch, tab))
+      GTEST_SKIP() << "no plane GEMM on this ISA";
+    // kGoldenTable restores clean trunc5; kExact runs the first conv exact.
+    const Tensor want =
+        golden ? net->forward(batch, ctx)
+               : net->forward(batch, nn::ExecContext{.mode = nn::ExecMode::kQuantApprox}
+                                         .with_plan(first_leaf_exact_plan(*net)));
+
+    SentinelConfig cfg;
+    cfg.policy.repair = mode;
+    cfg.policy.degrade_after = 2;
+    Sentinel s(cfg);
+    s.calibrate_uniform(*net, "trunc5");
+    corrupt_first_conv_weights(*net);
+    ASSERT_TRUE(any_element_differs(want, net->forward(batch, ctx)));  // the fault bites
+
+    HookProbe probe(s, true);
+    for (int pass = 0; pass < 4; ++pass) {
+      SCOPED_TRACE(::testing::Message() << "pass " << pass);
+      const int planes_before = probe.planes[conv0], cols_before = probe.cols[conv0];
+      const SentinelReport before = s.report();
+      expect_bit_identical(want, net->forward(batch, ctx.with_monitor(probe)));
+      const LeafStats l0 = s.report().leaves.at(0);
+      EXPECT_EQ(l0.degraded, pass >= 1);
+      EXPECT_EQ(l0.reexecs, before.leaves.at(0).reexecs + 1);
+      // Checked every pass, except a degraded kGoldenTable leaf, which
+      // recomputes from golden state unchecked.
+      EXPECT_EQ(l0.abft_violations, before.leaves.at(0).abft_violations +
+                                        (golden && pass >= 2 ? 0 : 1));
+      // A kExact-degraded leaf is forced exact: columns and the exact kernel.
+      const bool forced = !golden && pass >= 2;
+      EXPECT_EQ(probe.planes[conv0] - planes_before, forced ? 0 : 1);
+      EXPECT_EQ(probe.cols[conv0] - cols_before, forced ? 1 : 0);
+    }
+  }
 }
 
 TEST_F(SentinelFixture, WeightFaultOnExactModeLeafRepairedFromGoldenCopy) {
