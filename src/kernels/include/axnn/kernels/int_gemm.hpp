@@ -48,6 +48,10 @@ inline void gemm_approx(const GemmDesc& desc, const int8_t* w, const int8_t* x,
 void gemm_approx_plane(const int8_t* w, const ConvPlane& x, int32_t* c, int64_t m,
                        int64_t k, int64_t n, const approx::SignedMulTable& tab,
                        PlanMemo* memo = nullptr);
+/// Whether gemm_approx_plane(·, x, ·, m, k, n, tab) reads `x`: the plan it
+/// runs does (GemmPlan::reads_plane).
+bool approx_reads_plane(const ConvPlane& x, int64_t m, int64_t k, int64_t n,
+                        const approx::SignedMulTable& tab, PlanMemo* memo = nullptr);
 
 /// C[M,N] (=|+=) W · X with exact int arithmetic (error-measurement baseline).
 void gemm_exact(const GemmDesc& desc, const int8_t* w, const int8_t* x, int32_t* c,

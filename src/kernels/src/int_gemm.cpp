@@ -258,18 +258,35 @@ void gemm_approx(const GemmDesc& desc, const int8_t* w, const int8_t* x, int32_t
   if (obs_on) obs::record_gemm("gemm_approx", m * k * n, obs_time ? obs::now_ns() - t0 : -1);
 }
 
+namespace {
+
+/// The plan gemm_approx_plane runs: from `memo` when given (no handle copy),
+/// else acquired from the global cache into `held`.
+const GemmPlan& plane_plan(int64_t m, int64_t k, int64_t n, const approx::SignedMulTable& tab,
+                           PlanMemo* memo, PlanHandle& held) {
+  const PlanKey key = make_int_key(OpKind::kApprox, {}, m, k, n, Backend::kBlocked, &tab);
+  if (memo != nullptr) return *memo->find_or_acquire(key, &tab);
+  held = PlanCache::global().acquire(key, &tab);
+  return *held;
+}
+
+}  // namespace
+
 void gemm_approx_plane(const int8_t* w, const ConvPlane& x, int32_t* c, int64_t m,
                        int64_t k, int64_t n, const approx::SignedMulTable& tab,
                        PlanMemo* memo) {
   const bool obs_on = obs::enabled();
   const bool obs_time = obs_on && obs::collector()->config().timing;
   const int64_t t0 = obs_time ? obs::now_ns() : 0;
-  const PlanKey key = make_int_key(OpKind::kApprox, {}, m, k, n, Backend::kBlocked, &tab);
-  if (memo != nullptr)
-    memo->find_or_acquire(key, &tab)->run_plane(w, x, c);
-  else
-    PlanCache::global().acquire(key, &tab)->run_plane(w, x, c);
+  PlanHandle held;
+  plane_plan(m, k, n, tab, memo, held).run_plane(w, x, c);
   if (obs_on) obs::record_gemm("gemm_approx", m * k * n, obs_time ? obs::now_ns() - t0 : -1);
+}
+
+bool approx_reads_plane(const ConvPlane& x, int64_t m, int64_t k, int64_t n,
+                        const approx::SignedMulTable& tab, PlanMemo* memo) {
+  PlanHandle held;
+  return plane_plan(m, k, n, tab, memo, held).reads_plane(x);
 }
 
 void gemm_exact(const GemmDesc& desc, const int8_t* w, const int8_t* x, int32_t* c,

@@ -356,10 +356,9 @@ void GemmPlan::run_int(const int8_t* w, const int8_t* x, int32_t* c,
 bool GemmPlan::reads_plane(const ConvPlane& x) const {
   if (kernel_ != MicroKernel::kTruncInt || key_.accumulate || x.stride != 1) return false;
   const int64_t oh = x.oh(), ow = x.ow();
-  const bool whole_rows = ow % detail::kStrip == 0 ||
-                          ((ow == 4 || ow == 8) && oh * ow % detail::kStrip == 0);
   // Tap offsets are int32: one image's plane must fit.
-  return whole_rows && oh > 0 && ow > 0 && key_.k == x.channels * x.kernel * x.kernel &&
+  return detail::whole_row_strips(oh, ow) && oh > 0 && ow > 0 &&
+         key_.k == x.channels * x.kernel * x.kernel &&
          key_.n == x.batch * oh * ow && x.channels * x.ph * x.pw <= INT32_MAX;
 }
 

@@ -16,6 +16,10 @@
 #include "axnn/quant/quantizer.hpp"
 #include "axnn/tensor/tensor.hpp"
 
+namespace axnn::kernels {
+struct ConvPlane;
+}
+
 namespace axnn::nn {
 
 struct ConvGeom {
@@ -44,6 +48,11 @@ TensorI8 quantize_im2col(const Tensor& x, const ConvGeom& g, const quant::QuantP
 /// the same pass. Records quantize.clip_rate over x like quantize_im2col.
 TensorI8 quantize_plane(const Tensor& x, const ConvGeom& g, const quant::QuantParams& p,
                         TensorI8* cols = nullptr);
+
+/// The columns X[k, n] of the padded int8 planes `x` (kernels::ConvPlane's
+/// indexing) into `cols` [channels·kernel², batch·oh·ow], byte for byte the
+/// columns quantize_plane emits alongside those planes.
+void plane_im2col(const kernels::ConvPlane& x, int8_t* cols);
 
 /// Scatter-add of cols gradients back to the input layout (adjoint of
 /// im2col).
