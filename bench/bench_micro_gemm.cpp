@@ -380,9 +380,13 @@ BENCHMARK(BM_ConvLeafResNet20)
     ->ArgNames({"shape", "plane"});
 
 // The sentinel's table checksum Σ_k S_k(X[k, n]) on the same four leaves at
-// batch 8, one distinct 256-entry row per k-step: tier 0 the scalar tier on
+// batch 8. Tiers 0-2 gather from one distinct random 256-entry row per
+// k-step (what tables without a closed form use): tier 0 the scalar tier on
 // columns, tier 1 the AVX2 tier on columns, tier 2 the AVX2 tier read
-// straight from the padded plane (what a plane conv's check runs).
+// straight from the padded plane. Tiers 3 and 4 run the closed form the
+// sentinel builds for the leaf's weights under trunc5 (one coefficient row
+// of ≤ 16 weight rows) on the GEMM's AVX2 row blocks: tier 3 on columns,
+// tier 4 from the plane (what a plane conv's check runs).
 void BM_SentinelChecksumResNet20(benchmark::State& state) {
   const ConvLeafOperands op(kResNet20Stride1[state.range(0)], 8, 14);
   const int64_t tier = state.range(1);
@@ -399,13 +403,20 @@ void BM_SentinelChecksumResNet20(benchmark::State& state) {
   std::vector<uint32_t> row_of(static_cast<size_t>(op.k));
   for (int64_t kk = 0; kk < op.k; ++kk) row_of[static_cast<size_t>(kk)] = static_cast<uint32_t>(kk);
   const kernels::ChecksumTable t{rows.data(), row_of.data(), op.k, true};
+  const kernels::GemmChecksum closed(op.w.data(), 1, op.m, op.k,
+                                     approx::SignedMulTable(axmul::make_lut("trunc5")));
   std::vector<int64_t> sums(static_cast<size_t>(op.n));
   const kernels::Isa isa = kernels::active_isa();
   if (tier == 0) kernels::set_isa(kernels::Isa::kScalar);
-  state.SetLabel(std::to_string(op.k) + "x" + std::to_string(op.n) +
-                 (tier == 0 ? " scalar cols" : tier == 1 ? " avx2 cols" : " avx2 plane"));
+  const char* const labels[] = {" scalar cols", " avx2 cols", " avx2 plane",
+                                " avx2 closed-form cols", " avx2 closed-form plane"};
+  state.SetLabel(std::to_string(op.k) + "x" + std::to_string(op.n) + labels[tier]);
   for (auto _ : state) {
-    if (tier == 2)
+    if (tier == 4)
+      kernels::table_checksum(closed, 0, op.plane(planes), sums.data());
+    else if (tier == 3)
+      kernels::table_checksum(closed, 0, cols.data(), op.n, sums.data());
+    else if (tier == 2)
       kernels::table_checksum(t, op.plane(planes), sums.data());
     else
       kernels::table_checksum(t, cols.data(), op.n, sums.data());
@@ -416,7 +427,7 @@ void BM_SentinelChecksumResNet20(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * op.k * op.n);
 }
 BENCHMARK(BM_SentinelChecksumResNet20)
-    ->ArgsProduct({{0, 1, 2, 3}, {0, 1, 2}})
+    ->ArgsProduct({{0, 1, 2, 3}, {0, 1, 2, 3, 4}})
     ->ArgNames({"shape", "tier"});
 
 void BM_FakeQuantize(benchmark::State& state) {
@@ -519,8 +530,9 @@ private:
 /// remainder handling, and the narrow shapes above (which cross the scalar/
 /// vector kernel switch), for the exact path and two tables: trunc5 (the
 /// closed-form kernel on AVX2) and evoa228 (the LUT kernels); then the
-/// conv-plane GEMM against the dense one. Returns false (and prints the
-/// first mismatch) on divergence.
+/// conv-plane GEMM against the dense one, and the closed-form checksum of
+/// the same leaves against the row checksum and the GEMM's column sums.
+/// Returns false (and prints the first mismatch) on divergence.
 bool verify_simd_bit_identity() {
   std::vector<Dims> shapes = {{64, 576, 1024}, {7, 13, 17}, {1, 576, 1024}, {33, 65, 31}};
   shapes.insert(shapes.end(), std::begin(kResNet20Narrow), std::end(kResNet20Narrow));
@@ -560,7 +572,8 @@ bool verify_simd_bit_identity() {
   }
   // The conv-plane GEMM against the dense GEMM over the same plane's columns
   // and the naive one, on the four stride-1 ResNet-20 leaves at batch 1 and 8
-  // (where a plan reads planes: the closed form on AVX2).
+  // (where a plan reads planes: the closed form on AVX2), and the leaves'
+  // checksums on every ISA.
   const approx::SignedMulTable trunc5(axmul::make_lut("trunc5"));
   const quant::QuantParams p{1.0f / 32.0f, 8};
   for (const ConvLeaf& leaf : kResNet20Stride1)
@@ -573,22 +586,59 @@ bool verify_simd_bit_identity() {
           kernels::make_int_key(kernels::OpKind::kApprox, {}, op.m, op.k, op.n,
                                 kernels::Backend::kBlocked, &trunc5),
           &trunc5);
-      if (!plan->reads_plane(plane)) continue;
+      const bool reads = plan->reads_plane(plane);
       TensorI32 naive(Shape{op.m, op.n}), dense(naive.shape()), from_plane(naive.shape());
       kernels::gemm_approx({}, op.w.data(), cols.data(), naive.data(), op.m, op.k, op.n,
                            trunc5, kernels::Backend::kNaive);
       kernels::gemm_approx({}, op.w.data(), cols.data(), dense.data(), op.m, op.k, op.n,
                            trunc5, kernels::Backend::kBlocked);
-      kernels::gemm_approx_plane(op.w.data(), plane, from_plane.data(), op.m, op.k, op.n,
-                                 trunc5);
+      if (reads)
+        kernels::gemm_approx_plane(op.w.data(), plane, from_plane.data(), op.m, op.k, op.n,
+                                   trunc5);
       for (int64_t i = 0; i < naive.numel(); ++i) {
-        if (naive[i] != dense[i] || naive[i] != from_plane[i]) {
+        if (naive[i] != dense[i] || (reads && naive[i] != from_plane[i])) {
           std::fprintf(stderr,
                        "plane GEMM divergence: trunc5 [%lldx%lldx%lld] batch %lld elem %lld: "
                        "naive=%d dense=%d plane=%d\n",
                        static_cast<long long>(op.m), static_cast<long long>(op.k),
                        static_cast<long long>(op.n), static_cast<long long>(batch),
                        static_cast<long long>(i), naive[i], dense[i], from_plane[i]);
+          return false;
+        }
+      }
+      // The sentinel's closed-form checksum of these weights under trunc5,
+      // from columns and from the plane, against the rows S_k built from
+      // the same weights and table (gathered) and Σ_m of the naive GEMM.
+      std::vector<int32_t> rows(static_cast<size_t>(256 * op.k), 0);
+      std::vector<uint32_t> row_of(static_cast<size_t>(op.k));
+      for (int64_t kk = 0; kk < op.k; ++kk) {
+        row_of[static_cast<size_t>(kk)] = static_cast<uint32_t>(kk);
+        for (int32_t a = -128; a < 128; ++a)
+          for (int64_t i = 0; i < op.m; ++i)
+            if (const int8_t wv = op.w[i * op.k + kk]; wv != 0)
+              rows[static_cast<size_t>(256 * kk + static_cast<uint8_t>(a))] += trunc5(a, wv);
+      }
+      const kernels::GemmChecksum closed(op.w.data(), 1, op.m, op.k, trunc5);
+      std::vector<int64_t> by_rows(static_cast<size_t>(op.n)), closed_cols(by_rows.size()),
+          closed_plane(by_rows.size());
+      kernels::table_checksum(kernels::ChecksumTable{rows.data(), row_of.data(), op.k, true},
+                              cols.data(), op.n, by_rows.data());
+      kernels::table_checksum(closed, 0, cols.data(), op.n, closed_cols.data());
+      kernels::table_checksum(closed, 0, plane, closed_plane.data());
+      for (int64_t j = 0; j < op.n; ++j) {
+        int64_t colsum = 0;
+        for (int64_t i = 0; i < op.m; ++i) colsum += naive[i * op.n + j];
+        const size_t jj = static_cast<size_t>(j);
+        if (by_rows[jj] != colsum || closed_cols[jj] != colsum || closed_plane[jj] != colsum) {
+          std::fprintf(stderr,
+                       "checksum divergence: trunc5 [%lldx%lldx%lld] batch %lld column %lld: "
+                       "GEMM=%lld rows=%lld closed-form cols=%lld plane=%lld\n",
+                       static_cast<long long>(op.m), static_cast<long long>(op.k),
+                       static_cast<long long>(op.n), static_cast<long long>(batch),
+                       static_cast<long long>(j), static_cast<long long>(colsum),
+                       static_cast<long long>(by_rows[jj]),
+                       static_cast<long long>(closed_cols[jj]),
+                       static_cast<long long>(closed_plane[jj]));
           return false;
         }
       }

@@ -2,24 +2,41 @@
 // compares an approximate GEMM against (DESIGN.md §5f).
 //
 // For C[m, n] = W ·~ X through a multiplier table T, every column satisfies
-// Σ_m C[m, n] = Σ_k S_k(X[k, n]), with S_k(a) = Σ_{m: W[m,k]≠0} T(W[m,k], a)
-// a 256-entry row per k-step. table_checksum computes the right-hand side
-// from those rows, reading X as dense columns or straight from a conv's
-// padded int8 plane, so a conv that ran its GEMM from the plane needs no
-// columns to be checked. The ISA tier follows active_isa(): on AVX2, when
-// int32 sums are exact, 16 columns at a time with the k-loop inside, each
-// k-step one vpgatherdd pair from the step's row indexed by the 16
-// activation bytes; the scalar tier walks X row by row in int64. Integer
-// sums do not depend on order, so every tier gives the same sums.
+// Σ_m C[m, n] = Σ_k S_k(X[k, n]), with S_k(a) = Σ_{m: W[m,k]≠0} T(W[m,k], a).
+// A GemmChecksum holds the right-hand side for a GEMM's golden weights
+// under a pristine table, in one of two forms, and table_checksum evaluates
+// it, reading X as dense columns or straight from a conv's padded int8
+// plane, so a conv that ran its GEMM from the plane needs no columns to be
+// checked.
+//
+//   * Closed form (exact and trunc1–11 tables). The closed-form GEMM sums
+//     Σ_j c_j(w)·U_j(a), bilinear in the weight's coefficient bytes, so
+//     S_k is one closed-form row whose coefficient bytes are
+//     C_kj = Σ_m c_j(W[m,k]): one int32 word per k-step and group of ≤ 16
+//     golden rows. On AVX2 it runs on the GEMM's own row-block code, from
+//     operand bytes it builds itself at the table's depth; the scalar tier
+//     evaluates the same sum in int64.
+//   * Rows (every other table: EvoApprox, corrupted copies). S_k as a
+//     256-entry int32 row per distinct weight histogram, indexed by the
+//     activation byte. On AVX2, 16 columns at a time with the k-loop
+//     inside, each k-step one vpgatherdd pair from the step's row; the
+//     scalar tier walks X row by row in int64.
+//
+// Integer sums do not depend on order, so every tier gives the same sums.
 #pragma once
 
 #include <cstdint>
+#include <vector>
+
+namespace axnn::approx {
+class SignedMulTable;
+}
 
 namespace axnn::kernels {
 
 struct ConvPlane;
 
-/// The rows S_k of one checksum: k-step kk reads the 256 int32 at
+/// A view of the rows S_k of one checksum: k-step kk reads the 256 int32 at
 /// rows + 256·row_of[kk], indexed by the activation byte as unsigned.
 struct ChecksumTable {
   const int32_t* rows = nullptr;
@@ -36,5 +53,46 @@ void table_checksum(const ChecksumTable& t, const int8_t* x, int64_t n, int64_t*
 /// The same with X the im2col lowering of the conv plane `x`, read in place
 /// (t.k = channels·kernel², one sum per output position: batch·oh·ow).
 void table_checksum(const ChecksumTable& t, const ConvPlane& x, int64_t* sums);
+
+/// The checksum of a GEMM's weights W (`groups` row-major [m, k] blocks of
+/// int4-range weights, read like every kernel reads them: the low nibble,
+/// sign-extended) under the table `tab`; both are read only here.
+class GemmChecksum {
+public:
+  GemmChecksum(const int8_t* w, int64_t groups, int64_t m, int64_t k,
+               const approx::SignedMulTable& tab);
+
+  /// Whether `tab` has a closed form (exact, trunc1–11): the checksum is
+  /// coefficient words, else 256-entry rows.
+  bool closed_form() const { return depth_ >= 0; }
+
+private:
+  friend void table_checksum(const GemmChecksum& c, int64_t group, const int8_t* x, int64_t n,
+                             int64_t* sums);
+  friend void table_checksum(const GemmChecksum& c, int64_t group, const ConvPlane& x,
+                             int64_t* sums);
+
+  int64_t k_ = 0;
+  int depth_ = -1;  ///< the closed form's truncation depth; -1: rows
+  /// Every column sum fits int32, so the vector tier may sum in int32.
+  bool int32_sums_ = true;
+  /// Closed form: per group, `lines_` rows of coefficient words (one per
+  /// ≤ 16 golden rows, in the GEMM's row blocks) and each row's weight sum;
+  /// each row sums `flush_` k-steps in int16.
+  int64_t lines_ = 0, flush_ = 0;
+  std::vector<int32_t> coef_, wsum_;
+  /// Rows: row_of_[group·k + kk] selects a row of rows_ (columns with equal
+  /// weight histograms share one).
+  std::vector<int32_t> rows_;
+  std::vector<uint32_t> row_of_;
+};
+
+/// sums[j] = Σ_m C[m, j] that group `group`'s GEMM over the dense X[k, n]
+/// gives under the checksum's weights and table, for j < n.
+void table_checksum(const GemmChecksum& c, int64_t group, const int8_t* x, int64_t n,
+                    int64_t* sums);
+
+/// The same with X the im2col lowering of the conv plane `x`, read in place.
+void table_checksum(const GemmChecksum& c, int64_t group, const ConvPlane& x, int64_t* sums);
 
 }  // namespace axnn::kernels

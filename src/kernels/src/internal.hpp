@@ -5,14 +5,21 @@
 // may require vector intrinsics to declare.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace axnn {
 class ThreadPool;
 }
 
+namespace axnn::approx {
+class SignedMulTable;
+}
+
 namespace axnn::kernels {
 struct ChecksumTable;
+struct ConvPlane;
 struct GemmDesc;
 }
 
@@ -64,6 +71,10 @@ struct PlaneStrips {
   int64_t ohw, ow;  ///< output positions per image and per row
 };
 
+// toff[kk] = (c·ph + kh)·pw + kw for every k-step kk = (c·kernel + kh)·kernel
+// + kw of the conv plane x: where a strip reads tap kk from its base.
+void plane_tap_offsets(const ConvPlane& x, int32_t* toff);
+
 // Whether every 16-column strip of an oh×ow output is 16 columns of one row
 // or whole rows of one image: ow % 16 == 0, or ow ∈ {4, 8} with
 // oh·ow % 16 == 0. The plane kernels read such strips.
@@ -71,39 +82,94 @@ inline bool whole_row_strips(int64_t oh, int64_t ow) {
   return ow % kStrip == 0 || ((ow == 4 || ow == 8) && oh * ow % kStrip == 0);
 }
 
+// The closed form (MicroKernel::kTruncInt) computes a truncated product
+// sign(a)·sign(w)·Σ_j w_j·2^j·(|a| & ~(2^(t−j)−1)) as Σ_j c_j·U_j − 128·w:
+// per weight the four signed coefficient bytes c_j = sign(w)·w_j·2^j (byte
+// j, over the bits j of |w|; kTruncCoef by nibble), per activation the four
+// unsigned operand bytes U_j = sign(a)·(|a| & mask_j) + 128. The sum is
+// bilinear in the coefficient bytes, so a row may also hold bytewise sums of
+// several weights' coefficients: the sentinel's checksum is one such row per
+// group of ≤ 16 golden weight rows (kernels::GemmChecksum).
+// truncation_depth(tab) is the t in 0..11 whose product `tab` holds outside
+// the nibble-0 column, or -1: the one test of whether a table has a closed
+// form (plans and checksums both ask it).
+int truncation_depth(const approx::SignedMulTable& tab);
+// The weight every kernel reads from the int8 w: its low nibble,
+// sign-extended.
+inline int32_t nibble_value(int8_t w) { return ((static_cast<uint8_t>(w) & 0xF) ^ 8) - 8; }
+// Per weight nibble, its coefficient bytes c_j (byte j). Nibble 0 maps to
+// zeros, the zero-weight skip.
+inline constexpr std::array<int32_t, 16> kTruncCoef = [] {
+  std::array<int32_t, 16> coef{};
+  for (int32_t nibble = 0; nibble < 16; ++nibble) {
+    const int32_t w = (nibble ^ 8) - 8;  // sign-extended, −8…7
+    const int32_t s = w < 0 ? -1 : 1;
+    const int32_t u = s * w;
+    uint32_t bytes = 0;
+    for (int j = 0; j < 4; ++j)
+      bytes |= static_cast<uint32_t>(static_cast<uint8_t>(s * (u & (1 << j)))) << (8 * j);
+    coef[static_cast<size_t>(nibble)] = static_cast<int32_t>(bytes);
+  }
+  return coef;
+}();
+
+// The closed form's rows, packed in blocks of kRowBlock: block b (rows
+// b·kRowBlock …, R = min(kRowBlock, m − b·kRowBlock) of them) starts at
+// coef + b·kRowBlock·k, and its R words of k-step kk are contiguous there.
+// wsum[i] is row i's Σ_k Σ_j c_j (the weights' sum), taken back out as
+// 128·wsum. A row sums `flush` k-steps in int16 before widening: a maddubs
+// pair is at most 255·Σ|c_j| ≤ 2,040 per weight, so GEMM rows flush every
+// 16 k-steps and a row of G summed weights every ⌊16/G⌋.
+constexpr int64_t kRowBlock = 4;
+struct ClosedFormRows {
+  const int32_t* coef;
+  const int32_t* wsum;
+  int64_t m, k;
+  int64_t flush;
+};
+
+template <typename Word>
+void pack_row_blocks(int64_t m, int64_t k, int32_t* dst, Word word) {
+  for (int64_t i0 = 0; i0 < m; i0 += kRowBlock) {
+    const int64_t r = m - i0 < kRowBlock ? m - i0 : kRowBlock;
+    int32_t* block = dst + i0 * k;
+    for (int64_t kk = 0; kk < k; ++kk)
+      for (int64_t i = 0; i < r; ++i) block[kk * r + i] = word(i0 + i, kk);
+  }
+}
+
 // Vectorized kernels: compute output columns [j0, j1) for every row. The
 // weight operand arrives packed (plan.cpp layout: column-major in kFuse
 // groups); `lines` is the transposed LUT (256 activation lines of 16 nibble
-// products, 64-byte aligned, nibble-0 column zeroed). avx2_trunc_cols reads
-// no table: it computes sign(a)·sign(w)·Σ_j w_j·2^j·(|a| & ~(2^(t−j)−1))
-// from `wq`, one int32 per weight holding the signed bytes
-// c_j = sign(w)·w_j·2^j (byte j, over the bits j of |w|), and `wsum`, each
-// row's Σ_k w. Bit-identical to the naive reference: same int32 product set
-// per output element.
+// products, 64-byte aligned, nibble-0 column zeroed). Bit-identical to the
+// naive reference: same int32 product set per output element.
 #if defined(AXNN_HAVE_AVX2_TU)
 bool avx2_runtime_ok();
 void avx2_approx_cols(const uint8_t* wq, const int8_t* x, int32_t* c, int64_t m,
                       int64_t k, int64_t n, const int32_t* lines, bool accumulate,
                       int64_t j0, int64_t j1);
-void avx2_trunc_cols(const int32_t* wq, const int32_t* wsum, const int8_t* x, int32_t* c,
-                     int64_t m, int64_t k, int64_t n, int t, bool accumulate, int64_t j0,
-                     int64_t j1);
 void avx2_exact_cols(const uint8_t* wq, const int8_t* x, int32_t* c, int64_t m,
                      int64_t k, int64_t n, bool accumulate, int64_t j0, int64_t j1);
 // u[i] = the four operand bytes U_j = sign(a)·(|a| & mask_j) + 128 of
 // a = x[i] at depth t, for i < count (a zero gives 0x80 in each byte).
 void avx2_trunc_operands(const int8_t* x, int64_t count, int t, int32_t* u);
-// avx2_trunc_cols without accumulate over strips [s0, s1), X read from the
-// operand bytes `u` of a conv plane (see PlaneStrips).
-void avx2_trunc_plane(const int32_t* wq, const int32_t* wsum, const int32_t* u,
-                      const int32_t* toff, int32_t* c, int64_t m, int64_t k, int64_t n,
-                      const PlaneStrips& g, int64_t s0, int64_t s1);
-// table_checksum's vector tier (int32 sums, so t.int32_sums must hold) over
-// the n columns of a stride-1 plane `x` of `channels` ph×pw planes per image
-// under a kernel×kernel window. Strip s reads tap (c, kh, kw) at
-// x + base(s) + (c·ph + kh)·pw + kw: whole-row strips as avx2_trunc_plane
-// does, or, for one output row (g.ohw == g.ow), rows of 16 bytes whose last
-// strip may be short.
+// The closed form over the dense X[k, n], columns [j0, j1): each strip of 16
+// (the last may be shorter) first stages its operand bytes in `stage`
+// (cols_stage_size(k) int32 of the caller's thread), then runs the row
+// blocks over them.
+inline int64_t cols_stage_size(int64_t k) { return kStrip * (k + 1) + k; }
+void avx2_trunc_cols(const ClosedFormRows& w, const int8_t* x, int32_t* c, int64_t n, int t,
+                     bool accumulate, int64_t j0, int64_t j1, int32_t* stage);
+// The closed form without accumulate over plane strips [s0, s1), X read from
+// the operand bytes `u` of a conv plane (see PlaneStrips).
+void avx2_trunc_plane(const ClosedFormRows& w, const int32_t* u, const int32_t* toff,
+                      int32_t* c, int64_t n, const PlaneStrips& g, int64_t s0, int64_t s1);
+// The gather checksum (tables without a closed form; int32 sums, so
+// t.int32_sums must hold) over the n columns of a stride-1 plane `x` of
+// `channels` ph×pw planes per image under a kernel×kernel window. Strip s
+// reads tap (c, kh, kw) at x + base(s) + (c·ph + kh)·pw + kw: whole-row
+// strips as avx2_trunc_plane does, or, for one output row (g.ohw == g.ow),
+// rows of 16 bytes whose last strip may be short.
 void avx2_table_checksum(const ChecksumTable& t, const int8_t* x, int64_t channels,
                          int64_t ph, int64_t kernel, const PlaneStrips& g, int64_t n,
                          int64_t* sums);

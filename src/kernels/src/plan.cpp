@@ -161,6 +161,10 @@ int32_t truncated_product(int32_t qa, int32_t qw, int t) {
   return (qa < 0) != (qw < 0) ? -p : p;
 }
 
+}  // namespace
+
+namespace detail {
+
 /// The depth t in 0..11 whose truncated product equals `tab` at every entry
 /// outside the nibble-0 column (which every kernel forces to zero), or -1.
 /// Decided from the contents alone, so a corrupted copy of a truncated table
@@ -176,22 +180,16 @@ int truncation_depth(const approx::SignedMulTable& tab) {
   return -1;
 }
 
-/// Per weight nibble, the closed-form kernel's coefficient bytes
-/// c_j = sign(w)·w_j·2^j (byte j). Nibble 0 maps to zeros, the zero-weight
-/// skip.
-constexpr std::array<int32_t, 16> kTruncCoef = [] {
-  std::array<int32_t, 16> coef{};
-  for (int32_t nibble = 0; nibble < 16; ++nibble) {
-    const int32_t w = (nibble ^ 8) - 8;  // sign-extended, −8…7
-    const int32_t s = w < 0 ? -1 : 1;
-    const int32_t u = s * w;
-    uint32_t bytes = 0;
-    for (int j = 0; j < 4; ++j)
-      bytes |= static_cast<uint32_t>(static_cast<uint8_t>(s * (u & (1 << j)))) << (8 * j);
-    coef[static_cast<size_t>(nibble)] = static_cast<int32_t>(bytes);
-  }
-  return coef;
-}();
+void plane_tap_offsets(const ConvPlane& x, int32_t* toff) {
+  for (int64_t c = 0; c < x.channels; ++c)
+    for (int64_t kh = 0; kh < x.kernel; ++kh)
+      for (int64_t kw = 0; kw < x.kernel; ++kw)
+        *toff++ = static_cast<int32_t>((c * x.ph + kh) * x.pw + kw);
+}
+
+}  // namespace detail
+
+namespace {
 
 /// Pack the m×k weight operand into the vector kernels' layout: full groups
 /// of kFuse k-steps as column-major panels, so a row's kFuse weights for one
@@ -209,18 +207,22 @@ void pack_weights(const int8_t* w, int64_t m, int64_t k, T* dst, Elem elem) {
     for (int64_t i = 0; i < m; ++i) dst[kk * m + i] = elem(w[i * k + kk]);
 }
 
-/// The closed-form kernel's weights: each weight's coefficient bytes in the
-/// pack_weights layout (wc), then each row's Σ_k w (wsum) of the 4-bit
-/// weights every kernel reads, the sign-extended nibbles.
-void pack_closed_form(const int8_t* w, int64_t m, int64_t k, int32_t* wc, int32_t* wsum) {
-  pack_weights(w, m, k, wc,
-               [](int8_t v) { return kTruncCoef[static_cast<uint8_t>(v) & 0xF]; });
+/// The closed-form kernel's weights at wc: each weight's coefficient bytes
+/// in row blocks (detail::pack_row_blocks), then each row's Σ_k w (wsum) of
+/// the 4-bit weights every kernel reads, the sign-extended nibbles; m·k + m
+/// int32 in all. GEMM rows hold one weight each, so they sum 16 k-steps in
+/// int16.
+detail::ClosedFormRows pack_closed_form(const int8_t* w, int64_t m, int64_t k, int32_t* wc) {
+  detail::pack_row_blocks(m, k, wc, [&](int64_t i, int64_t kk) {
+    return detail::kTruncCoef[static_cast<uint8_t>(w[i * k + kk]) & 0xF];
+  });
+  int32_t* wsum = wc + m * k;
   for (int64_t i = 0; i < m; ++i) {
     int32_t sum = 0;
-    for (int64_t kk = 0; kk < k; ++kk)
-      sum += ((static_cast<uint8_t>(w[i * k + kk]) & 0xF) ^ 8) - 8;
+    for (int64_t kk = 0; kk < k; ++kk) sum += detail::nibble_value(w[i * k + kk]);
     wsum[i] = sum;
   }
+  return {wc, wsum, m, k, 16};
 }
 
 MicroKernel choose_kernel(const PlanKey& key) {
@@ -256,7 +258,7 @@ GemmPlan::GemmPlan(const PlanKey& key, const approx::SignedMulTable* tab)
     // On AVX2 a truncated multiplier runs from its closed form, reading no
     // table: about the cost of an exact product, at every row count.
     if (key_.isa == Isa::kAvx2 && has_vector_kernels(key_.isa)) {
-      trunc_ = truncation_depth(*tab);
+      trunc_ = detail::truncation_depth(*tab);
       if (trunc_ >= 0) {
         kernel_ = MicroKernel::kTruncInt;
         return;
@@ -317,10 +319,9 @@ void GemmPlan::run_int(const int8_t* w, const int8_t* x, int32_t* c,
       ScratchSlot::kWeights,
       closed_form ? (mk + static_cast<size_t>(m)) * sizeof(int32_t) : mk);
   auto* wq = static_cast<uint8_t*>(packed);
-  auto* wc = static_cast<int32_t*>(packed);
-  int32_t* wsum = closed_form ? wc + mk : nullptr;
+  detail::ClosedFormRows rows{};
   if (closed_form)
-    pack_closed_form(w, m, k, wc, wsum);
+    rows = pack_closed_form(w, m, k, static_cast<int32_t*>(packed));
   else if (lut)
     pack_weights(w, m, k, wq, [](int8_t v) { return static_cast<uint8_t>(v & 0xF); });
   else
@@ -334,7 +335,10 @@ void GemmPlan::run_int(const int8_t* w, const int8_t* x, int32_t* c,
 #if defined(AXNN_HAVE_AVX2_TU)
         if (key_.isa == Isa::kAvx2) {
           if (closed_form)
-            detail::avx2_trunc_cols(wc, wsum, x, c, m, k, n, trunc_, acc, j0, j1);
+            detail::avx2_trunc_cols(
+                rows, x, c, n, trunc_, acc, j0, j1,
+                scratch<int32_t>(ScratchSlot::kPlane,
+                                 static_cast<size_t>(detail::cols_stage_size(k))));
           else if (lut)
             detail::avx2_approx_cols(wq, x, c, m, k, n, lines_, acc, j0, j1);
           else
@@ -369,28 +373,22 @@ void GemmPlan::run_plane([[maybe_unused]] const int8_t* w, const ConvPlane& x,
                                 key_.to_string() + " from this plane");
 #if defined(AXNN_HAVE_AVX2_TU)
   ThreadPool& p = pool != nullptr ? *pool : ThreadPool::global();
-  const int64_t m = key_.m, k = key_.k, n = key_.n, kernel = x.kernel;
+  const int64_t m = key_.m, k = key_.k, n = key_.n;
   // The packed weights, their row sums and each k-step's tap offset, then
   // the plane's operand bytes: all built here, before the strip tasks start,
   // and shared by them read-only.
   const size_t mk = static_cast<size_t>(m) * static_cast<size_t>(k);
   auto* wc = scratch<int32_t>(ScratchSlot::kWeights, mk + static_cast<size_t>(m + k));
-  int32_t* wsum = wc + mk;
-  int32_t* toff = wsum + m;
-  pack_closed_form(w, m, k, wc, wsum);
-  for (int64_t kk = 0; kk < k; ++kk) {
-    const int64_t ch = kk / (kernel * kernel), kh = kk / kernel % kernel, kw = kk % kernel;
-    toff[kk] = static_cast<int32_t>((ch * x.ph + kh) * x.pw + kw);
-  }
+  const detail::ClosedFormRows rows = pack_closed_form(w, m, k, wc);
+  int32_t* toff = wc + mk + m;
+  detail::plane_tap_offsets(x, toff);
   const int64_t count = x.batch * x.channels * x.ph * x.pw;
   auto* u = scratch<int32_t>(ScratchSlot::kPlane, static_cast<size_t>(count));
   detail::avx2_trunc_operands(x.data, count, trunc_, u);
   const detail::PlaneStrips g{x.channels * x.ph * x.pw, x.pw, x.oh() * x.ow(), x.ow()};
   p.parallel_for(
       n / detail::kStrip,
-      [&](int64_t s0, int64_t s1) {
-        detail::avx2_trunc_plane(wc, wsum, u, toff, c, m, k, n, g, s0, s1);
-      },
+      [&](int64_t s0, int64_t s1) { detail::avx2_trunc_plane(rows, u, toff, c, n, g, s0, s1); },
       detail::strip_grain(m, k));
 #endif
 }

@@ -12,12 +12,16 @@
 // lines of 16 int32 — one 64-byte cache line each — so a k-step's 16-entry
 // nibble→product register file R is built from plain aligned loads plus
 // in-register 8×8 int32 transposes. Truncated multipliers skip the table:
-// their product has a closed form (avx2_trunc_cols), which a stride-1 conv
-// also runs straight from its padded plane (avx2_trunc_plane). The
-// sentinel's table checksum does gather (avx2_table_checksum): its rows
-// differ per k-step, so there is no product file to share across rows, and
-// a gather pair per 16 columns and k-step beats the scalar lookups about
-// 2.4× (bench_micro_gemm's SentinelChecksumResNet20).
+// their product has a closed form, computed in row blocks of 4 rows × 16
+// columns whose accumulators stay in registers for the whole k loop
+// (closed_form_block). Column strips stage their operand bytes first
+// (avx2_trunc_cols); a stride-1 conv reads them from its padded plane
+// (avx2_trunc_plane). The sentinel's checksum of an exact or truncated
+// table is one more closed-form row per ≤ 16 weight rows on the same block
+// code; only tables without a closed form gather (avx2_table_checksum):
+// their rows differ per k-step, so there is no product file to share
+// across rows, and a gather pair per 16 columns and k-step beats the
+// scalar lookups about 2.4× (bench_micro_gemm's SentinelChecksumResNet20).
 #include "internal.hpp"
 
 #if defined(AXNN_HAVE_AVX2_TU)
@@ -245,67 +249,10 @@ inline void build_u2(__m128i xa, __m128i xb, const __m256i mask[4], __m256i ua[2
   ub[1] = _mm256_permute2x128_si256(q2, q3, 0x31);
 }
 
-/// s0/s1 (int16 pairs of columns 0-7/8-15) += Σ_j c_j·U_j for one weight.
-inline void maddubs_weight(const __m256i u[2], int32_t coef, __m256i& s0, __m256i& s1) {
-  const __m256i cw = _mm256_set1_epi32(coef);
-  s0 = _mm256_add_epi16(s0, _mm256_maddubs_epi16(u[0], cw));
-  s1 = _mm256_add_epi16(s1, _mm256_maddubs_epi16(u[1], cw));
-}
-
 /// The byte masks ~(2^(t−j) − 1), j = 0..3, of depth t.
 inline void trunc_masks(int t, __m256i mask[4]) {
   for (int j = 0; j < 4; ++j)
     mask[j] = _mm256_set1_epi8(static_cast<char>(~((1 << std::max(t - j, 0)) - 1)));
-}
-
-/// One fused pass of kf ≤ F k-steps from k-step kk, for every row, over the
-/// 16-column strip at column jj whose operand bytes are U[0..kf). Each
-/// output sums Σ_j c_j·Y_j = tab(a, w) over the same (k, w ≠ 0) terms the
-/// naive kernel looks up, plus 128·Σ_j c_j = 128·w per term from the U_j
-/// bias, which the row's first pass takes back out as 128·Σ_k w: the same
-/// int32 total. The int16 partial sums cannot saturate: a pair of terms is
-/// at most 255·Σ_j |c_j| = 255·|w| ≤ 2040, and a pass adds 8 k-steps
-/// (16,320) before widening to int32. A strip of fewer than 16 columns
-/// (kFull false) reads and writes C through the lane masks keep0/keep1.
-template <bool kFull>
-inline void trunc_pass(const __m256i U[][2], const int32_t* wq, const int32_t* wsum,
-                       int32_t* c, int64_t m, int64_t n, int64_t jj, int64_t kk, int64_t kf,
-                       bool accumulate, __m256i keep0, __m256i keep1) {
-  const __m256i ones = _mm256_set1_epi16(1);
-  const int32_t* wg = wq + kk * m;  // F-group (or flat remainder) base
-  for (int64_t i = 0; i < m; ++i) {
-    int32_t* cr = c + i * n + jj;
-    __m256i a0 = _mm256_setzero_si256(), a1 = _mm256_setzero_si256();
-    if (kk > 0 || accumulate) {
-      if constexpr (kFull) {
-        a0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cr));
-        a1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cr + 8));
-      } else {
-        a0 = _mm256_maskload_epi32(cr, keep0);
-        a1 = _mm256_maskload_epi32(cr + 8, keep1);
-      }
-    }
-    if (kk == 0) {
-      const __m256i bias = _mm256_set1_epi32(128 * wsum[i]);
-      a0 = _mm256_sub_epi32(a0, bias);
-      a1 = _mm256_sub_epi32(a1, bias);
-    }
-    __m256i s0 = _mm256_setzero_si256(), s1 = _mm256_setzero_si256();
-    if (kf == F) {
-      for (int64_t f = 0; f < F; ++f) maddubs_weight(U[f], wg[i * F + f], s0, s1);
-    } else {  // remainder k-steps: flat column layout wq[kk*m + i]
-      for (int64_t f = 0; f < kf; ++f) maddubs_weight(U[f], wg[f * m + i], s0, s1);
-    }
-    a0 = _mm256_add_epi32(a0, _mm256_madd_epi16(s0, ones));
-    a1 = _mm256_add_epi32(a1, _mm256_madd_epi16(s1, ones));
-    if constexpr (kFull) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(cr), a0);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(cr + 8), a1);
-    } else {
-      _mm256_maskstore_epi32(cr, keep0, a0);
-      _mm256_maskstore_epi32(cr + 8, keep1, a1);
-    }
-  }
 }
 
 /// The operand bytes of a plane strip's 16 columns for one tap, from `u` at
@@ -347,52 +294,115 @@ inline void with_strip_rows(const PlaneStrips& g, Body&& body) {
     body.template operator()<4>();
 }
 
+/// R rows of the closed form over one 16-column strip, into acc[r][0]
+/// (columns 0-7) and acc[r][1] (8-15). Each k-step loads the strip's operand
+/// bytes once, from base + toff[kk] as L-wide rows pw apart, and adds
+/// Σ_j c_j·U_j per row and column with one maddubs per 8 columns into int16
+/// partials, which widen into the int32 accumulators every `flush` k-steps
+/// (the bound in ClosedFormRows). The accumulators start at −128·wsum,
+/// taking back the U_j bias, and C is not touched inside the k loop.
+template <int R, int L>
+inline void closed_form_block(const int32_t* wp, const int32_t* wsum, const int32_t* base,
+                              const int32_t* toff, int64_t k, int64_t pw, int64_t flush,
+                              __m256i acc[R][2]) {
+  const __m256i ones = _mm256_set1_epi16(1);
+  for (int r = 0; r < R; ++r) acc[r][0] = acc[r][1] = _mm256_set1_epi32(-128 * wsum[r]);
+  for (int64_t k0 = 0; k0 < k; k0 += flush) {
+    const int64_t k1 = std::min(k, k0 + flush);
+    __m256i s[R][2];
+    for (int r = 0; r < R; ++r) s[r][0] = s[r][1] = _mm256_setzero_si256();
+    for (int64_t kk = k0; kk < k1; ++kk) {
+      __m256i u[2];
+      load_plane_operands<L>(base + toff[kk], pw, u);
+      for (int r = 0; r < R; ++r) {
+        const __m256i cw = _mm256_set1_epi32(wp[kk * R + r]);
+        s[r][0] = _mm256_add_epi16(s[r][0], _mm256_maddubs_epi16(u[0], cw));
+        s[r][1] = _mm256_add_epi16(s[r][1], _mm256_maddubs_epi16(u[1], cw));
+      }
+    }
+    for (int r = 0; r < R; ++r) {
+      acc[r][0] = _mm256_add_epi32(acc[r][0], _mm256_madd_epi16(s[r][0], ones));
+      acc[r][1] = _mm256_add_epi32(acc[r][1], _mm256_madd_epi16(s[r][1], ones));
+    }
+  }
+}
+
+/// Every row block of `w` over the strip at column jj (nc ≤ 16 columns; a
+/// shorter strip reads and writes C through lane masks), each block's rows
+/// of C stored once: overwritten, or added to with `accumulate`.
 template <int L>
-void trunc_plane_strips(const int32_t* wq, const int32_t* wsum, const int32_t* u,
-                        const int32_t* toff, int32_t* c, int64_t m, int64_t k, int64_t n,
-                        const PlaneStrips& g, int64_t s0, int64_t s1) {
-  const __m256i full = _mm256_set1_epi32(-1);  // plane strips hold 16 columns
-  __m256i U[F][2];
-  for (int64_t s = s0; s < s1; ++s) {
-    const int64_t jj = s * kStrip, b = jj / g.ohw, r = jj - b * g.ohw;
-    const int32_t* base = u + b * g.image + r / g.ow * g.pw + r % g.ow;
-    for (int64_t kk = 0; kk < k; kk += F) {
-      const int64_t kf = std::min(F, k - kk);
-      for (int64_t f = 0; f < kf; ++f) load_plane_operands<L>(base + toff[kk + f], g.pw, U[f]);
-      trunc_pass<true>(U, wq, wsum, c, m, n, jj, kk, kf, false, full, full);
+void closed_form_strip(const ClosedFormRows& w, const int32_t* base, const int32_t* toff,
+                       int64_t pw, int32_t* c, int64_t n, int64_t jj, int64_t nc,
+                       bool accumulate) {
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256i keep[2] = {
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(nc)), lane),
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(nc) - 8), lane)};
+  for (int64_t i0 = 0; i0 < w.m; i0 += kRowBlock) {
+    const auto block = [&]<int R>() {
+      __m256i acc[R][2];
+      closed_form_block<R, L>(w.coef + i0 * w.k, w.wsum + i0, base, toff, w.k, pw, w.flush,
+                              acc);
+      for (int r = 0; r < R; ++r)
+        for (int h = 0; h < 2; ++h) {
+          int32_t* cr = c + (i0 + r) * n + jj + 8 * h;
+          __m256i v = acc[r][h];
+          if (nc == kStrip) {
+            if (accumulate)
+              v = _mm256_add_epi32(v, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cr)));
+            _mm256_storeu_si256(reinterpret_cast<__m256i*>(cr), v);
+          } else {
+            if (accumulate) v = _mm256_add_epi32(v, _mm256_maskload_epi32(cr, keep[h]));
+            _mm256_maskstore_epi32(cr, keep[h], v);
+          }
+        }
+    };
+    switch (std::min(kRowBlock, w.m - i0)) {
+      case 1:
+        block.template operator()<1>();
+        break;
+      case 2:
+        block.template operator()<2>();
+        break;
+      case 3:
+        block.template operator()<3>();
+        break;
+      default:
+        block.template operator()<4>();
     }
   }
 }
 
 }  // namespace
 
-void avx2_trunc_cols(const int32_t* wq, const int32_t* wsum, const int8_t* x, int32_t* c,
-                     int64_t m, int64_t k, int64_t n, int t, bool accumulate, int64_t j0,
-                     int64_t j1) {
+void avx2_trunc_cols(const ClosedFormRows& w, const int8_t* x, int32_t* c, int64_t n, int t,
+                     bool accumulate, int64_t j0, int64_t j1, int32_t* stage) {
   __m256i mask[4];
   trunc_masks(t, mask);
-  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  __m256i U[F][2];
-  for (int64_t jj = j0; jj < j1; jj += 16) {
-    // The last strip may hold fewer than 16 columns: C is read and written
-    // through lane masks, the activations by load_strip_row.
-    const int64_t nc = std::min<int64_t>(16, j1 - jj);
-    const __m256i keep0 = _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(nc)), lane);
-    const __m256i keep1 =
-        _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(nc) - 8), lane);
-    for (int64_t kk = 0; kk < k; kk += F) {
-      const int64_t kf = std::min(F, k - kk);
-      for (int64_t f = 0; f < kf; f += 2) {
-        const int64_t off = (kk + f) * n + jj;
-        build_u2(load_strip_row(x, off, nc, k * n),
-                 f + 1 < kf ? load_strip_row(x, off + n, nc, k * n) : _mm_setzero_si128(),
-                 mask, U[f], U[f + 1]);
-      }
-      if (nc == 16)
-        trunc_pass<true>(U, wq, wsum, c, m, n, jj, kk, kf, accumulate, keep0, keep1);
-      else
-        trunc_pass<false>(U, wq, wsum, c, m, n, jj, kk, kf, accumulate, keep0, keep1);
+  const int64_t k = w.k;
+  // The staged operands of tap kk sit at 16·kk; the offsets follow them.
+  int32_t* toff = stage + kStrip * (k + 1);
+  for (int64_t kk = 0; kk < k; ++kk) toff[kk] = static_cast<int32_t>(kStrip * kk);
+  const auto store = [](int32_t* p, __m256i v) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+  };
+  for (int64_t jj = j0; jj < j1; jj += kStrip) {
+    // The last strip may hold fewer than 16 columns: the activations are
+    // read by load_strip_row, C through lane masks.
+    const int64_t nc = std::min(kStrip, j1 - jj);
+    for (int64_t kk = 0; kk < k; kk += 2) {
+      const int64_t off = kk * n + jj;
+      __m256i ua[2], ub[2];
+      build_u2(load_strip_row(x, off, nc, k * n),
+               kk + 1 < k ? load_strip_row(x, off + n, nc, k * n) : _mm_setzero_si128(), mask,
+               ua, ub);
+      int32_t* sp = stage + kk * kStrip;
+      store(sp, ua[0]);
+      store(sp + 8, ua[1]);
+      store(sp + 16, ub[0]);
+      store(sp + 24, ub[1]);
     }
+    closed_form_strip<16>(w, stage, toff, 0, c, n, jj, nc, accumulate);
   }
 }
 
@@ -425,11 +435,23 @@ void avx2_trunc_operands(const int8_t* x, int64_t count, int t, int32_t* u) {
   std::memcpy(u + i, ut, static_cast<size_t>(count - i) * sizeof(int32_t));
 }
 
-void avx2_trunc_plane(const int32_t* wq, const int32_t* wsum, const int32_t* u,
-                      const int32_t* toff, int32_t* c, int64_t m, int64_t k, int64_t n,
-                      const PlaneStrips& g, int64_t s0, int64_t s1) {
+void avx2_trunc_plane(const ClosedFormRows& w, const int32_t* u, const int32_t* toff,
+                      int32_t* c, int64_t n, const PlaneStrips& g, int64_t s0, int64_t s1) {
+  // The first strip's output position (b, i, j) by division, every later
+  // one by stepping 16 positions: a strip is 16 columns of one row or whole
+  // rows, so image and row ends are always crossed exactly.
+  const int64_t oh = g.ohw / g.ow;
+  int64_t jj = s0 * kStrip, b = jj / g.ohw, i = jj % g.ohw / g.ow, j = jj % g.ow;
   with_strip_rows(g, [&]<int L>() {
-    trunc_plane_strips<L>(wq, wsum, u, toff, c, m, k, n, g, s0, s1);
+    for (int64_t s = s0; s < s1; ++s, jj += kStrip) {
+      closed_form_strip<L>(w, u + b * g.image + i * g.pw + j, toff, g.pw, c, n, jj, kStrip,
+                           false);
+      for (j += kStrip; j >= g.ow; j -= g.ow) ++i;
+      if (i == oh) {
+        i = 0;
+        ++b;
+      }
+    }
   });
 }
 

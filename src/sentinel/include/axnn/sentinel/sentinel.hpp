@@ -12,10 +12,12 @@
 //     exactly, where W are the golden weights captured at calibration and T
 //     is the registry-pristine table. Any difference is a violation: a
 //     corrupted LUT entry and a corrupted weight operand both break it.
-//     The right-hand side is kernels::table_checksum (AVX2 gathers or the
-//     scalar loop). The sentinel takes ForwardMonitor's plane hook: a conv
-//     that ran its GEMM from its padded int8 plane is checked, and
-//     repaired, from that plane, and lowers no columns for it. An exact
+//     The right-hand side is a kernels::GemmChecksum built at calibration
+//     and evaluated by kernels::table_checksum: one closed-form row per
+//     ≤ 16 golden rows for exact and truncated tables, 256-entry rows S_k
+//     for every other table. The sentinel takes ForwardMonitor's plane
+//     hook: a conv that ran its GEMM from its padded int8 plane is checked,
+//     and repaired, from that plane, and lowers no columns for it. An exact
 //     GEMM (kQuantExact leaves, `mode=exact` plan entries, leaves forced
 //     exact) runs on columns and checks
 //     Σ_m C[m,n] = Σ_k (Σ_m W[m,k])·X[k,n].
@@ -44,10 +46,12 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "axnn/kernels/checksum.hpp"
 #include "axnn/kernels/signed_lut.hpp"
 #include "axnn/nn/monitor.hpp"
 #include "axnn/nn/plan.hpp"
@@ -122,8 +126,8 @@ public:
   explicit Sentinel(SentinelConfig cfg = {});
 
   /// Calibrate for a uniform run: every leaf executes the registry
-  /// multiplier `mul_id`. Captures golden weights, the checksum tables built
-  /// from them and the registry-pristine table, and activation bounds for
+  /// multiplier `mul_id`. Captures golden weights, the checksum built from
+  /// them and the registry-pristine table, and activation bounds for
   /// every calibrated conv/FC leaf of `root`. Throws std::logic_error on
   /// uncalibrated leaves.
   void calibrate_uniform(nn::Layer& root, const std::string& mul_id);
@@ -170,13 +174,9 @@ private:
     int64_t groups = 0, rows = 0, cols = 0;  ///< one group's GEMM is [rows, cols]
     TensorI8 golden_w;          ///< quantized weights at calibration
     std::vector<int32_t> golden_wsum;  ///< per (group, k): Σ_m W (exact-path check)
-    /// Approximate-path checksum tables: `table_row[g * cols + k]` selects a
-    /// 256-entry row of `tables` holding S_k(a) by activation byte. Columns
-    /// with equal weight histograms share a row. Empty for exact-mode leaves.
-    std::vector<uint32_t> table_row;
-    std::vector<int32_t> tables;
-    /// Every group's Σ_k max_a |S_k(a)| < 2^31: the checksum sums in int32.
-    bool int32_sums = false;
+    /// Approximate-path checksum of the golden weights under the pristine
+    /// table; empty for exact-mode leaves.
+    std::optional<kernels::GemmChecksum> checksum;
     /// Pristine multiplier table rebuilt from the registry at calibration
     /// (kGoldenTable repairs); null for exact-mode leaves.
     const approx::SignedMulTable* golden_tab = nullptr;
@@ -191,7 +191,6 @@ private:
   };
 
   void calibrate_leaf(const nn::GemmLeaf& leaf, const std::string* mul_id);
-  static void build_checksum_tables(LeafState& st);
   bool check(const nn::Layer& leaf, int64_t group, bool approx, const Operand& x, int32_t* c,
              int64_t m, int64_t k, int64_t n);
   void repair(const LeafState& st, int64_t group, bool approx, const Operand& x, int32_t* c,

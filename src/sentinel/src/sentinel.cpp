@@ -1,7 +1,6 @@
 #include "axnn/sentinel/sentinel.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -33,9 +32,6 @@ constexpr int kEventCap = 32;
 constexpr double kRangeScale = 4.0;
 constexpr double kClipScale = 8.0;
 constexpr double kClipFloor = 0.02;
-
-/// Activation bytes a checksum-table row is indexed by.
-constexpr int64_t kActs = 256;
 
 /// The bit pattern of |v| for a float v: patterns of non-negative floats
 /// order like their values, and every NaN's lies above +inf's.
@@ -176,47 +172,9 @@ void Sentinel::calibrate_leaf(const nn::GemmLeaf& leaf, const std::string* mul_i
 
   if (mul_id != nullptr) {
     st.golden_tab = golden_table_for(*mul_id);
-    build_checksum_tables(st);
+    st.checksum.emplace(st.golden_w.data(), st.groups, st.rows, st.cols, *st.golden_tab);
   }
   leaves_.emplace(leaf.layer, std::move(st));
-}
-
-void Sentinel::build_checksum_tables(LeafState& st) {
-  // S_k depends only on column k's histogram of weight nibbles, so columns
-  // with equal histograms share one row (a depthwise leaf needs at most 16).
-  // Zero weights are left out: every kernel skips them, and some tables
-  // have T(a, 0) != 0.
-  // A group's column sums fit int32 when Σ_k max_a |S_k(a)| does.
-  using Histogram = std::array<int32_t, 16>;
-  std::map<Histogram, uint32_t> row_of;
-  std::vector<int64_t> row_max;  // max_a |S(a)| per row
-  const int32_t* t = st.golden_tab->data();
-  st.table_row.assign(static_cast<size_t>(st.groups * st.cols), 0);
-  st.int32_sums = true;
-  for (int64_t g = 0; g < st.groups; ++g) {
-    const int8_t* wg = st.golden_w.data() + g * st.rows * st.cols;
-    int64_t bound = 0;
-    for (int64_t kk = 0; kk < st.cols; ++kk) {
-      Histogram h{};
-      for (int64_t i = 0; i < st.rows; ++i)
-        if (wg[i * st.cols + kk] != 0) ++h[static_cast<size_t>(wg[i * st.cols + kk]) & 0xF];
-      auto [it, fresh] = row_of.emplace(h, static_cast<uint32_t>(row_of.size()));
-      if (fresh) {
-        int64_t mx = 0;
-        for (int64_t a = 0; a < kActs; ++a) {
-          int32_t s = 0;
-          for (size_t nib = 1; nib < h.size(); ++nib)
-            s += h[nib] * t[(static_cast<size_t>(a) << 4) | nib];
-          st.tables.push_back(s);
-          mx = std::max(mx, std::abs(static_cast<int64_t>(s)));
-        }
-        row_max.push_back(mx);
-      }
-      st.table_row[static_cast<size_t>(g * st.cols + kk)] = it->second;
-      bound += row_max[it->second];
-    }
-    st.int32_sums = st.int32_sums && bound <= std::numeric_limits<int32_t>::max();
-  }
 }
 
 const approx::SignedMulTable* Sentinel::golden_table_for(const std::string& mul_id) {
@@ -374,8 +332,8 @@ bool Sentinel::check(const nn::Layer& leaf, int64_t group, bool approx, const Op
   if (it == leaves_.end()) return false;
   LeafState& st = it->second;
   // The checksums describe the calibrated geometry only; an approximate GEMM
-  // on an exact-mode leaf has no table to check against.
-  if (m != st.rows || k != st.cols || group >= st.groups || (approx && st.tables.empty()))
+  // on an exact-mode leaf has no checksum to check against.
+  if (m != st.rows || k != st.cols || group >= st.groups || (approx && !st.checksum))
     return false;
 
   bool degraded = false;
@@ -405,12 +363,10 @@ bool Sentinel::check(const nn::Layer& leaf, int64_t group, bool approx, const Op
     for (int64_t j = 0; j < n; ++j) colsum[j] += row[j];
   }
   if (approx) {
-    const kernels::ChecksumTable t{st.tables.data(), st.table_row.data() + group * k, k,
-                                   st.int32_sums};
     if (x.plane != nullptr)
-      kernels::table_checksum(t, *x.plane, sums);
+      kernels::table_checksum(*st.checksum, group, *x.plane, sums);
     else
-      kernels::table_checksum(t, x.cols, n, sums);
+      kernels::table_checksum(*st.checksum, group, x.cols, n, sums);
   } else {
     // Exact GEMMs run on columns: Σ_k (Σ_m W[m,k])·X[k,n].
     const int32_t* ws = st.golden_wsum.data() + group * k;

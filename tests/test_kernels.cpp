@@ -206,8 +206,13 @@ TEST(IsaGolden, ScalarTierMatchesVectorTierBitExact) {
     ~Restore() { kernels::set_isa(isa); }
   } restore{vector_isa};
 
-  for (int64_t m : kDims) {
-    for (int64_t k : kDims) {
+  // Beyond kDims: row counts that leave the closed form's 4-row blocks 1, 2
+  // or 3 remainder rows after one or two full blocks, and depths on both
+  // sides of its int16 flush every 16 k-steps (and the LUT kernels' 8).
+  constexpr int64_t kRows[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 16, 17, 64, 129};
+  constexpr int64_t kDepths[] = {1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 64, 129};
+  for (int64_t m : kRows) {
+    for (int64_t k : kDepths) {
       for (int64_t n : kDims) {
         const auto w = edge_weights(m, k, 21 * m + k);
         const auto x = edge_activations(k, n, 23 * k + n);
@@ -455,7 +460,10 @@ TEST(ClosedForm, TruncatedTablesBindItWithTheirDepth) {
 TEST(ClosedForm, MatchesEveryTruncatedTableOnTheWholeOperandDomain) {
   // One GEMM per table: 16 weight rows (every nibble), K = 1, 256 activation
   // columns (every byte), so C[w][a] must be exactly tab(a, w) — and 0 for
-  // the zero weight, whatever the table holds there.
+  // the zero weight, whatever the table holds there. Then the largest int16
+  // partial a row sums before widening: 33 weights of −8 against
+  // activations of 127, where at depths 0–3 every k-step adds
+  // c_3·U_3 = −8·255 (16 k-steps reach −32,640, 17 would wrap).
   constexpr int64_t M = 16, N = 256;
   std::vector<int8_t> w(M), x(N);
   for (int64_t i = 0; i < M; ++i) w[static_cast<size_t>(i)] = static_cast<int8_t>(i - 8);
@@ -471,6 +479,11 @@ TEST(ClosedForm, MatchesEveryTruncatedTableOnTheWholeOperandDomain) {
         ASSERT_EQ(qw == 0 ? 0 : tab(qa, qw), c[static_cast<size_t>(i * N + j)])
             << name << " a=" << qa << " w=" << qw;
       }
+    const std::vector<int8_t> low(33, -8), high(33 * 16, 127);
+    std::vector<int32_t> extreme(16, 7);
+    kernels::gemm_approx({}, low.data(), high.data(), extreme.data(), 1, 33, 16, tab,
+                         Backend::kBlocked);
+    for (const int32_t v : extreme) ASSERT_EQ(33 * tab(127, -8), v) << name;
   }
 }
 
@@ -552,8 +565,16 @@ TEST(ClosedForm, PlaneGemmMatchesDenseGemmAndNaive) {
   const PlaneCase declined[] = {{5, 3, 1},       {7, 3, 1}, {12, 3, 1},   {12, 1, 1},
                                 {8, 3, 2},       {8, 1, 2}, {8, 3, 1, 2}, {16, 1, 1, 2},
                                 {4, 3, 1, 1, 3}, {8, 1, 1, 1, 1}};
-  constexpr int64_t kChannels = 4, kRows = 8;
-  int64_t plane_runs = 0;
+  // Rows × input channels: 8 × 4 at every batch 1-8, then row counts that
+  // leave the closed form's 4-row blocks 1, 2 or 3 remainder rows, with
+  // depths K = channels·kernel² below, at and above its int16 flush (16
+  // k-steps) and the LUT kernels' 8, at batches 1 and 2.
+  struct Dims {
+    int64_t rows, channels;
+  };
+  const Dims dims[] = {{8, 4}, {1, 8}, {2, 16}, {3, 17}, {5, 7}, {6, 9},
+                       {7, 15}, {9, 1}, {16, 2}, {17, 3}};
+  int64_t plane_runs = 0, eligible_inputs = 0;
   for (const auto& [name, truncated] : tables) {
     const approx::SignedMulTable tab(axmul::make_lut(name));
     for (const bool reads : {true, false})
@@ -561,17 +582,20 @@ TEST(ClosedForm, PlaneGemmMatchesDenseGemmAndNaive) {
                                                                 std::end(eligible))
                                        : std::vector<PlaneCase>(std::begin(declined),
                                                                 std::end(declined)))
+        for (const auto& [rows, channels] : dims)
         for (int64_t batch = 1; batch <= 8; ++batch) {
+          if ((rows != 8 && batch > 2) || channels % pc.groups != 0) continue;
+          if (reads && truncated) ++eligible_inputs;
           // An input of in_h × in_w with padding kernel/2 gives outputs of
           // pc.height × pc.width.
           const int64_t pad = pc.kernel / 2, height = pc.height > 0 ? pc.height : pc.width;
           const int64_t in_w = (pc.width - 1) * pc.stride + pc.kernel - 2 * pad;
           const int64_t in_h = (height - 1) * pc.stride + pc.kernel - 2 * pad;
-          kernels::ConvPlane x{nullptr,        batch,     kChannels, in_h + 2 * pad,
+          kernels::ConvPlane x{nullptr,        batch,     channels, in_h + 2 * pad,
                                in_w + 2 * pad, pc.kernel, pc.stride};
           ASSERT_EQ(pc.width, x.ow());
           ASSERT_EQ(height, x.oh());
-          std::vector<int8_t> plane(static_cast<size_t>(batch * kChannels * x.ph * x.pw));
+          std::vector<int8_t> plane(static_cast<size_t>(batch * channels * x.ph * x.pw));
           Rng rng(static_cast<uint64_t>(97 * batch + pc.width + 7 * pc.kernel));
           for (int64_t p = 0; p < static_cast<int64_t>(plane.size()); ++p) {
             const int64_t i = p / x.pw % x.ph, j = p % x.pw;
@@ -580,16 +604,16 @@ TEST(ClosedForm, PlaneGemmMatchesDenseGemmAndNaive) {
                 border ? 0 : static_cast<int8_t>(-128 + rng.uniform_int(256));
           }
           for (int64_t b = 0; b < batch; ++b) {  // the byte extremes in every image
-            int8_t* img = plane.data() + b * kChannels * x.ph * x.pw;
+            int8_t* img = plane.data() + b * channels * x.ph * x.pw;
             img[pad * x.pw + pad] = -128;
             img[(x.ph - pad - 1) * x.pw + x.pw - pad - 1] = 127;
           }
           x.data = plane.data();
-          const int64_t m = kRows, k = kChannels / pc.groups * pc.kernel * pc.kernel;
+          const int64_t m = rows, k = channels / pc.groups * pc.kernel * pc.kernel;
           const int64_t n = batch * x.oh() * x.ow();
           auto w = random_i8(m * k, static_cast<uint64_t>(31 * batch + k), -8, 7);
-          ASSERT_GE(m * k, 16);
-          for (int64_t i = 0; i < 16; ++i) w[static_cast<size_t>(i)] = static_cast<int8_t>(i - 8);
+          for (int64_t i = 0; i < std::min<int64_t>(16, m * k); ++i)
+            w[static_cast<size_t>(i)] = static_cast<int8_t>(i - 8);
           const auto cols = lower_plane(plane, x, pc.groups, 0);
           std::vector<int32_t> naive(static_cast<size_t>(m * n)), dense(naive.size());
           kernels::gemm_approx({}, w.data(), cols.data(), naive.data(), m, k, n, tab,
@@ -599,7 +623,7 @@ TEST(ClosedForm, PlaneGemmMatchesDenseGemmAndNaive) {
           SCOPED_TRACE(::testing::Message()
                        << name << " width=" << pc.width << " kernel=" << pc.kernel
                        << " height=" << height << " stride=" << pc.stride
-                       << " groups=" << pc.groups
+                       << " groups=" << pc.groups << " rows=" << m << " k=" << k
                        << " batch=" << batch);
           ASSERT_EQ(naive, dense);
           const kernels::PlanHandle plan = approx_plan(tab, m, k, n);
@@ -616,7 +640,8 @@ TEST(ClosedForm, PlaneGemmMatchesDenseGemmAndNaive) {
           ++plane_runs;
         }
   }
-  EXPECT_EQ(avx2 ? 12 * static_cast<int64_t>(std::size(eligible)) * 8 : 0, plane_runs);
+  EXPECT_EQ(avx2 ? eligible_inputs : 0, plane_runs);
+  EXPECT_EQ(12 * static_cast<int64_t>(std::size(eligible)) * (8 + 2 * 9), eligible_inputs);
 }
 
 // ---------------------------------------------------------------------------
@@ -643,7 +668,11 @@ TEST(TableChecksum, VectorTierMatchesScalarTierAndDefinition) {
   // the same X as dense columns, plus dense widths that leave a short last
   // strip. Every plane's interior cycles through all 256 byte values, −128
   // first. Rows: one shared row, K distinct rows, and K rows large enough
-  // that only int64 sums are exact (the int64 fallback).
+  // that only int64 sums are exact (the int64 fallback). Closed-form
+  // checksums (GemmChecksum under exact and trunc1–11) of 1, 4, 15, 16, 17
+  // and 33 golden rows, whose column 0 is all −8 (C_k3 = −128 in a row of
+  // 16) and column 1 all ±7/±6, must give the sums of the rows S_k built
+  // from the same weights and table, on both tiers.
   const kernels::Isa vector_isa = kernels::active_isa();
   struct Restore {
     kernels::Isa isa;
@@ -687,6 +716,48 @@ TEST(TableChecksum, VectorTierMatchesScalarTierAndDefinition) {
                              << " int32_sums=" << t.int32_sums;
       }
     }
+    for (int depth = 0; depth <= 11; ++depth) {
+      const std::string name = depth == 0 ? "exact" : "trunc" + std::to_string(depth);
+      const approx::SignedMulTable tab(axmul::make_lut(name));
+      for (const int64_t m : {1, 4, 15, 16, 17, 33}) {
+        auto w = random_i8(m * k, static_cast<uint64_t>(59 + 7 * m + k + depth), -8, 7);
+        constexpr int8_t kHigh[] = {7, -7, 6, -6};
+        for (int64_t i = 0; i < m; ++i) {
+          w[static_cast<size_t>(i * k)] = -8;
+          w[static_cast<size_t>(i * k + 1)] = kHigh[i % 4];
+        }
+        const kernels::GemmChecksum closed(w.data(), 1, m, k, tab);
+        ASSERT_TRUE(closed.closed_form()) << name;
+        // S_k by definition: the zero weight is skipped, as every kernel
+        // skips it.
+        std::vector<int32_t> rows(static_cast<size_t>(256 * k), 0);
+        for (int64_t kk = 0; kk < k; ++kk)
+          for (int32_t a = -128; a < 128; ++a)
+            for (int64_t i = 0; i < m; ++i)
+              if (const int8_t wv = w[static_cast<size_t>(i * k + kk)]; wv != 0)
+                rows[static_cast<size_t>(256 * kk + static_cast<uint8_t>(a))] += tab(a, wv);
+        const kernels::ChecksumTable by_rows{rows.data(), iota.data(), k, true};
+        const std::vector<int64_t> want = checksum_by_definition(by_rows, cols, n);
+        for (const kernels::Isa isa : {vector_isa, kernels::Isa::kScalar}) {
+          kernels::set_isa(isa);
+          SCOPED_TRACE(::testing::Message() << name << " rows=" << m << " "
+                                            << kernels::isa_name(isa));
+          std::vector<int64_t> got(static_cast<size_t>(n), -1);
+          kernels::table_checksum(by_rows, cols.data(), n, got.data());
+          ASSERT_EQ(want, got) << "rows, dense";
+          std::fill(got.begin(), got.end(), -1);
+          kernels::table_checksum(closed, 0, cols.data(), n, got.data());
+          ASSERT_EQ(want, got) << "closed form, dense";
+          if (plane == nullptr) continue;
+          std::fill(got.begin(), got.end(), -1);
+          kernels::table_checksum(by_rows, *plane, got.data());
+          ASSERT_EQ(want, got) << "rows, plane";
+          std::fill(got.begin(), got.end(), -1);
+          kernels::table_checksum(closed, 0, *plane, got.data());
+          ASSERT_EQ(want, got) << "closed form, plane";
+        }
+      }
+    }
   };
   const PlaneCase cases[] = {{4, 3, 1},  {8, 3, 1},  {16, 3, 1}, {32, 3, 1}, {4, 1, 1},
                              {8, 1, 1},  {16, 1, 1}, {32, 1, 1}, {5, 3, 1}, {8, 3, 2}};
@@ -713,6 +784,13 @@ TEST(TableChecksum, VectorTierMatchesScalarTierAndDefinition) {
   for (const int64_t n : {1, 7, 8, 15, 17, 40}) {  // dense only: short last strips
     SCOPED_TRACE(::testing::Message() << "dense n=" << n);
     check(random_i8(27 * n, static_cast<uint64_t>(53 + n), -128, 127), 27, n, nullptr);
+  }
+  {  // dense, every activation byte in turn, −128 first
+    std::vector<int8_t> cols(27 * 256);
+    for (size_t i = 0; i < cols.size(); ++i)
+      cols[i] = static_cast<int8_t>(static_cast<uint8_t>(128 + i));
+    SCOPED_TRACE("dense n=256, every byte");
+    check(cols, 27, 256, nullptr);
   }
 }
 
