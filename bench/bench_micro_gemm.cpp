@@ -138,24 +138,21 @@ constexpr Dims kResNet20Narrow[] = {{4, 27, 2048}, {4, 36, 256}, {4, 36, 2048},
 constexpr Dims kDepthwise[] = {
     {1, 9, 16}, {1, 9, 256}, {1, 9, 2048}, {2, 9, 256}, {3, 9, 256}};
 
-/// One int GEMM of shape `d` per iteration: approximate with the named
-/// multiplier, or exact when `multiplier` is null.
+/// One int GEMM of shape `d` per iteration through the named multiplier's
+/// table. A 4-bit exact GEMM runs the trunc5 benchmarks' kernel: the closed
+/// form (at depth 0) on AVX2, the LUT elsewhere.
 void run_int_dims(benchmark::State& state, const Dims& d, const char* multiplier) {
   Rng rng(8);
   const TensorI8 w = random_i8(Shape{d.m, d.k}, rng, -7, 7);
   const TensorI8 x = random_i8(Shape{d.k, d.n}, rng, -127, 127);
   TensorI32 c(Shape{d.m, d.n});
-  const approx::SignedMulTable tab(axmul::make_lut(multiplier ? multiplier : "exact"));
+  const approx::SignedMulTable tab(axmul::make_lut(multiplier));
   kernels::PlanMemo memo;  // as a layer resolves its plan
   state.SetLabel(std::string(kernels::backend_name(backend_arg(state))) + " " +
                  std::to_string(d.m) + "x" + std::to_string(d.k) + "x" + std::to_string(d.n));
   for (auto _ : state) {
-    if (multiplier != nullptr)
-      kernels::gemm_approx({}, w.data(), x.data(), c.data(), d.m, d.k, d.n, tab,
-                           backend_arg(state), nullptr, &memo);
-    else
-      kernels::gemm_exact({}, w.data(), x.data(), c.data(), d.m, d.k, d.n,
-                          backend_arg(state), nullptr, &memo);
+    kernels::gemm_approx({}, w.data(), x.data(), c.data(), d.m, d.k, d.n, tab,
+                         backend_arg(state), nullptr, &memo);
     benchmark::DoNotOptimize(c.data());
     benchmark::ClobberMemory();
   }
@@ -178,14 +175,6 @@ BENCHMARK(BM_GemmApproxEvoa228ResNet20Narrow)
     ->ArgsProduct({{0, 1}, {0, 1, 2, 3, 4, 5}})
     ->ArgNames({"backend", "shape"});
 
-// The exact int kernel on the same shapes: what the multiplier model costs.
-void BM_GemmExactI32ResNet20Narrow(benchmark::State& state) {
-  run_int_dims(state, kResNet20Narrow[state.range(1)], nullptr);
-}
-BENCHMARK(BM_GemmExactI32ResNet20Narrow)
-    ->ArgsProduct({{0, 1}, {0, 1, 2, 3, 4, 5}})
-    ->ArgNames({"backend", "shape"});
-
 void BM_GemmApproxLutDepthwise(benchmark::State& state) {
   run_int_dims(state, kDepthwise[state.range(1)], "trunc5");
 }
@@ -197,13 +186,6 @@ void BM_GemmApproxEvoa228Depthwise(benchmark::State& state) {
   run_int_dims(state, kDepthwise[state.range(1)], "evoa228");
 }
 BENCHMARK(BM_GemmApproxEvoa228Depthwise)
-    ->ArgsProduct({{0, 1}, {0, 1, 2, 3, 4}})
-    ->ArgNames({"backend", "shape"});
-
-void BM_GemmExactI32Depthwise(benchmark::State& state) {
-  run_int_dims(state, kDepthwise[state.range(1)], nullptr);
-}
-BENCHMARK(BM_GemmExactI32Depthwise)
     ->ArgsProduct({{0, 1}, {0, 1, 2, 3, 4}})
     ->ArgNames({"backend", "shape"});
 
@@ -249,6 +231,7 @@ void BM_GemmApproxLutResNet20WarmPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmApproxLutResNet20WarmPlan);
 
+// The raw-byte exact kernel, which only weights wider than 4 bits run.
 void BM_GemmExactI32(benchmark::State& state) {
   const int64_t n = state.range(1);
   Rng rng(3);

@@ -3,10 +3,11 @@
 // Brings up a trunc5-fine-tuned ResNet-20 behind a three-point operating
 // ladder over one weight set:
 //
-//   0 accurate    default=trunc5                 (best accuracy, LUT path)
+//   0 accurate    default=trunc5                 (best accuracy)
 //   1 balanced    half the leaves mode=exact     (middle ground)
-//   2 throughput  default=trunc5:mode=exact      (~3x faster integer kernels,
-//                                                 accuracy pays for it)
+//   2 throughput  default=trunc5:mode=exact      (exact products; on AVX2 the
+//                                                 same closed-form kernel as
+//                                                 point 0, so no faster)
 //
 // and demonstrates the two acceptance scenarios:
 //
@@ -33,11 +34,12 @@ namespace {
 
 using namespace axnn;
 
-// The ladder over the model's own leaf paths. Exact-mode share is the
-// latency axis for a trunc5-fine-tuned model: the integer kernel is ~3x
-// faster than the LUT walk, and the fine-tuned weights lose accuracy under
-// exact arithmetic (DESIGN.md §5h) — faster AND worse, exactly what a
-// load-shedding ladder wants.
+// The ladder over the model's own leaf paths. Exact-mode share is meant as
+// the latency axis for a trunc5-fine-tuned model, whose weights lose
+// accuracy under exact arithmetic (DESIGN.md §5h). On AVX2 exact and trunc5
+// products run the same closed-form kernel (the exact table is its depth
+// 0), so the floor is no faster than point 0, and the load-ramp gate below,
+// which asks for a faster floor, fails there.
 std::string build_ladder(const core::BenchProfile& profile) {
   auto probe = models::make_resnet20(profile.resnet_width);
   const auto leaves = nn::enumerate_gemm_leaves(*probe);

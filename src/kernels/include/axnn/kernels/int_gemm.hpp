@@ -8,12 +8,15 @@
 //
 // The kBlocked path runs through a prepared GemmPlan (axnn/kernels/plan.hpp)
 // acquired from the global PlanCache at every shape: the plan binds its
-// micro-kernel when it is built (approx: vector strips from 4 output rows up,
-// the scalar slices kernel below; exact: vector strips at every shape) and
-// owns the LUT re-laid-out for that kernel
-// (per-weight-nibble slices for the scalar kernel, a transposed
-// 64-byte-per-activation layout for the vector kernels), so per-call work is
-// just operand packing into pooled scratch.
+// micro-kernel when it is built (approx: the closed form for exact and
+// truncated tables on AVX2, else vector strips from 4 output rows up and the
+// scalar slices kernel below; exact: the scalar kernel) and owns the LUT
+// re-laid-out for that kernel (per-weight-nibble slices for the scalar
+// kernel, a transposed 64-byte-per-activation layout for the vector
+// kernels), so per-call work is just operand packing into pooled scratch.
+// gemm_exact multiplies raw int8 weight bytes; it serves the weights wider
+// than 4 bits that no table reads, since a 4-bit exact GEMM runs as
+// gemm_approx through the exact table.
 // Integer addition is exact and order-free, so every backend/ISA combination
 // is bit-identical to the naive reference.
 #pragma once
@@ -53,7 +56,8 @@ void gemm_approx_plane(const int8_t* w, const ConvPlane& x, int32_t* c, int64_t 
 bool approx_reads_plane(const ConvPlane& x, int64_t m, int64_t k, int64_t n,
                         const approx::SignedMulTable& tab, PlanMemo* memo = nullptr);
 
-/// C[M,N] (=|+=) W · X with exact int arithmetic (error-measurement baseline).
+/// C[M,N] (=|+=) W · X with exact int arithmetic on raw int8 weights: the
+/// kernel of weights wider than 4 bits, and the naive reference.
 void gemm_exact(const GemmDesc& desc, const int8_t* w, const int8_t* x, int32_t* c,
                 int64_t m, int64_t k, int64_t n, Backend backend,
                 ThreadPool* pool = nullptr, PlanMemo* memo = nullptr);

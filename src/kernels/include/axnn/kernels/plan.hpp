@@ -12,7 +12,7 @@
 // (shared_ptr<const GemmPlan>), so lanes, sessions and threads can execute
 // the same plan concurrently. The PlanCache memoizes them under a PlanKey
 // (op kind, GemmDesc flags, dims, backend, ISA, multiplier identity +
-// content fingerprint, operand bit-widths) with LRU eviction at a bounded
+// content fingerprint) with LRU eviction at a bounded
 // capacity; hit/miss/evict counters feed axnn::obs when telemetry is on.
 //
 // Poplibs' convolution plan cache is the architectural reference: derive
@@ -47,14 +47,17 @@ const char* op_kind_name(OpKind op);
 ///                 m·k·n < 2^16;
 ///   kBlockedF32 — the cache-blocked, register-tiled float kernel, above that;
 ///   kScalarInt  — the scalar int kernels (per-nibble LUT slices for approx):
-///                 approx plans under 4 output rows, and every int plan on
-///                 the scalar ISA;
-///   kVectorInt  — the AVX2/NEON column-strip int kernels: approx plans from
-///                 4 rows up, exact-int plans at every row count;
+///                 approx plans under 4 output rows, every int plan on the
+///                 scalar ISA, and every exact-int plan (weights wider than
+///                 4 bits; narrower exact GEMMs multiply through the exact
+///                 table);
+///   kVectorInt  — the AVX2/NEON LUT column-strip kernels: approx plans from
+///                 4 rows up;
 ///   kTruncInt   — the AVX2 closed-form kernel for truncated multipliers, at
 ///                 every row count: approx plans whose table equals the
 ///                 sign-magnitude truncated product for some depth t
-///                 (GemmPlan::truncation()), compared entry by entry.
+///                 (GemmPlan::truncation()), compared entry by entry; the
+///                 exact table is depth 0.
 /// The int kernels are all bit-identical to the naive reference.
 enum class MicroKernel : uint8_t {
   kNaiveF32,
@@ -76,14 +79,10 @@ struct PlanKey {
   /// Empty / 0 for kF32 and kExactInt.
   std::string multiplier;
   uint64_t lut_fp = 0;
-  /// Operand bit-widths (int paths; 0 for kF32). Part of the key because
-  /// per-layer plans may quantize the same shape at different widths.
-  int weight_bits = 0;
-  int activation_bits = 0;
 
   bool operator==(const PlanKey& o) const;
   /// Stable human-readable form, e.g.
-  /// "approx[64x576x1024] blocked/avx2 mul=mul8s_1KV8 fp=9f3a w4a8" —
+  /// "approx[64x576x1024] blocked/avx2 mul=mul8s_1KV8 fp=9f3a" —
   /// what `axnn_cli inspect` prints per leaf.
   std::string to_string() const;
 };
@@ -97,8 +96,7 @@ struct PlanKeyHash {
 PlanKey make_f32_key(const GemmDesc& desc, int64_t m, int64_t k, int64_t n,
                      Backend backend);
 PlanKey make_int_key(OpKind op, const GemmDesc& desc, int64_t m, int64_t k, int64_t n,
-                     Backend backend, const approx::SignedMulTable* tab,
-                     int weight_bits = 4, int activation_bits = 8);
+                     Backend backend, const approx::SignedMulTable* tab);
 
 /// A convolution's X operand as its zero-padded int8 input plane instead of
 /// im2col columns: X[(c·kernel + kh)·kernel + kw, (b·oh + i)·ow + j] is

@@ -148,8 +148,6 @@ bool avx2_runtime_ok();
 void avx2_approx_cols(const uint8_t* wq, const int8_t* x, int32_t* c, int64_t m,
                       int64_t k, int64_t n, const int32_t* lines, bool accumulate,
                       int64_t j0, int64_t j1);
-void avx2_exact_cols(const uint8_t* wq, const int8_t* x, int32_t* c, int64_t m,
-                     int64_t k, int64_t n, bool accumulate, int64_t j0, int64_t j1);
 // u[i] = the four operand bytes U_j = sign(a)·(|a| & mask_j) + 128 of
 // a = x[i] at depth t, for i < count (a zero gives 0x80 in each byte).
 void avx2_trunc_operands(const int8_t* x, int64_t count, int t, int32_t* u);
@@ -178,8 +176,6 @@ void avx2_table_checksum(const ChecksumTable& t, const int8_t* x, int64_t channe
 void neon_approx_cols(const uint8_t* wq, const int8_t* x, int32_t* c, int64_t m,
                       int64_t k, int64_t n, const int32_t* lines, bool accumulate,
                       int64_t j0, int64_t j1);
-void neon_exact_cols(const uint8_t* wq, const int8_t* x, int32_t* c, int64_t m,
-                     int64_t k, int64_t n, bool accumulate, int64_t j0, int64_t j1);
 #endif
 
 }  // namespace axnn::kernels::detail

@@ -38,9 +38,7 @@ const char* op_kind_name(OpKind op) {
 bool PlanKey::operator==(const PlanKey& o) const {
   return op == o.op && trans_a == o.trans_a && trans_b == o.trans_b &&
          accumulate == o.accumulate && backend == o.backend && isa == o.isa &&
-         m == o.m && k == o.k && n == o.n && lut_fp == o.lut_fp &&
-         weight_bits == o.weight_bits && activation_bits == o.activation_bits &&
-         multiplier == o.multiplier;
+         m == o.m && k == o.k && n == o.n && lut_fp == o.lut_fp && multiplier == o.multiplier;
 }
 
 std::string PlanKey::to_string() const {
@@ -56,10 +54,6 @@ std::string PlanKey::to_string() const {
     std::snprintf(buf, sizeof(buf), " mul=%s fp=%04x",
                   multiplier.empty() ? "?" : multiplier.c_str(),
                   static_cast<unsigned>(lut_fp & 0xFFFF));
-    s += buf;
-  }
-  if (op != OpKind::kF32) {
-    std::snprintf(buf, sizeof(buf), " w%da%d", weight_bits, activation_bits);
     s += buf;
   }
   return s;
@@ -79,7 +73,6 @@ size_t PlanKeyHash::operator()(const PlanKey& k) const {
   mix(static_cast<uint64_t>(k.k));
   mix(static_cast<uint64_t>(k.n));
   mix(k.lut_fp);
-  mix(static_cast<uint64_t>(k.weight_bits) << 8 | static_cast<uint64_t>(k.activation_bits));
   for (const char c : k.multiplier) mix(static_cast<uint8_t>(c));
   return static_cast<size_t>(h);
 }
@@ -100,8 +93,7 @@ PlanKey make_f32_key(const GemmDesc& desc, int64_t m, int64_t k, int64_t n,
 }
 
 PlanKey make_int_key(OpKind op, const GemmDesc& desc, int64_t m, int64_t k, int64_t n,
-                     Backend backend, const approx::SignedMulTable* tab,
-                     int weight_bits, int activation_bits) {
+                     Backend backend, const approx::SignedMulTable* tab) {
   PlanKey key;
   key.op = op;
   key.trans_a = desc.trans_a;
@@ -112,8 +104,6 @@ PlanKey make_int_key(OpKind op, const GemmDesc& desc, int64_t m, int64_t k, int6
   key.m = m;
   key.k = k;
   key.n = n;
-  key.weight_bits = weight_bits;
-  key.activation_bits = activation_bits;
   if (op == OpKind::kApprox) {
     if (tab == nullptr)
       throw std::invalid_argument("kernels::make_int_key: approx key needs a table");
@@ -191,20 +181,19 @@ void plane_tap_offsets(const ConvPlane& x, int32_t* toff) {
 
 namespace {
 
-/// Pack the m×k weight operand into the vector kernels' layout: full groups
-/// of kFuse k-steps as column-major panels, so a row's kFuse weights for one
-/// fused pass are contiguous (dst[kk*m + i*kFuse + f]), then the remainder
-/// k-steps flat column-major (dst[kk*m + i]). `elem` maps each int8 weight
-/// to the bound kernel's element.
-template <typename T, typename Elem>
-void pack_weights(const int8_t* w, int64_t m, int64_t k, T* dst, Elem elem) {
+/// Pack the m×k weight nibbles into the LUT strip kernels' layout: full
+/// groups of kFuse k-steps as column-major panels, so a row's kFuse weights
+/// for one fused pass are contiguous (dst[kk*m + i*kFuse + f]), then the
+/// remainder k-steps flat column-major (dst[kk*m + i]).
+void pack_weights(const int8_t* w, int64_t m, int64_t k, uint8_t* dst) {
   constexpr int64_t kf = detail::kFuse;
+  const auto nibble = [](int8_t v) { return static_cast<uint8_t>(v & 0xF); };
   int64_t kk = 0;
   for (; kk + kf <= k; kk += kf)
     for (int64_t i = 0; i < m; ++i)
-      for (int64_t f = 0; f < kf; ++f) dst[kk * m + i * kf + f] = elem(w[i * k + kk + f]);
+      for (int64_t f = 0; f < kf; ++f) dst[kk * m + i * kf + f] = nibble(w[i * k + kk + f]);
   for (; kk < k; ++kk)
-    for (int64_t i = 0; i < m; ++i) dst[kk * m + i] = elem(w[i * k + kk]);
+    for (int64_t i = 0; i < m; ++i) dst[kk * m + i] = nibble(w[i * k + kk]);
 }
 
 /// The closed-form kernel's weights at wc: each weight's coefficient bytes
@@ -237,10 +226,11 @@ MicroKernel choose_kernel(const PlanKey& key) {
   // The LUT strip kernel builds a 16-entry product file per activation byte
   // and k-step and shares it across the output rows: it needs 4 rows to beat
   // the scalar slices kernel (at 3 rows it is 1.1-1.3x slower, at 1 row 3x).
-  // The exact strip kernel has no such set-up and wins at every row count.
-  const int64_t min_rows = key.op == OpKind::kApprox ? 4 : 1;
-  return key.m >= min_rows && has_vector_kernels(key.isa) ? MicroKernel::kVectorInt
-                                                          : MicroKernel::kScalarInt;
+  // Exact int plans serve only weights wider than 4 bits (a 4-bit exact GEMM
+  // multiplies through the exact table): the scalar kernel, on every ISA.
+  return key.op == OpKind::kApprox && key.m >= 4 && has_vector_kernels(key.isa)
+             ? MicroKernel::kVectorInt
+             : MicroKernel::kScalarInt;
 }
 
 }  // namespace
@@ -307,12 +297,12 @@ void GemmPlan::run_int(const int8_t* w, const int8_t* x, int32_t* c,
       detail::blocked_exact_scalar(w, x, c, m, k, n, acc, p);
     return;
   }
-  // Vector kernels: pack the weights once (per-thread arena, no heap), then
-  // partition output columns over strips. Column-strip partitioning keeps
-  // every output element's full reduction inside one task, so results are
-  // bit-identical across thread counts. Packed elements: the coefficient
-  // bytes of each weight plus the row sums (kTruncInt), the weight nibble
-  // (LUT) or the raw byte (exact).
+  // Vector kernels (approx only): pack the weights once (per-thread arena,
+  // no heap), then partition output columns over strips. Column-strip
+  // partitioning keeps every output element's full reduction inside one
+  // task, so results are bit-identical across thread counts. Packed
+  // elements: the coefficient bytes of each weight plus the row sums
+  // (kTruncInt) or the weight nibble (LUT).
   const size_t mk = static_cast<size_t>(m) * static_cast<size_t>(k);
   const bool closed_form = kernel_ == MicroKernel::kTruncInt;
   void* packed = scratch_bytes(
@@ -322,10 +312,8 @@ void GemmPlan::run_int(const int8_t* w, const int8_t* x, int32_t* c,
   detail::ClosedFormRows rows{};
   if (closed_form)
     rows = pack_closed_form(w, m, k, static_cast<int32_t*>(packed));
-  else if (lut)
-    pack_weights(w, m, k, wq, [](int8_t v) { return static_cast<uint8_t>(v & 0xF); });
   else
-    pack_weights(w, m, k, wq, [](int8_t v) { return static_cast<uint8_t>(v); });
+    pack_weights(w, m, k, wq);
   const int64_t nstrips = (n + detail::kStrip - 1) / detail::kStrip;
   p.parallel_for(
       nstrips,
@@ -339,19 +327,13 @@ void GemmPlan::run_int(const int8_t* w, const int8_t* x, int32_t* c,
                 rows, x, c, n, trunc_, acc, j0, j1,
                 scratch<int32_t>(ScratchSlot::kPlane,
                                  static_cast<size_t>(detail::cols_stage_size(k))));
-          else if (lut)
-            detail::avx2_approx_cols(wq, x, c, m, k, n, lines_, acc, j0, j1);
           else
-            detail::avx2_exact_cols(wq, x, c, m, k, n, acc, j0, j1);
+            detail::avx2_approx_cols(wq, x, c, m, k, n, lines_, acc, j0, j1);
         }
 #endif
 #if defined(AXNN_HAVE_NEON_TU)
-        if (key_.isa == Isa::kNeon) {
-          if (lut)
-            detail::neon_approx_cols(wq, x, c, m, k, n, lines_, acc, j0, j1);
-          else
-            detail::neon_exact_cols(wq, x, c, m, k, n, acc, j0, j1);
-        }
+        if (key_.isa == Isa::kNeon)
+          detail::neon_approx_cols(wq, x, c, m, k, n, lines_, acc, j0, j1);
 #endif
       },
       detail::strip_grain(m, k));

@@ -5,7 +5,8 @@
 // multiset of int32 terms as the naive reference kernel. int32 addition is
 // associative and commutative (wrap-around), so reordering is bit-exact; the
 // zero-weight skip of the naive kernel is reproduced by zeroing the nibble-0
-// column of the transposed LUT (approx) / multiplying by literal 0 (exact).
+// column of the transposed LUT, and by nibble 0's zero coefficient bytes in
+// the closed form.
 //
 // The LUT kernel avoids vpgatherdd entirely (slow on the virtualized
 // cores we target): the plan stores the LUT transposed as 256 activation
@@ -518,90 +519,6 @@ void avx2_table_checksum(const ChecksumTable& t, const int8_t* x, int64_t channe
   else
     with_strip_rows(
         g, [&]<int L>() { checksum_strips<L>(t, x, channels, ph, kernel, g, n, sums); });
-}
-
-void avx2_exact_cols(const uint8_t* wq, const int8_t* x, int32_t* c, int64_t m,
-                     int64_t k, int64_t n, bool accumulate, int64_t j0, int64_t j1) {
-  // Packed weights hold raw int8 bytes in the same F-group layout. Per fused
-  // pass the 16-column activation strip is sign-extended once into XS, then
-  // each row broadcasts its F weights and runs mullo+add — products are the
-  // same int32 values the naive kernel computes (|w|,|x| ≤ 2^7 so no wrap in
-  // the multiply itself), and a zero weight contributes exactly 0.
-  alignas(64) int32_t XS[F][16];
-  const int64_t kmain = k - k % F;
-  int64_t jj = j0;
-  for (; jj + 16 <= j1; jj += 16) {
-    if (!accumulate)
-      for (int64_t i = 0; i < m; ++i) {
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + i * n + jj),
-                            _mm256_setzero_si256());
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + i * n + jj + 8),
-                            _mm256_setzero_si256());
-      }
-    int64_t kk = 0;
-    for (; kk < kmain; kk += F) {
-      for (int64_t f = 0; f < F; ++f) {
-        const __m128i bytes =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + (kk + f) * n + jj));
-        _mm256_store_si256(reinterpret_cast<__m256i*>(XS[f]),
-                           _mm256_cvtepi8_epi32(bytes));
-        _mm256_store_si256(reinterpret_cast<__m256i*>(XS[f] + 8),
-                           _mm256_cvtepi8_epi32(_mm_srli_si128(bytes, 8)));
-      }
-      const uint8_t* wg = wq + kk * m;
-      for (int64_t i = 0; i < m; ++i) {
-        const uint8_t* wn = wg + i * F;
-        int32_t* cr = c + i * n + jj;
-        __m256i a0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cr));
-        __m256i a1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cr + 8));
-        for (int64_t f = 0; f < F; ++f) {
-          const __m256i wv = _mm256_set1_epi32(static_cast<int8_t>(wn[f]));
-          a0 = _mm256_add_epi32(
-              a0, _mm256_mullo_epi32(
-                      wv, _mm256_load_si256(reinterpret_cast<const __m256i*>(XS[f]))));
-          a1 = _mm256_add_epi32(
-              a1, _mm256_mullo_epi32(
-                      wv, _mm256_load_si256(reinterpret_cast<const __m256i*>(XS[f] + 8))));
-        }
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(cr), a0);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(cr + 8), a1);
-      }
-    }
-    for (; kk < k; ++kk) {
-      const __m128i bytes =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + kk * n + jj));
-      const __m256i x0 = _mm256_cvtepi8_epi32(bytes);
-      const __m256i x1 = _mm256_cvtepi8_epi32(_mm_srli_si128(bytes, 8));
-      const uint8_t* wcol = wq + kk * m;
-      for (int64_t i = 0; i < m; ++i) {
-        int32_t* cr = c + i * n + jj;
-        const __m256i wv = _mm256_set1_epi32(static_cast<int8_t>(wcol[i]));
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(cr),
-            _mm256_add_epi32(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(cr)),
-                             _mm256_mullo_epi32(wv, x0)));
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(cr + 8),
-            _mm256_add_epi32(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(cr + 8)),
-                             _mm256_mullo_epi32(wv, x1)));
-      }
-    }
-  }
-  // --- scalar tail (< 16 columns) ---
-  for (; jj < j1; ++jj) {
-    for (int64_t i = 0; i < m; ++i) {
-      int32_t acc = accumulate ? c[i * n + jj] : 0;
-      int64_t kk = 0;
-      for (; kk < kmain; kk += F) {
-        const uint8_t* wn = wq + kk * m + i * F;
-        for (int64_t f = 0; f < F; ++f)
-          acc += static_cast<int32_t>(static_cast<int8_t>(wn[f])) * x[(kk + f) * n + jj];
-      }
-      for (; kk < k; ++kk)
-        acc += static_cast<int32_t>(static_cast<int8_t>(wq[kk * m + i])) * x[kk * n + jj];
-      c[i * n + jj] = acc;
-    }
-  }
 }
 
 }  // namespace axnn::kernels::detail

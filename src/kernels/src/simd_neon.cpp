@@ -99,60 +99,6 @@ void neon_approx_cols(const uint8_t* wq, const int8_t* x, int32_t* c, int64_t m,
   }
 }
 
-void neon_exact_cols(const uint8_t* wq, const int8_t* x, int32_t* c, int64_t m,
-                     int64_t k, int64_t n, bool accumulate, int64_t j0, int64_t j1) {
-  alignas(64) int32_t XS[F][4];
-  const int64_t kmain = k - k % F;
-  int64_t jj = j0;
-  for (; jj + 4 <= j1; jj += 4) {
-    if (!accumulate)
-      for (int64_t i = 0; i < m; ++i) vst1q_s32(c + i * n + jj, vdupq_n_s32(0));
-    int64_t kk = 0;
-    for (; kk < kmain; kk += F) {
-      for (int64_t f = 0; f < F; ++f) {
-        const int8_t* xr = x + (kk + f) * n + jj;
-        const int32_t xs[4] = {xr[0], xr[1], xr[2], xr[3]};
-        vst1q_s32(XS[f], vld1q_s32(xs));
-      }
-      const uint8_t* wg = wq + kk * m;
-      for (int64_t i = 0; i < m; ++i) {
-        const uint8_t* wn = wg + i * F;
-        int32_t* cr = c + i * n + jj;
-        int32x4_t acc = vld1q_s32(cr);
-        for (int64_t f = 0; f < F; ++f)
-          acc = vmlaq_n_s32(acc, vld1q_s32(XS[f]),
-                            static_cast<int32_t>(static_cast<int8_t>(wn[f])));
-        vst1q_s32(cr, acc);
-      }
-    }
-    for (; kk < k; ++kk) {
-      const int8_t* xr = x + kk * n + jj;
-      const int32_t xs[4] = {xr[0], xr[1], xr[2], xr[3]};
-      const int32x4_t xv = vld1q_s32(xs);
-      const uint8_t* wcol = wq + kk * m;
-      for (int64_t i = 0; i < m; ++i) {
-        int32_t* cr = c + i * n + jj;
-        vst1q_s32(cr, vmlaq_n_s32(vld1q_s32(cr), xv,
-                                  static_cast<int32_t>(static_cast<int8_t>(wcol[i]))));
-      }
-    }
-  }
-  for (; jj < j1; ++jj) {
-    for (int64_t i = 0; i < m; ++i) {
-      int32_t acc = accumulate ? c[i * n + jj] : 0;
-      int64_t kk = 0;
-      for (; kk < kmain; kk += F) {
-        const uint8_t* wn = wq + kk * m + i * F;
-        for (int64_t f = 0; f < F; ++f)
-          acc += static_cast<int32_t>(static_cast<int8_t>(wn[f])) * x[(kk + f) * n + jj];
-      }
-      for (; kk < k; ++kk)
-        acc += static_cast<int32_t>(static_cast<int8_t>(wq[kk * m + i])) * x[kk * n + jj];
-      c[i * n + jj] = acc;
-    }
-  }
-}
-
 }  // namespace axnn::kernels::detail
 
 #endif  // AXNN_HAVE_NEON_TU

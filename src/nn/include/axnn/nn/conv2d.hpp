@@ -2,9 +2,10 @@
 //
 // Forward lowers to GEMM via im2col: out[O, P] = W[O, K] · cols[K, P] per
 // group. Both quantized modes quantize the weights to int8 and run an
-// integer GEMM: the exact kernel in kQuantExact mode (or when the monitor
-// forces it), the approximate-multiplier table in kQuantApprox mode
-// (Eq. 4). A stride-1 conv whose plan reads the padded int8 input plane
+// integer GEMM through a multiplier table: the approximate multiplier's in
+// kQuantApprox mode (Eq. 4), the exact table in kQuantExact mode (or when
+// the monitor forces it; weights wider than 4 bits run the exact kernel on
+// raw bytes). A stride-1 conv whose plan reads the padded int8 input plane
 // (kernels::GemmPlan::reads_plane: the closed-form kernel, whole-row
 // strips) quantizes its input into that plane (quantize_plane) and runs
 // the GEMM from it, lowering columns only for a training forward's
@@ -73,8 +74,8 @@ public:
   /// Override the quantization bit-widths before calibration (paper outlook:
   /// "extended for lower bitwidth quantization"). A multiplier table
   /// requires weight_bits <= 4 (the LUT's 4-bit operand); quantized-exact
-  /// execution accepts any width in [2, 8] (the exact kernel multiplies raw
-  /// int8 bytes).
+  /// execution accepts any width in [2, 8] (wider than 4 bits, the exact
+  /// kernel multiplies raw int8 bytes).
   void set_bit_widths(int weight_bits, int activation_bits);
   int weight_bits() const { return wgt_bits_; }
   int activation_bits() const { return act_bits_; }

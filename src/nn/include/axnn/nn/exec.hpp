@@ -7,13 +7,13 @@
 //                 and caches calibration inputs for MinPropQE.
 //   kQuantExact : 8A4W quantized forward with exact arithmetic
 //                 (quantization stage, the frozen KD teacher): the int8 GEMM
-//                 on the exact kernel. Power-of-two steps and no zero point
-//                 make it equal the fake-quantized float GEMM while partial
-//                 sums stay below 2^24 units of s_x·s_w.
+//                 through the exact table. Power-of-two steps and no zero
+//                 point make it equal the fake-quantized float GEMM while
+//                 partial sums stay below 2^24 units of s_x·s_w.
 //   kQuantApprox: 8A4W forward where every conv/FC GEMM multiplies through
 //                 an approximate-multiplier table (approximation stage).
 //                 Both quantized modes run the same int8 path; only the
-//                 kernel differs.
+//                 table differs.
 #pragma once
 
 #include "axnn/approx/signed_lut.hpp"
@@ -57,8 +57,8 @@ struct ExecContext {
   const PlanResolution* plan = nullptr;
   /// Optional forward monitor (axnn/nn/monitor.hpp): when set, quantized
   /// conv/FC leaves report their pre-quantization activations and integer
-  /// GEMMs to it, and let it repair accumulators or force the exact integer
-  /// kernel. Non-const: monitors accumulate detection state across passes.
+  /// GEMMs to it, and let it repair accumulators or force exact products.
+  /// Non-const: monitors accumulate detection state across passes.
   /// The monitor must outlive the context. Null costs nothing.
   ForwardMonitor* monitor = nullptr;
   /// Set by the outermost Sequential after it calls faults->begin_pass(), so

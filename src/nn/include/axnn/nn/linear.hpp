@@ -1,8 +1,8 @@
 // axnn — fully-connected layer with a float and a quantized execution path.
 //
 // Same execution model as Conv2d: y[N, O] = x[N, F] · W[O, F]ᵀ + b, lowered
-// in both quantized modes to the int8 GEMM W · xᵀ (exact kernel for
-// kQuantExact, the multiplier table for kQuantApprox). Per-layer multiplier
+// in both quantized modes to the int8 GEMM W · xᵀ (the exact table for
+// kQuantExact, the multiplier's for kQuantApprox). Per-layer multiplier
 // / adder / mode / GE-fit heterogeneity resolves through plan_leaf_exec
 // (axnn/nn/plan.hpp), exactly as in Conv2d.
 #pragma once

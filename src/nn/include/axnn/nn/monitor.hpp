@@ -4,7 +4,7 @@
 // while a network executes: it sees the pre-quantization activations of
 // every leaf, every integer GEMM the leaf dispatches (operands and
 // accumulators), and may rewrite an accumulator block in place (repair) or
-// demand the exact integer kernel for a leaf (degradation). The interface
+// demand exact products for a leaf (degradation). The interface
 // lives in nn so the layers need no knowledge of who is watching; the
 // concrete implementation is axnn::sentinel::Sentinel (ABFT checksums +
 // activation range guards, see DESIGN.md §5f).
@@ -23,8 +23,9 @@
 //     itself is the same whether or not one watches.
 //   * force_exact is asked only by leaves that would otherwise multiply
 //     through a table without an adder, once per pass, after on_leaf_input
-//     and before the leaf picks its lowering: a leaf forced exact runs the
-//     exact kernel on columns, like every exact leaf.
+//     and before the leaf picks its lowering: a leaf forced exact runs like
+//     every exact leaf, through the exact table (from its plane where the
+//     plan reads it).
 //   * A monitor must not change any tensor it is handed except `c`, and a
 //     repair must leave `c` a valid [m, n] int32 accumulator block.
 #pragma once
@@ -50,8 +51,8 @@ public:
   virtual ~ForwardMonitor() = default;
 
   /// Quantized passes ask this before dispatching the leaf's GEMM: true
-  /// forces the exact integer kernel for this pass (a degraded leaf keeps
-  /// running, just without the approximate multiplier).
+  /// forces exact products for this pass (a degraded leaf keeps running,
+  /// just without the approximate multiplier).
   virtual bool force_exact(const Layer& leaf) = 0;
 
   /// Pre-quantization activations of one leaf (range guard). `x` is the
@@ -60,11 +61,10 @@ public:
   virtual void on_leaf_input(const Layer& leaf, const Tensor& x) = 0;
 
   /// One integer GEMM group C[m,n] = W[m,k] · X[k,n] just executed.
-  /// `approx` tells whether the LUT kernel ran (false = exact integer
-  /// kernel: a kQuantExact leaf, or one forced exact); `tab` is the LUT
-  /// used (null when exact); `group` is the conv group index (0 for
-  /// Linear). The monitor may rewrite `c` in place; return true when it
-  /// did.
+  /// `approx` tells whether the approximate multiplier ran (false = exact
+  /// products: a kQuantExact leaf, or one forced exact); `tab` is its table
+  /// (null when exact); `group` is the conv group index (0 for Linear). The
+  /// monitor may rewrite `c` in place; return true when it did.
   virtual bool on_leaf_gemm(const Layer& leaf, int64_t group, bool approx,
                             const int8_t* w, const int8_t* x, int32_t* c, int64_t m,
                             int64_t k, int64_t n, const approx::SignedMulTable* tab) = 0;
@@ -75,13 +75,14 @@ public:
   /// default keeps columns: every GEMM reaches on_leaf_gemm.
   virtual bool takes_planes() const { return false; }
 
-  /// on_leaf_gemm for an approximate single-group conv GEMM whose X[k, n]
-  /// is the im2col lowering of `x` (kernels::ConvPlane), read through
-  /// `tab`. Called only when takes_planes(); may rewrite `c` likewise.
-  virtual bool on_leaf_plane_gemm(const Layer& /*leaf*/, const int8_t* /*w*/,
+  /// on_leaf_gemm for a single-group conv GEMM whose X[k, n] is the im2col
+  /// lowering of `x` (kernels::ConvPlane), exact or approximate with `tab`
+  /// as on_leaf_gemm. Called only when takes_planes(); may rewrite `c`
+  /// likewise.
+  virtual bool on_leaf_plane_gemm(const Layer& /*leaf*/, bool /*approx*/, const int8_t* /*w*/,
                                   const kernels::ConvPlane& /*x*/, int32_t* /*c*/,
                                   int64_t /*m*/, int64_t /*k*/, int64_t /*n*/,
-                                  const approx::SignedMulTable& /*tab*/) {
+                                  const approx::SignedMulTable* /*tab*/) {
     return false;
   }
 };

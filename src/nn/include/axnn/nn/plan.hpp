@@ -209,7 +209,7 @@ struct LeafExec {
 /// plans entirely); per-layer GE fits apply only to training contexts,
 /// mirroring the uniform flow where only the student context carries a fit.
 /// A leaf that resolves to any mode but kQuantApprox gets no table, adder or
-/// fit: a kQuantExact leaf runs the exact integer kernel.
+/// fit: a kQuantExact leaf multiplies exactly.
 LeafExec plan_leaf_exec(const ExecContext& ctx, const Layer& leaf);
 
 }  // namespace axnn::nn

@@ -160,12 +160,12 @@ Tensor Conv2d::forward(const Tensor& x, const ExecContext& ctx) {
       detail::check_leaf_exec(ex, wgt_qp_.bits, "Conv2d");
       if (ctx.monitor != nullptr) ctx.monitor->on_leaf_input(*this, x);
       // A conv whose plan reads the padded plane runs its GEMM from it and
-      // lowers columns only for a consumer; every other conv lowers them,
-      // an exact one (forced exact included) too.
+      // lowers columns only for a consumer; every other conv lowers them.
       const bool exact = detail::runs_exact(*this, ex, ctx.monitor);
+      const approx::SignedMulTable* tab = detail::gemm_table(ex, exact, wgt_qp_.bits);
       kernels::ConvPlane plane{nullptr, geom_.n, geom_.c, geom_.h + 2 * geom_.padding,
                                geom_.w + 2 * geom_.padding, geom_.kernel, geom_.stride};
-      const bool from_plane = !exact && detail::reads_plane(ex, plan_memo_, og, kg, p, plane);
+      const bool from_plane = detail::reads_plane(ex, tab, plan_memo_, og, kg, p, plane);
       TensorI8 qcols, planes;
       if (from_plane)
         planes = quantize_plane(x, geom_, act_qp_,
@@ -175,8 +175,9 @@ Tensor Conv2d::forward(const Tensor& x, const ExecContext& ctx) {
       plane.data = planes.data();
       const TensorI8 qw = quantize_i8(weight_.value, wgt_qp_);
       TensorI32 acc(Shape{o, p});
-      detail::leaf_gemm(*this, ex, exact, ctx.monitor, plan_memo_, obs_path_, grp, qw.data(),
-                        qcols.data(), acc.data(), og, kg, p, from_plane ? &plane : nullptr);
+      detail::leaf_gemm(*this, ex, exact, tab, ctx.monitor, plan_memo_, obs_path_, grp,
+                        qw.data(), qcols.data(), acc.data(), og, kg, p,
+                        from_plane ? &plane : nullptr);
       if (ctx.training) {
         // The STE backward (Eq. 5) uses the *exact* GEMM of the quantized
         // values: keep them dequantized.

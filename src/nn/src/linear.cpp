@@ -100,9 +100,10 @@ Tensor Linear::forward(const Tensor& x, const ExecContext& ctx) {
       for (int64_t i = 0; i < n; ++i)
         for (int64_t j = 0; j < in_; ++j) qxt(j, i) = qx(i, j);
       TensorI32 acc(Shape{out_, n});
-      detail::leaf_gemm(*this, ex, detail::runs_exact(*this, ex, ctx.monitor), ctx.monitor,
-                        plan_memo_, obs_path_, 1, qw.data(), qxt.data(), acc.data(), out_, in_,
-                        n);
+      const bool exact = detail::runs_exact(*this, ex, ctx.monitor);
+      detail::leaf_gemm(*this, ex, exact, detail::gemm_table(ex, exact, wgt_qp_.bits),
+                        ctx.monitor, plan_memo_, obs_path_, 1, qw.data(), qxt.data(), acc.data(),
+                        out_, in_, n);
 
       const float s = act_qp_.step * wgt_qp_.step;
       Tensor y(Shape{n, out_});

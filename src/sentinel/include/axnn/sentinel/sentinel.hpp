@@ -15,12 +15,13 @@
 //     The right-hand side is a kernels::GemmChecksum built at calibration
 //     and evaluated by kernels::table_checksum: one closed-form row per
 //     ≤ 16 golden rows for exact and truncated tables, 256-entry rows S_k
-//     for every other table. The sentinel takes ForwardMonitor's plane
-//     hook: a conv that ran its GEMM from its padded int8 plane is checked,
-//     and repaired, from that plane, and lowers no columns for it. An exact
-//     GEMM (kQuantExact leaves, `mode=exact` plan entries, leaves forced
-//     exact) runs on columns and checks
-//     Σ_m C[m,n] = Σ_k (Σ_m W[m,k])·X[k,n].
+//     for every other table. An exact GEMM (kQuantExact leaves,
+//     `mode=exact` plan entries, leaves forced exact) checks against the
+//     closed-form checksum under the exact table. The sentinel takes
+//     ForwardMonitor's plane hook: a conv that ran its GEMM from its padded
+//     int8 plane, exact or approximate, is checked, and repaired, from that
+//     plane, and lowers no columns for it. Every checksum reads 4-bit
+//     weight operands, so calibration rejects wider weights.
 //   * Activation range guards (Ranger-style). Each leaf's pre-quantization
 //     inputs are checked against the bound and clip statistics the
 //     quantizer's RangeObserver gathered during calibration, on |x|'s bit
@@ -33,8 +34,8 @@
 // arithmetic is the wrong repair target there). A leaf that keeps violating
 // is degraded: under kGoldenTable every later pass recomputes from golden
 // state; under kExact force_exact() starts returning true, so the leaf runs
-// the exact integer kernel and every later pass is still checked (and
-// repaired from the golden weights). Every detection lands in obs
+// exact products and every later pass is still checked (and repaired from
+// the golden weights). Every detection lands in obs
 // events/metrics and in the structured SentinelReport.
 //
 // Thread safety: calibrate once, then concurrent forward passes may share
@@ -72,8 +73,9 @@ struct DegradationPolicy {
   ///     sign (bench_sentinel_coverage measures a trunc5-fine-tuned
   ///     ResNet20 at ~25% accuracy under the exact multiplier vs ~88%
   ///     under clean trunc5).
-  ///   * kExact: the exact integer kernel; on degradation the leaf is
-  ///     forced to exact execution (force_exact) in uniform and plan runs
+  ///   * kExact: golden weights through the pristine exact table; on
+  ///     degradation the leaf is forced to exact execution (force_exact) in
+  ///     uniform and plan runs
   ///     alike. Right for models that were never fine-tuned under the
   ///     approximate multiplier, where exact execution is the gold standard.
   enum class RepairMode { kGoldenTable, kExact };
@@ -126,10 +128,11 @@ public:
   explicit Sentinel(SentinelConfig cfg = {});
 
   /// Calibrate for a uniform run: every leaf executes the registry
-  /// multiplier `mul_id`. Captures golden weights, the checksum built from
-  /// them and the registry-pristine table, and activation bounds for
-  /// every calibrated conv/FC leaf of `root`. Throws std::logic_error on
-  /// uncalibrated leaves.
+  /// multiplier `mul_id`. Captures golden weights, the checksums built from
+  /// them under the registry-pristine table and the exact one, and
+  /// activation bounds for every calibrated conv/FC leaf of `root`. Throws
+  /// std::logic_error naming an uncalibrated leaf or one whose weights
+  /// are wider than 4 bits.
   void calibrate_uniform(nn::Layer& root, const std::string& mul_id);
 
   /// Calibrate for a heterogeneous run over the resolution's leaves:
@@ -146,9 +149,9 @@ public:
                     const approx::SignedMulTable* tab) override;
   /// The sentinel checks a plane conv from its plane: no columns lowered.
   bool takes_planes() const override { return true; }
-  bool on_leaf_plane_gemm(const nn::Layer& leaf, const int8_t* w, const kernels::ConvPlane& x,
-                          int32_t* c, int64_t m, int64_t k, int64_t n,
-                          const approx::SignedMulTable& tab) override;
+  bool on_leaf_plane_gemm(const nn::Layer& leaf, bool approx, const int8_t* w,
+                          const kernels::ConvPlane& x, int32_t* c, int64_t m, int64_t k,
+                          int64_t n, const approx::SignedMulTable* tab) override;
 
   /// Snapshot of the per-leaf statistics (depth-first model order).
   SentinelReport report() const;
@@ -173,10 +176,10 @@ private:
     double clip_limit = 0.0;    ///< tolerated clip rate
     int64_t groups = 0, rows = 0, cols = 0;  ///< one group's GEMM is [rows, cols]
     TensorI8 golden_w;          ///< quantized weights at calibration
-    std::vector<int32_t> golden_wsum;  ///< per (group, k): Σ_m W (exact-path check)
-    /// Approximate-path checksum of the golden weights under the pristine
-    /// table; empty for exact-mode leaves.
-    std::optional<kernels::GemmChecksum> checksum;
+    /// Checksums of the golden weights: under the exact table (exact GEMMs),
+    /// and under the pristine table (approximate GEMMs; empty for
+    /// exact-mode leaves).
+    std::optional<kernels::GemmChecksum> exact_checksum, checksum;
     /// Pristine multiplier table rebuilt from the registry at calibration
     /// (kGoldenTable repairs); null for exact-mode leaves.
     const approx::SignedMulTable* golden_tab = nullptr;
@@ -203,6 +206,8 @@ private:
   std::unordered_map<const nn::Layer*, LeafState> leaves_;
   /// Registry-pristine tables shared by leaves, keyed by multiplier id.
   std::map<std::string, approx::SignedMulTable> golden_tabs_;
+  /// golden_tabs_'s "exact": exact checksums and kExact repairs.
+  const approx::SignedMulTable* exact_tab_ = nullptr;
   mutable std::mutex mu_;
 };
 

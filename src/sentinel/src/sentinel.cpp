@@ -115,7 +115,7 @@ void SentinelReport::merge(const SentinelReport& other) {
   }
 }
 
-Sentinel::Sentinel(SentinelConfig cfg) : cfg_(cfg) {}
+Sentinel::Sentinel(SentinelConfig cfg) : cfg_(cfg) { exact_tab_ = golden_table_for("exact"); }
 
 void Sentinel::calibrate_leaf(const nn::GemmLeaf& leaf, const std::string* mul_id) {
   LeafState st;
@@ -125,6 +125,7 @@ void Sentinel::calibrate_leaf(const nn::GemmLeaf& leaf, const std::string* mul_i
 
   const quant::RangeObserver* ob = nullptr;
   quant::QuantParams act_qp;
+  int wgt_bits = 0;
   if (auto* cv = dynamic_cast<nn::Conv2d*>(leaf.layer)) {
     if (!cv->calibrated())
       throw std::logic_error("Sentinel: leaf '" + leaf.path +
@@ -133,6 +134,7 @@ void Sentinel::calibrate_leaf(const nn::GemmLeaf& leaf, const std::string* mul_i
     st.rows = cv->config().out_channels / st.groups;
     st.cols = leaf.dot_length;
     st.golden_w = nn::quantize_i8(cv->weight().value, cv->weight_qparams());
+    wgt_bits = cv->weight_qparams().bits;
     ob = &cv->act_observer();
     act_qp = cv->act_qparams();
   } else if (auto* fc = dynamic_cast<nn::Linear*>(leaf.layer)) {
@@ -143,11 +145,15 @@ void Sentinel::calibrate_leaf(const nn::GemmLeaf& leaf, const std::string* mul_i
     st.rows = fc->out_features();
     st.cols = fc->in_features();
     st.golden_w = nn::quantize_i8(fc->weight().value, fc->weight_qparams());
+    wgt_bits = fc->weight_qparams().bits;
     ob = &fc->act_observer();
     act_qp = fc->act_qparams();
   } else {
     throw std::logic_error("Sentinel: leaf '" + leaf.path + "' is neither Conv2d nor Linear");
   }
+  if (wgt_bits > 4)
+    throw std::logic_error("Sentinel: leaf '" + leaf.path + "' has " + std::to_string(wgt_bits) +
+                           "-bit weights; its checksums read 4-bit weight operands");
   const double qrange = static_cast<double>(act_qp.range());
   const double range_bound =
       ob->seen() ? std::max(static_cast<double>(ob->max_abs()), qrange) : qrange;
@@ -160,16 +166,7 @@ void Sentinel::calibrate_leaf(const nn::GemmLeaf& leaf, const std::string* mul_i
   const double clip = ob->seen() ? ob->clip_fraction(act_qp) : 0.0;
   st.clip_limit = std::min(0.5, kClipScale * clip + kClipFloor);
 
-  st.golden_wsum.assign(static_cast<size_t>(st.groups * st.cols), 0);
-  for (int64_t g = 0; g < st.groups; ++g) {
-    const int8_t* wg = st.golden_w.data() + g * st.rows * st.cols;
-    for (int64_t kk = 0; kk < st.cols; ++kk) {
-      int32_t s = 0;
-      for (int64_t i = 0; i < st.rows; ++i) s += wg[i * st.cols + kk];
-      st.golden_wsum[static_cast<size_t>(g * st.cols + kk)] = s;
-    }
-  }
-
+  st.exact_checksum.emplace(st.golden_w.data(), st.groups, st.rows, st.cols, *exact_tab_);
   if (mul_id != nullptr) {
     st.golden_tab = golden_table_for(*mul_id);
     st.checksum.emplace(st.golden_w.data(), st.groups, st.rows, st.cols, *st.golden_tab);
@@ -291,27 +288,25 @@ void Sentinel::on_leaf_input(const nn::Layer& leaf, const Tensor& x) {
 void Sentinel::repair(const LeafState& st, int64_t group, bool approx, const Operand& x,
                       int32_t* c, int64_t n) const {
   // kGoldenTable restores the clean approximate result (golden weights +
-  // registry-pristine table); kExact — or an exact-path GEMM — re-executes
-  // the golden weights with the exact kernel. From a plane, the pristine
+  // registry-pristine table); kExact — or an exact GEMM — re-executes the
+  // golden weights through the pristine exact table. From a plane, the
   // table's closed-form plan reads it as the runtime plan did; every other
   // plane repair runs on columns lowered from it.
   const int8_t* gw = st.golden_w.data() + group * st.rows * st.cols;
   const bool golden = approx && cfg_.policy.repair == DegradationPolicy::RepairMode::kGoldenTable;
+  const approx::SignedMulTable& tab = golden ? *st.golden_tab : *exact_tab_;
   const int8_t* cols = x.cols;
   std::vector<int8_t, PoolAllocator<int8_t>> lowered;
   if (x.plane != nullptr) {
-    if (golden && kernels::approx_reads_plane(*x.plane, st.rows, st.cols, n, *st.golden_tab)) {
-      kernels::gemm_approx_plane(gw, *x.plane, c, st.rows, st.cols, n, *st.golden_tab);
+    if (kernels::approx_reads_plane(*x.plane, st.rows, st.cols, n, tab)) {
+      kernels::gemm_approx_plane(gw, *x.plane, c, st.rows, st.cols, n, tab);
       return;
     }
     lowered.resize(static_cast<size_t>(st.cols * n));
     nn::plane_im2col(*x.plane, lowered.data());
     cols = lowered.data();
   }
-  if (golden)
-    kernels::gemm_approx({}, gw, cols, c, st.rows, st.cols, n, *st.golden_tab);
-  else
-    kernels::gemm_exact({}, gw, cols, c, st.rows, st.cols, n);
+  kernels::gemm_approx({}, gw, cols, c, st.rows, st.cols, n, tab);
 }
 
 bool Sentinel::on_leaf_gemm(const nn::Layer& leaf, int64_t group, bool approx,
@@ -320,10 +315,10 @@ bool Sentinel::on_leaf_gemm(const nn::Layer& leaf, int64_t group, bool approx,
   return check(leaf, group, approx, Operand{x, nullptr}, c, m, k, n);
 }
 
-bool Sentinel::on_leaf_plane_gemm(const nn::Layer& leaf, const int8_t* /*w*/,
+bool Sentinel::on_leaf_plane_gemm(const nn::Layer& leaf, bool approx, const int8_t* /*w*/,
                                   const kernels::ConvPlane& x, int32_t* c, int64_t m, int64_t k,
-                                  int64_t n, const approx::SignedMulTable& /*tab*/) {
-  return check(leaf, 0, true, Operand{nullptr, &x}, c, m, k, n);
+                                  int64_t n, const approx::SignedMulTable* /*tab*/) {
+  return check(leaf, 0, approx, Operand{nullptr, &x}, c, m, k, n);
 }
 
 bool Sentinel::check(const nn::Layer& leaf, int64_t group, bool approx, const Operand& x,
@@ -362,20 +357,11 @@ bool Sentinel::check(const nn::Layer& leaf, int64_t group, bool approx, const Op
     const int32_t* row = c + i * n;
     for (int64_t j = 0; j < n; ++j) colsum[j] += row[j];
   }
-  if (approx) {
-    if (x.plane != nullptr)
-      kernels::table_checksum(*st.checksum, group, *x.plane, sums);
-    else
-      kernels::table_checksum(*st.checksum, group, x.cols, n, sums);
-  } else {
-    // Exact GEMMs run on columns: Σ_k (Σ_m W[m,k])·X[k,n].
-    const int32_t* ws = st.golden_wsum.data() + group * k;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      if (ws[kk] == 0) continue;
-      const int8_t* xr = x.cols + kk * n;
-      for (int64_t j = 0; j < n; ++j) sums[j] += static_cast<int64_t>(ws[kk]) * xr[j];
-    }
-  }
+  const kernels::GemmChecksum& checksum = approx ? *st.checksum : *st.exact_checksum;
+  if (x.plane != nullptr)
+    kernels::table_checksum(checksum, group, *x.plane, sums);
+  else
+    kernels::table_checksum(checksum, group, x.cols, n, sums);
   int64_t worst = 0;
   for (int64_t j = 0; j < n; ++j) worst = std::max(worst, std::abs(colsum[j] - sums[j]));
 

@@ -350,9 +350,9 @@ TEST(BackendConfig, PlansBindKernelByShape) {
 
   // Int plans: a truncated table (trunc5) binds the closed-form kernel at
   // every M on AVX2; any other approx table (evoa228) binds the vector strip
-  // kernels from 4 output rows up and the scalar slices kernel below; exact
-  // binds the vector kernels at every M. The scalar ISA binds the scalar
-  // kernels everywhere.
+  // kernels from 4 output rows up and the scalar slices kernel below. Exact
+  // int plans (weights wider than 4 bits) bind the scalar kernel at every M
+  // on every ISA, and the scalar ISA binds the scalar kernels everywhere.
   const approx::SignedMulTable trunc5(axmul::make_lut("trunc5"));
   const approx::SignedMulTable evoa228(axmul::make_lut("evoa228"));
   const kernels::Isa isa = kernels::active_isa();
@@ -367,10 +367,10 @@ TEST(BackendConfig, PlansBindKernelByShape) {
     for (int64_t m : {1, 2, 3, 4, 64}) {
       const kernels::PlanHandle plan = kernels::PlanCache::global().acquire(
           kernels::make_int_key(o.op, {}, m, 36, 256, Backend::kBlocked, o.tab), o.tab);
-      const int64_t min_rows = o.op == kernels::OpKind::kApprox ? 4 : 1;
+      const bool approx = o.op == kernels::OpKind::kApprox;
       const kernels::MicroKernel want =
           o.tab == &trunc5 && isa == kernels::Isa::kAvx2 ? kernels::MicroKernel::kTruncInt
-          : vector_isa && m >= min_rows                  ? kernels::MicroKernel::kVectorInt
+          : approx && vector_isa && m >= 4               ? kernels::MicroKernel::kVectorInt
                                                          : kernels::MicroKernel::kScalarInt;
       EXPECT_EQ(want, plan->kernel())
           << kernels::op_kind_name(o.op) << " " << (o.tab ? o.tab->name() : "") << " m=" << m;

@@ -554,9 +554,11 @@ TEST(InferenceForward, Conv2dMatchesTrainingForwardBitwise) {
 }
 
 /// Keeps what every on_leaf_gemm hands it: the columns X[k, n] and the
-/// accumulators C[m, n] of each GEMM group.
+/// accumulators C[m, n] of each GEMM group. With `planes` it takes planes
+/// and counts the plane hooks instead.
 class RecordingMonitor final : public ForwardMonitor {
 public:
+  explicit RecordingMonitor(bool planes = false) : planes_(planes) {}
   bool force_exact(const Layer&) override { return false; }
   void on_leaf_input(const Layer&, const Tensor&) override {}
   bool on_leaf_gemm(const Layer&, int64_t, bool, const int8_t*, const int8_t* x, int32_t* c,
@@ -565,8 +567,19 @@ public:
     acc.insert(acc.end(), c, c + m * n);
     return false;
   }
+  bool takes_planes() const override { return planes_; }
+  bool on_leaf_plane_gemm(const Layer&, bool, const int8_t*, const kernels::ConvPlane&,
+                          int32_t*, int64_t, int64_t, int64_t,
+                          const approx::SignedMulTable*) override {
+    ++plane_gemms;
+    return false;
+  }
   std::vector<int8_t> cols;
   std::vector<int32_t> acc;
+  int plane_gemms = 0;
+
+private:
+  bool planes_;
 };
 
 struct PlaneConvCase {
@@ -599,11 +612,16 @@ TEST(Conv2d, PlaneGemmGivesTheBitsOfTheColumnsPath) {
   // The same quantized forward with and without a monitor: the monitor's
   // columns are quantize_im2col's bytes, its accumulators the naive GEMM's
   // over them, and the outputs are equal bit for bit whether or not a
-  // conv ran its GEMM from the plane.
+  // conv ran its GEMM from the plane (a monitor that takes planes gets the
+  // plane hook exactly then). The table-less case is the quantized-exact
+  // forward: it multiplies through the exact table, so its eligible convs
+  // read their plane too, and its reference is gemm_exact.
   const bool avx2 = kernels::active_isa() == kernels::Isa::kAvx2;
   int64_t plane_convs = 0;
-  for (const char* name : {"trunc5", "exact", "trunc11", "evoa228"}) {
-    const approx::SignedMulTable tab(axmul::make_lut(name));
+  for (const char* name : {"trunc5", "exact", "trunc11", "evoa228", "quant_exact"}) {
+    const bool table = std::string(name) != "quant_exact";
+    const approx::SignedMulTable tab(axmul::make_lut(table ? name : "exact"));
+    const ExecContext ctx = table ? ExecContext::quant_approx(tab) : ExecContext::quant_exact();
     const bool truncated = std::string(name) != "evoa228";
     for (const PlaneConvCase& pc : kPlaneConvCases) {
       auto [conv, x] = plane_conv(pc);
@@ -624,25 +642,33 @@ TEST(Conv2d, PlaneGemmGivesTheBitsOfTheColumnsPath) {
       ASSERT_EQ(avx2 && truncated && pc.eligible, reads);
       plane_convs += reads ? 1 : 0;
 
-      const Tensor y = conv->forward(x, ExecContext::quant_approx(tab));
-      RecordingMonitor mon;
-      ExecContext watched = ExecContext::quant_approx(tab);
+      const Tensor y = conv->forward(x, ctx);
+      RecordingMonitor mon, plane_mon(true);
+      ExecContext watched = ctx;
       watched.monitor = &mon;
       expect_bitwise_equal(y, conv->forward(x, watched));
+      watched.monitor = &plane_mon;
+      expect_bitwise_equal(y, conv->forward(x, watched));
+      EXPECT_EQ(reads ? 1 : 0, plane_mon.plane_gemms);
 
       const TensorI8 cols = quantize_im2col(x, g, conv->act_qparams());
       ASSERT_EQ(static_cast<size_t>(cols.numel()), mon.cols.size());
       ASSERT_EQ(0, std::memcmp(cols.data(), mon.cols.data(), mon.cols.size()));
       const TensorI8 qw = quantize_i8(conv->weight().value, conv->weight_qparams());
       std::vector<int32_t> naive(static_cast<size_t>(pc.cfg.out_channels * p));
-      for (int64_t gi = 0; gi < grp; ++gi)
-        kernels::gemm_approx({}, qw.data() + gi * og * kg, cols.data() + gi * kg * p,
-                             naive.data() + gi * og * p, og, kg, p, tab,
-                             kernels::Backend::kNaive);
+      for (int64_t gi = 0; gi < grp; ++gi) {
+        const int8_t* wg = qw.data() + gi * og * kg;
+        const int8_t* xg = cols.data() + gi * kg * p;
+        int32_t* cg = naive.data() + gi * og * p;
+        if (table)
+          kernels::gemm_approx({}, wg, xg, cg, og, kg, p, tab, kernels::Backend::kNaive);
+        else
+          kernels::gemm_exact({}, wg, xg, cg, og, kg, p, kernels::Backend::kNaive);
+      }
       EXPECT_EQ(naive, mon.acc);
     }
   }
-  EXPECT_EQ(avx2 ? 3 * 4 : 0, plane_convs);
+  EXPECT_EQ(avx2 ? 4 * 4 : 0, plane_convs);  // four closed-form cases, four eligible convs
 }
 
 TEST(Conv2d, PlaneGemmTrainingForwardKeepsTheDequantizedColumns) {

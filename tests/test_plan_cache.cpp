@@ -67,8 +67,6 @@ TEST(PlanKey, DistinguishesEverythingThatChangesCodegen) {
                make_int_key(OpKind::kExactInt, {}, 16, 32, 24, Backend::kBlocked, nullptr));
   EXPECT_FALSE(base ==
                make_int_key(OpKind::kApprox, {}, 16, 32, 24, Backend::kNaive, &tab));
-  EXPECT_FALSE(base == make_int_key(OpKind::kApprox, {}, 16, 32, 24, Backend::kBlocked,
-                                    &tab, /*weight_bits=*/3));
   GemmDesc acc;
   acc.accumulate = true;
   EXPECT_FALSE(base == make_int_key(OpKind::kApprox, acc, 16, 32, 24, Backend::kBlocked, &tab));

@@ -186,12 +186,21 @@ TEST_F(SentinelFixture, ExactRepairModeDegradesToExactKernel) {
   (void)net_->forward(batch_, nn::ExecContext::quant_approx(bad).with_monitor(s));
   ASSERT_EQ(s.report().degraded_leaves(), 3) << s.report().summary();
 
-  // kExact degradation forces the leaves through the exact integer kernel:
-  // the second pass is bit-identical to an exact-multiplier forward.
+  // kExact degradation forces the leaves through the exact table: the
+  // second pass is bit-identical to an exact-multiplier forward, and its
+  // exact GEMMs, which the LUT fault does not reach, pass the exact
+  // checksum.
   const approx::SignedMulTable exact(axmul::make_lut("exact"));
   const Tensor want = net_->forward(batch_, nn::ExecContext::quant_approx(exact));
+  const SentinelReport before = s.report();
   const Tensor y2 = net_->forward(batch_, nn::ExecContext::quant_approx(bad).with_monitor(s));
   expect_bit_identical(want, y2);
+  const SentinelReport after = s.report();
+  for (size_t i = 0; i < after.leaves.size(); ++i) {
+    EXPECT_GT(after.leaves[i].gemm_checks, before.leaves[i].gemm_checks) << after.leaves[i].path;
+    EXPECT_EQ(after.leaves[i].abft_violations, before.leaves[i].abft_violations)
+        << after.leaves[i].path;
+  }
 }
 
 TEST_F(SentinelFixture, WeightFaultsRepairedFromGoldenCopy) {
@@ -339,11 +348,11 @@ public:
     return s_.on_leaf_gemm(l, group, approx, w, x, c, m, k, n, tab);
   }
   bool takes_planes() const override { return planes_; }
-  bool on_leaf_plane_gemm(const nn::Layer& l, const int8_t* w, const kernels::ConvPlane& x,
-                          int32_t* c, int64_t m, int64_t k, int64_t n,
-                          const approx::SignedMulTable& tab) override {
+  bool on_leaf_plane_gemm(const nn::Layer& l, bool approx, const int8_t* w,
+                          const kernels::ConvPlane& x, int32_t* c, int64_t m, int64_t k,
+                          int64_t n, const approx::SignedMulTable* tab) override {
     ++planes[&l];
-    return s_.on_leaf_plane_gemm(l, w, x, c, m, k, n, tab);
+    return s_.on_leaf_plane_gemm(l, approx, w, x, c, m, k, n, tab);
   }
   std::map<const nn::Layer*, int> cols, planes;
 
@@ -408,10 +417,10 @@ TEST_F(SentinelFixture, PlaneConvIsCheckedFromItsPlaneWithoutColumns) {
 
 TEST(SentinelPlaneConv, WeightFaultRepairedUnderBothPoliciesAndOnceDegraded) {
   // A weight fault on the plane conv is detected from the plane and
-  // repaired bit-identically: from the plane through the pristine table
-  // under kGoldenTable (before and after degradation), and with the exact
-  // kernel under kExact, whose degraded leaf is forced exact, lowers
-  // columns and stays checked.
+  // repaired bit-identically from the plane: through the pristine table
+  // under kGoldenTable (before and after degradation), and through the exact
+  // table under kExact, whose degraded leaf is forced exact, keeps reading
+  // its plane and stays checked from it.
   const data::SyntheticCifar data = micro_data();
   const Tensor batch = data.test.slice(0, 24).first;
   const approx::SignedMulTable tab(axmul::make_lut("trunc5"));
@@ -436,15 +445,22 @@ TEST(SentinelPlaneConv, WeightFaultRepairedUnderBothPoliciesAndOnceDegraded) {
     cfg.policy.degrade_after = 2;
     Sentinel s(cfg);
     s.calibrate_uniform(*net, "trunc5");
+    HookProbe probe(s, true);
+    // A repair from the plane lowers no columns: no repaired pass takes
+    // more pool buffers than a fault-free one.
+    buffer_pool_reset_stats();
+    (void)net->forward(batch, ctx.with_monitor(probe));
+    const int64_t clean_buffers = buffer_pool_stats().hits + buffer_pool_stats().misses;
     corrupt_first_conv_weights(*net);
     ASSERT_TRUE(any_element_differs(want, net->forward(batch, ctx)));  // the fault bites
 
-    HookProbe probe(s, true);
     for (int pass = 0; pass < 4; ++pass) {
       SCOPED_TRACE(::testing::Message() << "pass " << pass);
       const int planes_before = probe.planes[conv0], cols_before = probe.cols[conv0];
       const SentinelReport before = s.report();
+      buffer_pool_reset_stats();
       expect_bit_identical(want, net->forward(batch, ctx.with_monitor(probe)));
+      EXPECT_LE(buffer_pool_stats().hits + buffer_pool_stats().misses, clean_buffers);
       const LeafStats l0 = s.report().leaves.at(0);
       EXPECT_EQ(l0.degraded, pass >= 1);
       EXPECT_EQ(l0.reexecs, before.leaves.at(0).reexecs + 1);
@@ -452,10 +468,10 @@ TEST(SentinelPlaneConv, WeightFaultRepairedUnderBothPoliciesAndOnceDegraded) {
       // recomputes from golden state unchecked.
       EXPECT_EQ(l0.abft_violations, before.leaves.at(0).abft_violations +
                                         (golden && pass >= 2 ? 0 : 1));
-      // A kExact-degraded leaf is forced exact: columns and the exact kernel.
-      const bool forced = !golden && pass >= 2;
-      EXPECT_EQ(probe.planes[conv0] - planes_before, forced ? 0 : 1);
-      EXPECT_EQ(probe.cols[conv0] - cols_before, forced ? 1 : 0);
+      // A kExact-degraded leaf is forced exact: the exact table's closed
+      // form reads the same plane, so every pass reaches the plane hook.
+      EXPECT_EQ(probe.planes[conv0] - planes_before, 1);
+      EXPECT_EQ(probe.cols[conv0] - cols_before, 0);
     }
   }
 }
@@ -658,6 +674,33 @@ TEST(SentinelCalibration, UncalibratedModelThrows) {
   auto net = micro_net();
   Sentinel s;
   EXPECT_THROW(s.calibrate_uniform(*net, "exact"), std::logic_error);
+}
+
+TEST(SentinelCalibration, WeightsWiderThanFourBitsThrowNamingTheLeaf) {
+  // Every checksum reads 4-bit weight operands, so a leaf quantized to 5
+  // bits cannot be checked, not even as a `mode=exact` plan leaf.
+  const data::SyntheticCifar data = micro_data();
+  auto net = micro_net();
+  const std::string first = nn::enumerate_gemm_leaves(*net).at(0).path;
+  dynamic_cast<nn::Conv2d&>(*nn::enumerate_gemm_leaves(*net).at(0).layer).set_bit_widths(5, 8);
+  train::calibrate_model(*net, data.train, 60, 30, quant::Calibration::kMinPropQE);
+  const nn::PlanResolution res =
+      nn::NetPlan::parse("default=trunc5; " + first + "=trunc5:w5:mode=exact").resolve(*net);
+  for (const bool uniform : {true, false}) {
+    SCOPED_TRACE(uniform ? "calibrate_uniform" : "calibrate_plan");
+    Sentinel s;
+    try {
+      if (uniform)
+        s.calibrate_uniform(*net, "exact");
+      else
+        s.calibrate_plan(res);
+      ADD_FAILURE() << "no std::logic_error";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + first + "' has 5-bit weights"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // --- SentinelReport::merge edge cases --------------------------------------
