@@ -14,11 +14,16 @@
 // additionally writes BENCH_micro_gemm.json in the harness report shape.
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "axnn/approx/kernels.hpp"
@@ -362,6 +367,12 @@ BENCHMARK(BM_ConvLeafResNet20)
     ->ArgsProduct({{0, 1, 2, 3}, {0, 1}})
     ->ArgNames({"shape", "plane"});
 
+/// The input with every negative element set to zero, as a ReLU leaves it.
+Tensor relu(Tensor x) {
+  for (int64_t i = 0; i < x.numel(); ++i) x[i] = std::max(x[i], 0.0f);
+  return x;
+}
+
 // The sentinel's table checksum Σ_k S_k(X[k, n]) on the same four leaves at
 // batch 8. Tiers 0-2 gather from one distinct random 256-entry row per
 // k-step (what tables without a closed form use): tier 0 the scalar tier on
@@ -369,14 +380,20 @@ BENCHMARK(BM_ConvLeafResNet20)
 // straight from the padded plane. Tiers 3 and 4 run the closed form the
 // sentinel builds for the leaf's weights under trunc5 (one coefficient row
 // of ≤ 16 weight rows) on the GEMM's AVX2 row blocks: tier 3 on columns,
-// tier 4 from the plane (what a plane conv's check runs).
+// tier 4 from the plane (what a plane conv's column check runs). Tiers 5
+// and 6 run the row check of the same checksum on the ReLU'd input (what
+// every leaf fed by a ReLU runs): tier 5 from the plane, tier 6 from
+// columns. The stem (shape 0) reads signed pixels, so the row check
+// declines there: those two are reported skipped.
 void BM_SentinelChecksumResNet20(benchmark::State& state) {
-  const ConvLeafOperands op(kResNet20Stride1[state.range(0)], 8, 14);
+  ConvLeafOperands op(kResNet20Stride1[state.range(0)], 8, 14);
   const int64_t tier = state.range(1);
   if (tier > 0 && kernels::active_isa() != kernels::Isa::kAvx2) {
     state.SkipWithError("no AVX2 tier on this machine");
     return;
   }
+  const bool row_check = tier >= 5, stem = state.range(0) == 0;
+  if (row_check && !stem) op.x = relu(op.x);
   const quant::QuantParams p{1.0f / 32.0f, 8};
   TensorI8 cols;
   const TensorI8 planes = nn::quantize_plane(op.x, op.g, p, &cols);
@@ -389,13 +406,27 @@ void BM_SentinelChecksumResNet20(benchmark::State& state) {
   const kernels::GemmChecksum closed(op.w.data(), 1, op.m, op.k,
                                      approx::SignedMulTable(axmul::make_lut("trunc5")));
   std::vector<int64_t> sums(static_cast<size_t>(op.n));
+  if (row_check && stem) {
+    if (kernels::row_checksum(closed, 0, op.plane(planes), sums.data()))
+      state.SkipWithError("the row check accepted the stem's signed input");
+    else
+      state.SkipWithError("stem: signed input, the row check declines");
+    return;
+  }
   const kernels::Isa isa = kernels::active_isa();
   if (tier == 0) kernels::set_isa(kernels::Isa::kScalar);
-  const char* const labels[] = {" scalar cols", " avx2 cols", " avx2 plane",
-                                " avx2 closed-form cols", " avx2 closed-form plane"};
+  const char* const labels[] = {" scalar cols",           " avx2 cols",
+                                " avx2 plane",            " avx2 closed-form cols",
+                                " avx2 closed-form plane", " avx2 row-check plane",
+                                " avx2 row-check cols"};
   state.SetLabel(std::to_string(op.k) + "x" + std::to_string(op.n) + labels[tier]);
   for (auto _ : state) {
-    if (tier == 4)
+    if (tier == 6)
+      benchmark::DoNotOptimize(
+          kernels::row_checksum(closed, 0, cols.data(), op.n, sums.data()));
+    else if (tier == 5)
+      benchmark::DoNotOptimize(kernels::row_checksum(closed, 0, op.plane(planes), sums.data()));
+    else if (tier == 4)
       kernels::table_checksum(closed, 0, op.plane(planes), sums.data());
     else if (tier == 3)
       kernels::table_checksum(closed, 0, cols.data(), op.n, sums.data());
@@ -410,7 +441,7 @@ void BM_SentinelChecksumResNet20(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * op.k * op.n);
 }
 BENCHMARK(BM_SentinelChecksumResNet20)
-    ->ArgsProduct({{0, 1, 2, 3}, {0, 1, 2, 3, 4}})
+    ->ArgsProduct({{0, 1, 2, 3}, {0, 1, 2, 3, 4, 5, 6}})
     ->ArgNames({"shape", "tier"});
 
 void BM_FakeQuantize(benchmark::State& state) {
@@ -483,11 +514,32 @@ void BM_GemmApproxLutResNet20Telemetry(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmApproxLutResNet20Telemetry)->Arg(0)->Arg(1)->ArgNames({"backend"});
 
+/// Whether console output is coloured, as google-benchmark decides it for
+/// its own console reporter: --benchmark_color=auto (the default) colours
+/// only a terminal, any other value is read as a boolean. Read here because
+/// benchmark::Initialize consumes the flag.
+bool console_color(int argc, char** argv) {
+  std::string value = "auto";
+  constexpr std::string_view kFlag = "--benchmark_color=";
+  for (int i = 1; i < argc; ++i)
+    if (const std::string_view arg = argv[i]; arg.starts_with(kFlag))
+      value = arg.substr(kFlag.size());
+  std::transform(value.begin(), value.end(), value.begin(),
+                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
+  if (value == "auto") {
+    const char* term = std::getenv("TERM");
+    return isatty(STDOUT_FILENO) != 0 && term != nullptr && std::string_view(term) != "dumb";
+  }
+  return !(value == "0" || value == "f" || value == "n" || value == "false" || value == "no" ||
+           value == "off");
+}
+
 /// Console output as usual, plus every finished run captured as one event
 /// in the harness report.
 class CaptureReporter : public benchmark::ConsoleReporter {
 public:
-  explicit CaptureReporter(obs::RunReport& report) : report_(report) {}
+  CaptureReporter(obs::RunReport& report, bool color)
+      : ConsoleReporter(color ? OO_ColorTabular : OO_Tabular), report_(report) {}
 
   void ReportRuns(const std::vector<Run>& runs) override {
     ConsoleReporter::ReportRuns(runs);
@@ -513,9 +565,11 @@ private:
 /// remainder handling, and the narrow shapes above (which cross the scalar/
 /// vector kernel switch), for the exact path and two tables: trunc5 (the
 /// closed-form kernel on AVX2) and evoa228 (the LUT kernels); then the
-/// conv-plane GEMM against the dense one, and the closed-form checksum of
-/// the same leaves against the row checksum and the GEMM's column sums.
-/// Returns false (and prints the first mismatch) on divergence.
+/// conv-plane GEMM against the dense one, the closed-form checksum of the
+/// same leaves against the row checksum and the GEMM's column sums, and
+/// their row check against the GEMM's row sums on ReLU'd input (it must
+/// decline signed input). Returns false (and prints the first mismatch) on
+/// divergence.
 bool verify_simd_bit_identity() {
   std::vector<Dims> shapes = {{64, 576, 1024}, {7, 13, 17}, {1, 576, 1024}, {33, 65, 31}};
   shapes.insert(shapes.end(), std::begin(kResNet20Narrow), std::end(kResNet20Narrow));
@@ -625,6 +679,42 @@ bool verify_simd_bit_identity() {
           return false;
         }
       }
+      // The row check must decline this signed input, and on the ReLU'd
+      // input give Σ_n of the naive GEMM's rows from the plane and from
+      // columns.
+      std::vector<int64_t> row_plane(static_cast<size_t>(op.m)), row_cols(row_plane.size());
+      if (kernels::row_checksum(closed, 0, plane, row_plane.data()) ||
+          kernels::row_checksum(closed, 0, cols.data(), op.n, row_cols.data())) {
+        std::fprintf(stderr,
+                     "row check accepted a signed input: trunc5 [%lldx%lldx%lld] batch %lld\n",
+                     static_cast<long long>(op.m), static_cast<long long>(op.k),
+                     static_cast<long long>(op.n), static_cast<long long>(batch));
+        return false;
+      }
+      TensorI8 relu_cols;
+      const TensorI8 relu_planes = nn::quantize_plane(relu(op.x), op.g, p, &relu_cols);
+      kernels::gemm_approx({}, op.w.data(), relu_cols.data(), naive.data(), op.m, op.k, op.n,
+                           trunc5, kernels::Backend::kNaive);
+      const bool plane_rows =
+          kernels::row_checksum(closed, 0, op.plane(relu_planes), row_plane.data());
+      const bool cols_rows =
+          kernels::row_checksum(closed, 0, relu_cols.data(), op.n, row_cols.data());
+      for (int64_t i = 0; i < op.m; ++i) {
+        int64_t rowsum = 0;
+        for (int64_t j = 0; j < op.n; ++j) rowsum += naive[i * op.n + j];
+        const size_t ii = static_cast<size_t>(i);
+        if (!plane_rows || !cols_rows || row_plane[ii] != rowsum || row_cols[ii] != rowsum) {
+          std::fprintf(stderr,
+                       "row check divergence: trunc5 [%lldx%lldx%lld] batch %lld row %lld: "
+                       "GEMM=%lld plane=%lld%s cols=%lld%s\n",
+                       static_cast<long long>(op.m), static_cast<long long>(op.k),
+                       static_cast<long long>(op.n), static_cast<long long>(batch),
+                       static_cast<long long>(i), static_cast<long long>(rowsum),
+                       static_cast<long long>(row_plane[ii]), plane_rows ? "" : " (declined)",
+                       static_cast<long long>(row_cols[ii]), cols_rows ? "" : " (declined)");
+          return false;
+        }
+      }
     }
   return true;
 }
@@ -690,11 +780,12 @@ void add_summary_metrics(obs::RunReport& report) {
 
 int main(int argc, char** argv) {
   core::BenchProfile::from_env().apply();  // AXNN_THREADS pins the pool
+  const bool color = console_color(argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
 
   obs::RunReport report("micro_gemm", "Kernel microbenchmarks (google-benchmark)");
-  CaptureReporter reporter(report);
+  CaptureReporter reporter(report, color);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
 

@@ -4,14 +4,18 @@
 // Three questions, matching the subsystem's acceptance criteria:
 //   * False positives — the table checksum is exact (tolerance zero), so a
 //     fault-free approximate run must record no checksum violation at all;
-//     the bench exits nonzero if it does. Accuracy must stay intact.
+//     the bench exits 1 if it does. Accuracy must stay intact.
 //   * LUT faults — sweep stuck-at defect rates in the multiplier table; at a
 //     rate where the unguarded model loses >= 5 accuracy points, the
 //     sentinel (re-execution through the registry-pristine table +
 //     degradation) must recover at least half of the lost accuracy.
 //   * Weight faults — exponent bit flips in conv/FC weight tensors break the
-//     same checksum; the repair re-executes with the golden weights, so
-//     guarded accuracy should return to (near) clean.
+//     same checksum; the repair re-executes with the golden weights.
+// Every repair restores the clean result bit for bit, so the bench also
+// exits 1 when any row of either fault table classifies a different number
+// of images correctly (summed over the seeds) than the fault-free guarded
+// run: a fault the sentinel missed or repaired wrongly.
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -22,6 +26,11 @@ namespace {
 using namespace axnn;
 
 constexpr uint64_t kSeeds[] = {11, 23, 47};
+
+/// Test images `model` classifies correctly under `ctx`.
+int64_t correct_count(nn::Layer& model, const data::Dataset& ds, const nn::ExecContext& ctx) {
+  return std::llround(train::evaluate_accuracy(model, ds, ctx) * static_cast<double>(ds.size()));
+}
 
 }  // namespace
 
@@ -69,6 +78,20 @@ AXNN_BENCH_CASE(sentinel_coverage,
                  static_cast<long long>(ff_checksum));
     return 1;
   }
+  // Every guarded row below must classify, over the seeds, as many images
+  // correctly as the fault-free guarded run.
+  const int64_t ff_correct = std::llround(acc_ff * static_cast<double>(wb.data().test.size()));
+  const int64_t want_correct = ff_correct * static_cast<int64_t>(std::size(kSeeds));
+  int lost_rows = 0;
+  const auto check_row = [&](const char* table, double rate, int64_t correct) {
+    if (correct == want_correct) return;
+    ++lost_rows;
+    std::fprintf(stderr,
+                 "FAIL: %s faults at rate %g: %lld images correct under the sentinel over %zu "
+                 "seeds, fault-free %lld\n",
+                 table, rate, static_cast<long long>(correct), std::size(kSeeds),
+                 static_cast<long long>(want_correct));
+  };
 
   // -- LUT fault sweep: stuck-at defects in the product table. --
   const double rates[] = {1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2};
@@ -78,7 +101,7 @@ AXNN_BENCH_CASE(sentinel_coverage,
   for (const double rate : rates) {
     double unguarded = 0.0, guarded = 0.0;
     int detected = 0;
-    int64_t degraded = 0, violations = 0;
+    int64_t degraded = 0, violations = 0, guarded_correct = 0;
     for (const uint64_t seed : kSeeds) {
       approx::SignedMulTable bad(axmul::make_lut(mult));
       resilience::FaultSpec fs;
@@ -91,8 +114,10 @@ AXNN_BENCH_CASE(sentinel_coverage,
       unguarded +=
           train::evaluate_accuracy(*model, wb.data().test, nn::ExecContext::quant_approx(bad));
       sent.reset_counters();  // fresh detection state, calibration kept
-      guarded += train::evaluate_accuracy(*model, wb.data().test,
-                                          nn::ExecContext::quant_approx(bad).with_monitor(sent));
+      const int64_t correct = correct_count(
+          *model, wb.data().test, nn::ExecContext::quant_approx(bad).with_monitor(sent));
+      guarded_correct += correct;
+      guarded += static_cast<double>(correct) / static_cast<double>(wb.data().test.size());
       const sentinel::SentinelReport rep = sent.report();
       if (rep.total_violations() > 0) ++detected;
       violations += rep.total_violations();
@@ -108,6 +133,7 @@ AXNN_BENCH_CASE(sentinel_coverage,
                  core::Table::num(detected, 0) + "/" + core::Table::num(std::size(kSeeds), 0),
                  core::Table::num(static_cast<double>(violations) / n, 1),
                  core::Table::num(static_cast<double>(degraded) / n, 1)});
+    check_row("LUT", rate, guarded_correct);
     if (recovery_at_5pt < 0.0 && lost >= 0.05) {
       recovery_at_5pt = recovered;
       rate_at_5pt = rate;
@@ -131,6 +157,7 @@ AXNN_BENCH_CASE(sentinel_coverage,
   core::Table wt({"fault rate", "unguarded[%]", "sentinel[%]", "recovered[%]"});
   for (const double rate : {1e-3, 1e-2}) {
     double unguarded = 0.0, guarded = 0.0;
+    int64_t guarded_correct = 0;
     for (const uint64_t seed : kSeeds) {
       auto copy = wb.clone();
       nn::copy_state(*model, *copy);
@@ -153,9 +180,12 @@ AXNN_BENCH_CASE(sentinel_coverage,
 
       unguarded +=
           train::evaluate_accuracy(*copy, wb.data().test, nn::ExecContext::quant_approx(clean_tab));
-      guarded += train::evaluate_accuracy(
+      const int64_t correct = correct_count(
           *copy, wb.data().test, nn::ExecContext::quant_approx(clean_tab).with_monitor(ws));
+      guarded_correct += correct;
+      guarded += static_cast<double>(correct) / static_cast<double>(wb.data().test.size());
     }
+    check_row("weight", rate, guarded_correct);
     const double n = static_cast<double>(std::size(kSeeds));
     unguarded /= n;
     guarded /= n;
@@ -168,5 +198,9 @@ AXNN_BENCH_CASE(sentinel_coverage,
               std::size(kSeeds));
   bench::emit_table(ctx, "sentinel_weights", wt);
 
+  if (lost_rows > 0) {
+    std::fprintf(stderr, "FAIL: %d fault rows lost detection or repair\n", lost_rows);
+    return 1;
+  }
   return 0;
 }

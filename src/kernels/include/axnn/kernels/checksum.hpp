@@ -1,5 +1,5 @@
-// axnn — table checksums: the column sums the sentinel's exact ABFT check
-// compares an approximate GEMM against (DESIGN.md §5f).
+// axnn — table checksums: the sums the sentinel's exact ABFT check compares
+// an approximate GEMM against (DESIGN.md §5f), over columns or over rows.
 //
 // For C[m, n] = W ·~ X through a multiplier table T, every column satisfies
 // Σ_m C[m, n] = Σ_k S_k(X[k, n]), with S_k(a) = Σ_{m: W[m,k]≠0} T(W[m,k], a).
@@ -21,6 +21,15 @@
 //     activation byte. On AVX2, 16 columns at a time with the k-loop
 //     inside, each k-step one vpgatherdd pair from the step's row; the
 //     scalar tier walks X row by row in int64.
+//
+// A closed form also sums the other way: with Y_j(a) = U_j(a) − 128, every
+// row satisfies Σ_n C[m, n] = Σ_k Σ_j c_j(W[m,k])·V_kj, V_kj = Σ_n Y_j(X[k, n]).
+// row_checksum evaluates that from each golden row's coefficient bytes and
+// byte sums V of X: one pass over the dense columns, or over a conv's
+// plane, where a tap's V is a window sum of the batch's masked plane. It
+// runs only when that pass finds every byte of X ≥ 0; then T(w, a) never
+// decreases as w grows, so a single weight or table-entry fault cannot
+// cancel within a row sum (DESIGN.md §5f).
 //
 // Integer sums do not depend on order, so every tier gives the same sums.
 #pragma once
@@ -71,8 +80,12 @@ private:
                              int64_t* sums);
   friend void table_checksum(const GemmChecksum& c, int64_t group, const ConvPlane& x,
                              int64_t* sums);
+  friend bool row_checksum(const GemmChecksum& c, int64_t group, const int8_t* x, int64_t n,
+                           int64_t* row_sums);
+  friend bool row_checksum(const GemmChecksum& c, int64_t group, const ConvPlane& x,
+                           int64_t* row_sums);
 
-  int64_t k_ = 0;
+  int64_t m_ = 0, k_ = 0;
   int depth_ = -1;  ///< the closed form's truncation depth; -1: rows
   /// Every column sum fits int32, so the vector tier may sum in int32.
   bool int32_sums_ = true;
@@ -81,6 +94,11 @@ private:
   /// each row sums `flush_` k-steps in int16.
   int64_t lines_ = 0, flush_ = 0;
   std::vector<int32_t> coef_, wsum_;
+  /// Closed form, the row check: per group, each golden row's coefficient
+  /// words c_j(W[i, kk]) ([m, k], row-major), and the largest Σ_kk |W[i, kk]|
+  /// of any row, which bounds a row sum by 127·n times it.
+  std::vector<int32_t> row_coef_;
+  int64_t row_magnitude_ = 0;
   /// Rows: row_of_[group·k + kk] selects a row of rows_ (columns with equal
   /// weight histograms share one).
   std::vector<int32_t> rows_;
@@ -94,5 +112,20 @@ void table_checksum(const GemmChecksum& c, int64_t group, const int8_t* x, int64
 
 /// The same with X the im2col lowering of the conv plane `x`, read in place.
 void table_checksum(const GemmChecksum& c, int64_t group, const ConvPlane& x, int64_t* sums);
+
+/// row_sums[i] = Σ_j C[i, j] that group `group`'s GEMM over the dense X[k, n]
+/// gives under the checksum's weights and table, for i < m — when the
+/// checksum has a closed form and every byte of X is ≥ 0. Otherwise it
+/// returns false and row_sums is unspecified: the caller checks columns.
+bool row_checksum(const GemmChecksum& c, int64_t group, const int8_t* x, int64_t n,
+                  int64_t* row_sums);
+
+/// The same with X the im2col lowering of the conv plane `x` (any stride),
+/// read in place: every byte of the plane must be ≥ 0.
+bool row_checksum(const GemmChecksum& c, int64_t group, const ConvPlane& x, int64_t* row_sums);
+
+/// sums[i] = Σ_j c[i·n + j] in int64 for i < m: the row sums of a GEMM's
+/// int32 C, the other side of the row check.
+void row_sums(const int32_t* c, int64_t m, int64_t n, int64_t* sums);
 
 }  // namespace axnn::kernels

@@ -77,7 +77,7 @@ void table_checksum(const ChecksumTable& t, const ConvPlane& x, int64_t* sums) {
 
 GemmChecksum::GemmChecksum(const int8_t* w, int64_t groups, int64_t m, int64_t k,
                            const approx::SignedMulTable& tab)
-    : k_(k), depth_(detail::truncation_depth(tab)) {
+    : m_(m), k_(k), depth_(detail::truncation_depth(tab)) {
   if (closed_form()) {
     // Per group, `lines_` rows of up to kRowsPerSum golden rows each: k-step
     // kk's word holds the bytewise sums C_kj = Σ_m c_j(W[m,kk]), the row's
@@ -108,6 +108,19 @@ GemmChecksum::GemmChecksum(const int8_t* w, int64_t groups, int64_t m, int64_t k
           magnitude += std::abs(v);
         }
       int32_sums_ = int32_sums_ && 128 * magnitude <= std::numeric_limits<int32_t>::max();
+    }
+    // The row check's coefficient words: each golden weight's c_j, and the
+    // largest Σ_kk |W| of any row.
+    row_coef_.resize(static_cast<size_t>(groups * m * k));
+    for (int64_t i = 0; i < groups * m; ++i) {
+      int64_t magnitude = 0;
+      for (int64_t kk = 0; kk < k; ++kk) {
+        const int8_t wv = w[i * k + kk];
+        row_coef_[static_cast<size_t>(i * k + kk)] =
+            detail::kTruncCoef[static_cast<uint8_t>(wv) & 0xF];
+        magnitude += std::abs(detail::nibble_value(wv));
+      }
+      row_magnitude_ = std::max(row_magnitude_, magnitude);
     }
     return;
   }
@@ -241,6 +254,174 @@ void table_checksum(const GemmChecksum& c, int64_t group, const ConvPlane& x, in
   }
 #endif
   scalar_closed_form(coef, c.lines_, k, c.depth_, x, sums);
+}
+
+namespace {
+
+/// Positions whose sums of bytes ≤ 127 the row check adds in int32: its
+/// byte sums V and window sums stay exact below this many.
+constexpr int64_t kMaxSummed = std::numeric_limits<int32_t>::max() / 127;
+
+/// The closed form's operand masks at depth t: Y_j(a) = a & mask_j for a ≥ 0.
+std::array<uint8_t, 4> operand_masks(int depth) {
+  std::array<uint8_t, 4> masks{};
+  for (int j = 0; j < 4; ++j)
+    masks[static_cast<size_t>(j)] = static_cast<uint8_t>(~((1 << std::max(depth - j, 0)) - 1));
+  return masks;
+}
+
+/// v[kk·4 + j] = Σ_j' Y_j(x[kk·n + j']) of the dense X[k, n], or false at
+/// the first negative byte.
+bool scalar_operand_sums(const int8_t* x, int64_t k, int64_t n, int depth, int32_t* v) {
+  const std::array<uint8_t, 4> masks = operand_masks(depth);
+  for (int64_t kk = 0; kk < k; ++kk) {
+    std::array<int32_t, 4> sum{};
+    for (const int8_t* a = x + kk * n; a < x + (kk + 1) * n; ++a) {
+      if (*a < 0) return false;
+      for (size_t j = 0; j < 4; ++j) sum[j] += *a & masks[j];
+    }
+    std::copy(sum.begin(), sum.end(), v + 4 * kk);
+  }
+  return true;
+}
+
+/// s[(c·lp + p)·4 + j] = Σ_b Y_j(plane[b, c, p]) for p < ph·pw: each
+/// channel's masked plane summed over the batch, the four operand bytes of
+/// a position side by side; or false at the first negative byte.
+bool scalar_plane_operand_sums(const ConvPlane& x, int depth, int64_t lp, int32_t* s) {
+  const std::array<uint8_t, 4> masks = operand_masks(depth);
+  const int64_t plane = x.ph * x.pw;
+  for (int64_t c = 0; c < x.channels; ++c) std::fill_n(s + c * lp * 4, plane * 4, 0);
+  for (int64_t b = 0; b < x.batch; ++b)
+    for (int64_t c = 0; c < x.channels; ++c) {
+      const int8_t* a = x.data + (b * x.channels + c) * plane;
+      int32_t* sc = s + c * lp * 4;
+      for (int64_t p = 0; p < plane; ++p) {
+        if (a[p] < 0) return false;
+        for (size_t j = 0; j < 4; ++j) sc[p * 4 + static_cast<int64_t>(j)] += a[p] & masks[j];
+      }
+    }
+  return true;
+}
+
+/// v[kk·4 + j] of every tap kk = (c·kernel + kh)·kernel + kw of the plane x:
+/// the sum of S_cj (as scalar_plane_operand_sums lays it out) over the
+/// tap's window, rows kh + stride·i (i < oh) by columns kw + stride·i'
+/// (i' < ow). A window is its neighbour `stride` taps back, shifted by one
+/// output: per kh, the column sums `col` (kernel·pw·4 int32) drop the row
+/// the window leaves and add the one it enters, and so do the tap sums
+/// along kw. Every loop runs over a position's four sums at once. Shared
+/// by both tiers.
+void window_sums(const ConvPlane& x, const int32_t* s, int64_t lp, int32_t* v,
+                 int32_t* __restrict col) {
+  const int64_t oh = x.oh(), ow = x.ow(), st = x.stride, kn = x.kernel;
+  const int64_t row = 4 * x.pw;  // int32 per plane row
+  for (int64_t c = 0; c < x.channels; ++c) {
+    const int32_t* __restrict sc = s + c * lp * 4;
+    for (int64_t kh = 0; kh < kn; ++kh) {
+      int32_t* __restrict ck = col + kh * row;
+      if (kh < st) {
+        std::fill_n(ck, row, 0);
+        for (int64_t i = 0; i < oh; ++i) {
+          const int32_t* __restrict r = sc + (kh + st * i) * row;
+          for (int64_t q = 0; q < row; ++q) ck[q] += r[q];
+        }
+      } else {
+        const int32_t* __restrict back = ck - st * row;
+        const int32_t* __restrict leave = sc + (kh - st) * row;
+        const int32_t* __restrict enter = sc + (kh - st + st * oh) * row;
+        for (int64_t q = 0; q < row; ++q) ck[q] = back[q] - leave[q] + enter[q];
+      }
+      int32_t* __restrict vk = v + 4 * (c * kn + kh) * kn;
+      for (int64_t kw = 0; kw < kn; ++kw) {
+        int32_t* __restrict out = vk + 4 * kw;
+        if (kw < st) {
+          std::fill_n(out, 4, 0);
+          for (int64_t i = 0; i < ow; ++i)
+            for (int64_t j = 0; j < 4; ++j) out[j] += ck[(kw + st * i) * 4 + j];
+        } else {
+          const int32_t* __restrict back = out - 4 * st;
+          for (int64_t j = 0; j < 4; ++j)
+            out[j] = back[j] - ck[(kw - st) * 4 + j] + ck[(kw - st + st * ow) * 4 + j];
+        }
+      }
+    }
+  }
+}
+
+/// row_sums[i] = Σ_kk Σ_j c_j(W[i, kk])·v[kk·4 + j] over group `group`'s
+/// rows: in int32 on AVX2 when the row bound proves it exact (v is then
+/// clobbered), else in int64.
+void row_dot(const int32_t* coef, int64_t m, int64_t k, int64_t bound, int32_t* v,
+             int64_t* row_sums) {
+#if defined(AXNN_HAVE_AVX2_TU)
+  if (active_isa() == Isa::kAvx2 && bound <= std::numeric_limits<int32_t>::max()) {
+    detail::avx2_row_dot(coef, m, k, v, row_sums);
+    return;
+  }
+#endif
+  for (int64_t i = 0; i < m; ++i) {
+    int64_t sum = 0;
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const int32_t word = coef[i * k + kk];
+      for (int j = 0; j < 4; ++j)
+        sum += int64_t{static_cast<int8_t>(word >> (8 * j))} * v[4 * kk + j];
+    }
+    row_sums[i] = sum;
+  }
+}
+
+}  // namespace
+
+bool row_checksum(const GemmChecksum& c, int64_t group, const int8_t* x, int64_t n,
+                  int64_t* row_sums) {
+  const int64_t k = c.k_;
+  if (!c.closed_form() || n > kMaxSummed) return false;
+  auto* v = scratch<int32_t>(ScratchSlot::kWeights, static_cast<size_t>(4 * k));
+  const bool non_negative =
+#if defined(AXNN_HAVE_AVX2_TU)
+      active_isa() == Isa::kAvx2 ? detail::avx2_operand_sums(x, k, n, c.depth_, v) :
+#endif
+                                 scalar_operand_sums(x, k, n, c.depth_, v);
+  if (!non_negative) return false;
+  row_dot(c.row_coef_.data() + group * c.m_ * k, c.m_, k, 127 * n * c.row_magnitude_, v,
+          row_sums);
+  return true;
+}
+
+bool row_checksum(const GemmChecksum& c, int64_t group, const ConvPlane& x, int64_t* row_sums) {
+  const int64_t k = c.k_, plane = x.ph * x.pw;
+  if (!c.closed_form() || x.batch * plane > kMaxSummed) return false;
+  // Each channel's plane rounded up to whole 32-byte chunks.
+  const int64_t lp = (plane + 31) / 32 * 32;
+  auto* s = scratch<int32_t>(ScratchSlot::kPlane, static_cast<size_t>(x.channels * lp * 4));
+  const bool non_negative =
+#if defined(AXNN_HAVE_AVX2_TU)
+      active_isa() == Isa::kAvx2
+          ? detail::avx2_plane_operand_sums(x.data, x.batch, x.channels, plane, lp, c.depth_, s)
+          :
+#endif
+          scalar_plane_operand_sums(x, c.depth_, lp, s);
+  if (!non_negative) return false;
+  auto* v = scratch<int32_t>(ScratchSlot::kWeights, static_cast<size_t>(4 * (k + x.kernel * x.pw)));
+  window_sums(x, s, lp, v, v + 4 * k);
+  row_dot(c.row_coef_.data() + group * c.m_ * k, c.m_, k,
+          127 * x.batch * x.oh() * x.ow() * c.row_magnitude_, v, row_sums);
+  return true;
+}
+
+void row_sums(const int32_t* c, int64_t m, int64_t n, int64_t* sums) {
+#if defined(AXNN_HAVE_AVX2_TU)
+  if (active_isa() == Isa::kAvx2) {
+    detail::avx2_row_sums(c, m, n, sums);
+    return;
+  }
+#endif
+  for (int64_t i = 0; i < m; ++i) {
+    int64_t sum = 0;
+    for (const int32_t* e = c + i * n; e < c + (i + 1) * n; ++e) sum += *e;
+    sums[i] = sum;
+  }
 }
 
 }  // namespace axnn::kernels

@@ -171,6 +171,21 @@ void avx2_trunc_plane(const ClosedFormRows& w, const int32_t* u, const int32_t* 
 void avx2_table_checksum(const ChecksumTable& t, const int8_t* x, int64_t channels,
                          int64_t ph, int64_t kernel, const PlaneStrips& g, int64_t n,
                          int64_t* sums);
+// The row check's byte sums at depth t (kernels::row_checksum), each false as
+// soon as it meets a negative byte. Dense: v[kk·4 + j] = Σ_j' Y_j(x[kk·n + j'])
+// over the [k, n] X. Plane: s[(c·lp + p)·4 + j] = Σ_b Y_j(x[(b·channels + c)
+// ·plane + p]) for p < plane, each channel's `plane` bytes summed over the
+// batch (positions plane…lp, lp a multiple of 32, hold junk). Every sum must
+// fit int32.
+bool avx2_operand_sums(const int8_t* x, int64_t k, int64_t n, int t, int32_t* v);
+bool avx2_plane_operand_sums(const int8_t* x, int64_t batch, int64_t channels, int64_t plane,
+                             int64_t lp, int t, int32_t* s);
+// row_sums[i] = Σ_kk Σ_j c_j·v[kk·4 + j] over the coefficient words
+// coef[i·k + kk] (bytes c_j, each 0 or ±2^j), summed in int32: the caller
+// proves it exact. v is scaled in place.
+void avx2_row_dot(const int32_t* coef, int64_t m, int64_t k, int32_t* v, int64_t* row_sums);
+// sums[i] = Σ_j c[i·n + j], exact (kernels::row_sums).
+void avx2_row_sums(const int32_t* c, int64_t m, int64_t n, int64_t* sums);
 #endif
 #if defined(AXNN_HAVE_NEON_TU)
 void neon_approx_cols(const uint8_t* wq, const int8_t* x, int32_t* c, int64_t m,

@@ -15,7 +15,15 @@
 //     The right-hand side is a kernels::GemmChecksum built at calibration
 //     and evaluated by kernels::table_checksum: one closed-form row per
 //     ≤ 16 golden rows for exact and truncated tables, 256-entry rows S_k
-//     for every other table. An exact GEMM (kQuantExact leaves,
+//     for every other table. Under a closed form, a GEMM whose X has no
+//     negative byte (every leaf fed by a ReLU) is checked the other way,
+//     each row satisfying
+//       Σ_n C[m,n] = Σ_k Σ_j c_j(W[m,k])·V_kj,  V_kj = Σ_n Y_j(X[k,n])
+//     (kernels::row_checksum: M sums instead of N, from one pass over the
+//     plane or the columns). With a ≥ 0 the product never decreases in the
+//     weight, so one weight or table-entry fault cannot cancel in a row
+//     sum; signed X and LUT tables keep the column check. An exact GEMM
+//     (kQuantExact leaves,
 //     `mode=exact` plan entries, leaves forced exact) checks against the
 //     closed-form checksum under the exact table. The sentinel takes
 //     ForwardMonitor's plane hook: a conv that ran its GEMM from its padded
@@ -97,7 +105,7 @@ struct LeafStats {
   std::string path;
   int64_t gemm_checks = 0;       ///< integer GEMM groups verified
   int64_t range_checks = 0;      ///< leaf inputs scanned
-  int64_t abft_violations = 0;   ///< column checksum mismatches (LUT or weight faults)
+  int64_t abft_violations = 0;   ///< row or column checksum mismatches (LUT or weight faults)
   int64_t range_violations = 0;  ///< inputs beyond range/clip bounds
   int64_t reexecs = 0;           ///< GEMMs repaired by re-execution
   bool degraded = false;         ///< permanently repaired / forced exact

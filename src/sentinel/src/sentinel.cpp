@@ -347,23 +347,34 @@ bool Sentinel::check(const nn::Layer& leaf, int64_t group, bool approx, const Op
     return true;
   }
 
-  // Column n's Σ_m C[m,n] against its checksum Σ_k S_k(X[k,n]), both int64.
-  // Pooled: a monitored forward runs this per leaf, and the serving steady
-  // state must stay allocation-free (test_serve's instrumented operator new).
-  std::vector<int64_t, PoolAllocator<int64_t>> buf(static_cast<size_t>(2 * n), 0);
-  int64_t* colsum = buf.data();
-  int64_t* sums = colsum + n;
-  for (int64_t i = 0; i < m; ++i) {
-    const int32_t* row = c + i * n;
-    for (int64_t j = 0; j < n; ++j) colsum[j] += row[j];
-  }
+  // Row m's Σ_n C[m,n] against its checksum when X has no negative byte,
+  // else column n's Σ_m C[m,n] against Σ_k S_k(X[k,n]); int64 sums either
+  // way. Pooled: a monitored forward runs this per leaf, and the serving
+  // steady state must stay allocation-free (test_serve's instrumented
+  // operator new).
   const kernels::GemmChecksum& checksum = approx ? *st.checksum : *st.exact_checksum;
-  if (x.plane != nullptr)
-    kernels::table_checksum(checksum, group, *x.plane, sums);
-  else
-    kernels::table_checksum(checksum, group, x.cols, n, sums);
   int64_t worst = 0;
-  for (int64_t j = 0; j < n; ++j) worst = std::max(worst, std::abs(colsum[j] - sums[j]));
+  std::vector<int64_t, PoolAllocator<int64_t>> rows(static_cast<size_t>(2 * m));
+  int64_t* golden = rows.data();
+  int64_t* rowsum = golden + m;
+  if (x.plane != nullptr ? kernels::row_checksum(checksum, group, *x.plane, golden)
+                         : kernels::row_checksum(checksum, group, x.cols, n, golden)) {
+    kernels::row_sums(c, m, n, rowsum);
+    for (int64_t i = 0; i < m; ++i) worst = std::max(worst, std::abs(rowsum[i] - golden[i]));
+  } else {
+    std::vector<int64_t, PoolAllocator<int64_t>> buf(static_cast<size_t>(2 * n), 0);
+    int64_t* colsum = buf.data();
+    int64_t* sums = colsum + n;
+    for (int64_t i = 0; i < m; ++i) {
+      const int32_t* row = c + i * n;
+      for (int64_t j = 0; j < n; ++j) colsum[j] += row[j];
+    }
+    if (x.plane != nullptr)
+      kernels::table_checksum(checksum, group, *x.plane, sums);
+    else
+      kernels::table_checksum(checksum, group, x.cols, n, sums);
+    for (int64_t j = 0; j < n; ++j) worst = std::max(worst, std::abs(colsum[j] - sums[j]));
+  }
 
   const bool bad = worst != 0;
   if (bad) repair(st, group, approx, x, c, n);

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -487,6 +488,19 @@ TEST(ClosedForm, MatchesEveryTruncatedTableOnTheWholeOperandDomain) {
   }
 }
 
+TEST(ClosedForm, ProductNeverDecreasesWithTheWeightOnNonNegativeActivations) {
+  // What the sentinel's row check relies on: for a ≥ 0 every closed-form
+  // table's product is non-decreasing in the weight, so one weight fault's
+  // per-column differences share a sign and cannot cancel in a row sum.
+  for (int t = 0; t <= 11; ++t) {
+    const std::string name = t == 0 ? "exact" : "trunc" + std::to_string(t);
+    const approx::SignedMulTable tab(axmul::make_lut(name));
+    for (int32_t a = 0; a <= 127; ++a)
+      for (int32_t w = -8; w < 7; ++w)
+        ASSERT_LE(tab(a, w), tab(a, w + 1)) << name << " a=" << a << " w=" << w;
+  }
+}
+
 TEST(ClosedForm, CorruptedTruncatedTableRunsThroughTheLut) {
   // Fault injection: one trunc5 entry off by one. The copy's plan is a
   // distinct plan on the LUT kernels, and its results are the corrupted
@@ -650,6 +664,48 @@ TEST(ClosedForm, PlaneGemmMatchesDenseGemmAndNaive) {
 // plane views.
 // ---------------------------------------------------------------------------
 
+// The plane views the checksum tests read: 2 channels with output widths 4,
+// 8, 16 and 32 (kernels 1 and 3), width 5 and stride 2 (no strip layout
+// reads those), each at batch 1-8, with a zero border; the interior bytes
+// are byte(0), byte(1), … in plane order. fn(plane bytes, view) per view.
+template <typename Byte, typename Fn>
+void for_each_plane_view(Byte byte, Fn fn) {
+  constexpr int64_t kChannels = 2;
+  const PlaneCase cases[] = {{4, 3, 1},  {8, 3, 1},  {16, 3, 1}, {32, 3, 1}, {4, 1, 1},
+                             {8, 1, 1},  {16, 1, 1}, {32, 1, 1}, {5, 3, 1}, {8, 3, 2}};
+  for (const PlaneCase& pc : cases)
+    for (int64_t batch = 1; batch <= 8; ++batch) {
+      const int64_t pad = pc.kernel / 2;
+      const int64_t in = (pc.width - 1) * pc.stride + pc.kernel - 2 * pad;
+      kernels::ConvPlane x{nullptr,       batch,     kChannels, in + 2 * pad,
+                           in + 2 * pad, pc.kernel, pc.stride};
+      std::vector<int8_t> plane(static_cast<size_t>(batch * kChannels * x.ph * x.pw));
+      int64_t next = 0;
+      for (int64_t p = 0; p < static_cast<int64_t>(plane.size()); ++p) {
+        const int64_t i = p / x.pw % x.ph, j = p % x.pw;
+        const bool border = i < pad || i >= x.ph - pad || j < pad || j >= x.pw - pad;
+        plane[static_cast<size_t>(p)] = border ? 0 : byte(next++);
+      }
+      x.data = plane.data();
+      SCOPED_TRACE(::testing::Message() << "width=" << pc.width << " kernel=" << pc.kernel
+                                        << " stride=" << pc.stride << " batch=" << batch);
+      fn(plane, x);
+    }
+}
+
+// The golden weights of the closed-form checksum tests: m rows of k random
+// int4 weights whose column 0 is all −8 (C_k3 = −128 in a row of 16) and
+// column 1 all ±7/±6.
+std::vector<int8_t> checksum_weights(int64_t m, int64_t k, uint64_t seed) {
+  auto w = random_i8(m * k, seed, -8, 7);
+  constexpr int8_t kHigh[] = {7, -7, 6, -6};
+  for (int64_t i = 0; i < m; ++i) {
+    w[static_cast<size_t>(i * k)] = -8;
+    w[static_cast<size_t>(i * k + 1)] = kHigh[i % 4];
+  }
+  return w;
+}
+
 // Σ_k S_k(X[k, j]) by definition, one element at a time.
 std::vector<int64_t> checksum_by_definition(const kernels::ChecksumTable& t,
                                             const std::vector<int8_t>& cols, int64_t n) {
@@ -678,7 +734,6 @@ TEST(TableChecksum, VectorTierMatchesScalarTierAndDefinition) {
     kernels::Isa isa;
     ~Restore() { kernels::set_isa(isa); }
   } restore{vector_isa};
-  constexpr int64_t kChannels = 2;
   const auto random_rows = [](int64_t count, int32_t mag, uint64_t seed) {
     Rng rng(seed);
     std::vector<int32_t> rows(static_cast<size_t>(256 * count));
@@ -720,12 +775,7 @@ TEST(TableChecksum, VectorTierMatchesScalarTierAndDefinition) {
       const std::string name = depth == 0 ? "exact" : "trunc" + std::to_string(depth);
       const approx::SignedMulTable tab(axmul::make_lut(name));
       for (const int64_t m : {1, 4, 15, 16, 17, 33}) {
-        auto w = random_i8(m * k, static_cast<uint64_t>(59 + 7 * m + k + depth), -8, 7);
-        constexpr int8_t kHigh[] = {7, -7, 6, -6};
-        for (int64_t i = 0; i < m; ++i) {
-          w[static_cast<size_t>(i * k)] = -8;
-          w[static_cast<size_t>(i * k + 1)] = kHigh[i % 4];
-        }
+        const auto w = checksum_weights(m, k, static_cast<uint64_t>(59 + 7 * m + k + depth));
         const kernels::GemmChecksum closed(w.data(), 1, m, k, tab);
         ASSERT_TRUE(closed.closed_form()) << name;
         // S_k by definition: the zero weight is skipped, as every kernel
@@ -759,28 +809,13 @@ TEST(TableChecksum, VectorTierMatchesScalarTierAndDefinition) {
       }
     }
   };
-  const PlaneCase cases[] = {{4, 3, 1},  {8, 3, 1},  {16, 3, 1}, {32, 3, 1}, {4, 1, 1},
-                             {8, 1, 1},  {16, 1, 1}, {32, 1, 1}, {5, 3, 1}, {8, 3, 2}};
-  for (const PlaneCase& pc : cases)
-    for (int64_t batch = 1; batch <= 8; ++batch) {
-      const int64_t pad = pc.kernel / 2;
-      const int64_t in = (pc.width - 1) * pc.stride + pc.kernel - 2 * pad;
-      kernels::ConvPlane x{nullptr,       batch,     kChannels, in + 2 * pad,
-                           in + 2 * pad, pc.kernel, pc.stride};
-      std::vector<int8_t> plane(static_cast<size_t>(batch * kChannels * x.ph * x.pw));
-      int64_t next = 0;  // interior elements cycle through every byte, -128 first
-      for (int64_t p = 0; p < static_cast<int64_t>(plane.size()); ++p) {
-        const int64_t i = p / x.pw % x.ph, j = p % x.pw;
-        const bool border = i < pad || i >= x.ph - pad || j < pad || j >= x.pw - pad;
-        plane[static_cast<size_t>(p)] =
-            border ? 0 : static_cast<int8_t>(static_cast<uint8_t>(128 + 37 * next++));
-      }
-      x.data = plane.data();
-      const int64_t k = kChannels * pc.kernel * pc.kernel, n = batch * x.oh() * x.ow();
-      SCOPED_TRACE(::testing::Message() << "width=" << pc.width << " kernel=" << pc.kernel
-                                        << " stride=" << pc.stride << " batch=" << batch);
-      check(lower_plane(plane, x, 1, 0), k, n, &x);
-    }
+  // Interior elements cycle through every byte, −128 first.
+  for_each_plane_view(
+      [](int64_t i) { return static_cast<int8_t>(static_cast<uint8_t>(128 + 37 * i)); },
+      [&](const std::vector<int8_t>& plane, const kernels::ConvPlane& x) {
+        const int64_t k = x.channels * x.kernel * x.kernel, n = x.batch * x.oh() * x.ow();
+        check(lower_plane(plane, x, 1, 0), k, n, &x);
+      });
   for (const int64_t n : {1, 7, 8, 15, 17, 40}) {  // dense only: short last strips
     SCOPED_TRACE(::testing::Message() << "dense n=" << n);
     check(random_i8(27 * n, static_cast<uint64_t>(53 + n), -128, 127), 27, n, nullptr);
@@ -791,6 +826,139 @@ TEST(TableChecksum, VectorTierMatchesScalarTierAndDefinition) {
       cols[i] = static_cast<int8_t>(static_cast<uint8_t>(128 + i));
     SCOPED_TRACE("dense n=256, every byte");
     check(cols, 27, 256, nullptr);
+  }
+}
+
+TEST(RowChecksum, BothTiersGiveTheNaiveRowSumsAndDeclineNegativeBytes) {
+  // The row form of the closed-form checksum (exact and trunc1–11) on the
+  // TableChecksum views with non-negative bytes, 0 and 127 included: dense
+  // columns and, for the planes, the plane itself. Weights: 1, 4, 15, 16,
+  // 17 and 33 golden rows. Both tiers must give Σ_n of the kNaive GEMM's
+  // rows, and must decline X with one negative byte: the first element,
+  // the last element of the last image, or one next to the zero border.
+  const kernels::Isa vector_isa = kernels::active_isa();
+  struct Restore {
+    kernels::Isa isa;
+    ~Restore() { kernels::set_isa(isa); }
+  } restore{vector_isa};
+  constexpr int64_t kRows[] = {1, 4, 15, 16, 17, 33};
+  // Runs both tiers on X as dense columns and, when `plane` is set, as that
+  // plane (whose bytes `bytes` holds); `where` lists elements of the plane,
+  // or of the columns, that the decline cases make negative.
+  const auto check = [&](const std::vector<int8_t>& cols, int64_t k, int64_t n,
+                         const kernels::ConvPlane* plane, std::vector<int8_t>* bytes,
+                         const std::vector<int64_t>& where) {
+    for (int depth = 0; depth <= 11; ++depth) {
+      const std::string name = depth == 0 ? "exact" : "trunc" + std::to_string(depth);
+      const approx::SignedMulTable tab(axmul::make_lut(name));
+      // One GEMM of the largest row count; the smaller ones are its first rows.
+      const auto w = checksum_weights(kRows[std::size(kRows) - 1], k,
+                                      static_cast<uint64_t>(61 + k + depth));
+      std::vector<int32_t> c(static_cast<size_t>(kRows[std::size(kRows) - 1] * n));
+      kernels::gemm_approx({}, w.data(), cols.data(), c.data(), kRows[std::size(kRows) - 1], k,
+                           n, tab, Backend::kNaive);
+      for (const int64_t m : kRows) {
+        std::vector<int64_t> want(static_cast<size_t>(m), 0);
+        for (int64_t i = 0; i < m; ++i)
+          for (int64_t j = 0; j < n; ++j)
+            want[static_cast<size_t>(i)] += c[static_cast<size_t>(i * n + j)];
+        const kernels::GemmChecksum closed(w.data(), 1, m, k, tab);
+        for (const kernels::Isa isa : {vector_isa, kernels::Isa::kScalar}) {
+          kernels::set_isa(isa);
+          SCOPED_TRACE(::testing::Message() << name << " rows=" << m << " "
+                                            << kernels::isa_name(isa));
+          std::vector<int64_t> got(static_cast<size_t>(m), -1);
+          kernels::row_sums(c.data(), m, n, got.data());
+          ASSERT_EQ(want, got) << "row sums of C";
+          std::fill(got.begin(), got.end(), -1);
+          ASSERT_TRUE(kernels::row_checksum(closed, 0, cols.data(), n, got.data())) << "dense";
+          ASSERT_EQ(want, got) << "dense";
+          if (plane != nullptr) {
+            std::fill(got.begin(), got.end(), -1);
+            ASSERT_TRUE(kernels::row_checksum(closed, 0, *plane, got.data())) << "plane";
+            ASSERT_EQ(want, got) << "plane";
+          }
+          // One negative byte: declined on columns and on the plane.
+          std::vector<int8_t> signed_cols = cols;
+          for (const int64_t e : where) {
+            int8_t& at = (plane != nullptr ? *bytes : signed_cols)[static_cast<size_t>(e)];
+            const int8_t keep = at;
+            at = -1;
+            if (plane != nullptr)
+              EXPECT_FALSE(kernels::row_checksum(closed, 0, *plane, got.data()))
+                  << "plane element " << e;
+            else
+              EXPECT_FALSE(kernels::row_checksum(closed, 0, signed_cols.data(), n, got.data()))
+                  << "column element " << e;
+            at = keep;
+          }
+          if (plane != nullptr) {
+            signed_cols[0] = -128;
+            EXPECT_FALSE(kernels::row_checksum(closed, 0, signed_cols.data(), n, got.data()));
+          }
+        }
+      }
+    }
+  };
+  // Interior bytes cycle through 0…127.
+  for_each_plane_view(
+      [](int64_t i) { return static_cast<int8_t>(37 * i % 128); },
+      [&](const std::vector<int8_t>& plane, const kernels::ConvPlane& x) {
+        std::vector<int8_t> bytes = plane;
+        kernels::ConvPlane view = x;
+        view.data = bytes.data();
+        const int64_t pad = x.kernel / 2;
+        const int64_t k = x.channels * x.kernel * x.kernel, n = x.batch * x.oh() * x.ow();
+        check(lower_plane(plane, x, 1, 0), k, n, &view, &bytes,
+              {0, static_cast<int64_t>(bytes.size()) - 1, pad * x.pw + pad});
+      });
+  for (const int64_t n : {1, 7, 8, 15, 17, 40}) {  // dense only: short last strips
+    SCOPED_TRACE(::testing::Message() << "dense n=" << n);
+    auto cols = random_i8(27 * n, static_cast<uint64_t>(67 + n), 0, 127);
+    cols[0] = 0;
+    cols.back() = 127;
+    check(cols, 27, n, nullptr, nullptr, {0, 27 * n - 1, 13 * n + n / 2});
+  }
+  {  // 300 images of 127: past 256 images the vector tier's int16 sums flush
+    kernels::ConvPlane x{nullptr, 300, 2, 4, 4, 1, 1};
+    std::vector<int8_t> bytes(300 * 2 * 16, 127);
+    x.data = bytes.data();
+    SCOPED_TRACE("batch 300 of 127");
+    check(lower_plane(bytes, x, 1, 0), 2, 300 * 16, &x, &bytes, {0, 300 * 2 * 16 - 1});
+  }
+}
+
+TEST(RowChecksum, RowSumsOfCAreExactOnBothTiers) {
+  // The other side of the row check: Σ_j C[i, j] in int64, whatever the
+  // int32 values, past the vector tier's 32,768 elements per int32 lane.
+  const kernels::Isa vector_isa = kernels::active_isa();
+  struct Restore {
+    kernels::Isa isa;
+    ~Restore() { kernels::set_isa(isa); }
+  } restore{vector_isa};
+  constexpr int32_t kMin = std::numeric_limits<int32_t>::min();
+  constexpr int32_t kMax = std::numeric_limits<int32_t>::max();
+  for (const int64_t n : {1, 7, 8, 9, 40, 300001}) {
+    constexpr int64_t m = 4;
+    std::vector<int32_t> c(static_cast<size_t>(m * n));
+    Rng rng(static_cast<uint64_t>(n));
+    for (int64_t j = 0; j < n; ++j) {
+      c[static_cast<size_t>(j)] = -1;
+      c[static_cast<size_t>(n + j)] = kMin;
+      c[static_cast<size_t>(2 * n + j)] = j % 2 == 0 ? kMax : kMin;
+      c[static_cast<size_t>(3 * n + j)] =
+          static_cast<int32_t>(rng.uniform_int(int64_t{1} << 32) - (int64_t{1} << 31));
+    }
+    std::vector<int64_t> want(static_cast<size_t>(m), 0);
+    for (int64_t i = 0; i < m; ++i)
+      for (int64_t j = 0; j < n; ++j)
+        want[static_cast<size_t>(i)] += c[static_cast<size_t>(i * n + j)];
+    for (const kernels::Isa isa : {vector_isa, kernels::Isa::kScalar}) {
+      kernels::set_isa(isa);
+      std::vector<int64_t> got(static_cast<size_t>(m), -1);
+      kernels::row_sums(c.data(), m, n, got.data());
+      EXPECT_EQ(want, got) << "n=" << n << " " << kernels::isa_name(isa);
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 // the sentinel attached.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -335,7 +336,9 @@ nn::PlanResolution first_leaf_exact_plan(nn::Sequential& net) {
 }
 
 /// Forwards every hook to a sentinel, counting which GEMM hook each leaf
-/// got; it takes planes only when `planes`, and otherwise gets columns.
+/// got; it takes planes only when `planes`, and otherwise gets columns. For
+/// the leaf `watch` it keeps the GEMM's C as the kernel left it and the
+/// smallest byte of X.
 class HookProbe final : public nn::ForwardMonitor {
 public:
   HookProbe(Sentinel& s, bool planes) : s_(s), planes_(planes) {}
@@ -345,6 +348,7 @@ public:
                     const int8_t* x, int32_t* c, int64_t m, int64_t k, int64_t n,
                     const approx::SignedMulTable* tab) override {
     ++cols[&l];
+    if (&l == watch) keep(c, m * n, x, x + k * n);
     return s_.on_leaf_gemm(l, group, approx, w, x, c, m, k, n, tab);
   }
   bool takes_planes() const override { return planes_; }
@@ -352,9 +356,19 @@ public:
                           const kernels::ConvPlane& x, int32_t* c, int64_t m, int64_t k,
                           int64_t n, const approx::SignedMulTable* tab) override {
     ++planes[&l];
+    if (&l == watch) keep(c, m * n, x.data, x.data + x.batch * x.channels * x.ph * x.pw);
     return s_.on_leaf_plane_gemm(l, approx, w, x, c, m, k, n, tab);
   }
   std::map<const nn::Layer*, int> cols, planes;
+  const nn::Layer* watch = nullptr;
+  std::vector<int32_t> watched_c;
+  int8_t watched_min_x = 0;
+
+private:
+  void keep(const int32_t* c, int64_t size, const int8_t* x0, const int8_t* x1) {
+    watched_c.assign(c, c + size);
+    watched_min_x = *std::min_element(x0, x1);
+  }
 
 private:
   Sentinel& s_;
@@ -474,6 +488,148 @@ TEST(SentinelPlaneConv, WeightFaultRepairedUnderBothPoliciesAndOnceDegraded) {
       EXPECT_EQ(probe.cols[conv0] - cols_before, 0);
     }
   }
+}
+
+/// Conv2d{3,8,3,1,1} → ReLU → Conv2d{8,8,3,1,1} → ReLU → pool → FC on 8×8
+/// images: the second conv is stride 1 and reads a ReLU'd plane.
+std::unique_ptr<nn::Sequential> relu_fed_net() {
+  Rng rng(3);
+  auto net = std::make_unique<nn::Sequential>("relu_fed");
+  net->emplace<nn::Conv2d>(nn::Conv2dConfig{3, 8, 3, 1, 1, 1, true}, rng);
+  net->emplace<nn::ReLU>();
+  net->emplace<nn::Conv2d>(nn::Conv2dConfig{8, 8, 3, 1, 1, 1, true}, rng);
+  net->emplace<nn::ReLU>();
+  net->emplace<nn::GlobalAvgPool>();
+  net->emplace<nn::Linear>(8, 10, rng);
+  return net;
+}
+
+/// Negates the weight of `conv` whose quantized value has the largest
+/// magnitude in output row 0, at flat index `at` if given: one weight fault.
+void negate_one_weight(nn::Conv2d& conv, int64_t at = -1) {
+  const TensorI8 q = nn::quantize_i8(conv.weight().value, conv.weight_qparams());
+  const int64_t k = q.numel() / conv.config().out_channels;
+  if (at < 0) {
+    at = 0;
+    for (int64_t i = 1; i < k; ++i)
+      if (std::abs(q[i]) > std::abs(q[at])) at = i;
+  }
+  ASSERT_NE(q[at], 0);
+  conv.weight().value[at] = -conv.weight().value[at];
+}
+
+/// "default=trunc5" with leaf `index` overridden to `mode=exact`.
+nn::PlanResolution leaf_exact_plan(nn::Sequential& net, size_t index) {
+  const std::string path = nn::enumerate_gemm_leaves(net).at(index).path;
+  return nn::NetPlan::parse("default=trunc5; " + path + "=trunc5:mode=exact").resolve(net);
+}
+
+TEST(SentinelRowCheck, WeightFaultOnReluFedConvIsCaughtFromItsPlaneAndRepaired) {
+  // The second conv reads a ReLU'd plane, so the sentinel checks it by row
+  // sums. One weight fault there shifts every column's product the same
+  // way (T(w, a) is monotone in w for a ≥ 0), so its row sum moves: the
+  // fault is detected from the plane and repaired bit for bit under both
+  // policies, from the plane, with no more pool buffers than a clean pass.
+  const data::SyntheticCifar data = micro_data();
+  const Tensor batch = data.test.slice(0, 24).first;
+  const approx::SignedMulTable tab(axmul::make_lut("trunc5"));
+  const auto ctx = nn::ExecContext::quant_approx(tab);
+  for (const auto mode :
+       {DegradationPolicy::RepairMode::kGoldenTable, DegradationPolicy::RepairMode::kExact}) {
+    const bool golden = mode == DegradationPolicy::RepairMode::kGoldenTable;
+    SCOPED_TRACE(golden ? "kGoldenTable" : "kExact");
+    auto net = relu_fed_net();
+    train::calibrate_model(*net, data.train, 60, 30, quant::Calibration::kMinPropQE);
+    auto& conv1 = dynamic_cast<nn::Conv2d&>(*nn::enumerate_gemm_leaves(*net).at(1).layer);
+    if (!runs_from_plane(conv1, Tensor(Shape{24, 8, 8, 8}), tab))
+      GTEST_SKIP() << "no plane GEMM on this ISA";
+    const Tensor want =
+        golden ? net->forward(batch, ctx)
+               : net->forward(batch, nn::ExecContext{.mode = nn::ExecMode::kQuantApprox}
+                                         .with_plan(leaf_exact_plan(*net, 1)));
+    SentinelConfig cfg;
+    cfg.policy.repair = mode;
+    cfg.policy.degrade_after = 1000000;  // repair every pass, never degrade
+    Sentinel s(cfg);
+    s.calibrate_uniform(*net, "trunc5");
+    HookProbe probe(s, true);
+    probe.watch = &conv1;
+    buffer_pool_reset_stats();
+    (void)net->forward(batch, ctx.with_monitor(probe));
+    const int64_t clean_buffers = buffer_pool_stats().hits + buffer_pool_stats().misses;
+    for (const LeafStats& l : s.report().leaves) ASSERT_EQ(l.abft_violations, 0) << l.path;
+    negate_one_weight(conv1);
+    ASSERT_TRUE(any_element_differs(want, net->forward(batch, ctx)));  // the fault bites
+
+    for (int pass = 0; pass < 2; ++pass) {
+      SCOPED_TRACE(::testing::Message() << "pass " << pass);
+      const SentinelReport before = s.report();
+      const int planes_before = probe.planes[&conv1], cols_before = probe.cols[&conv1];
+      buffer_pool_reset_stats();
+      expect_bit_identical(want, net->forward(batch, ctx.with_monitor(probe)));
+      EXPECT_LE(buffer_pool_stats().hits + buffer_pool_stats().misses, clean_buffers);
+      EXPECT_GE(probe.watched_min_x, 0);  // a non-negative plane: the row check
+      EXPECT_EQ(probe.planes[&conv1] - planes_before, 1);
+      EXPECT_EQ(probe.cols[&conv1] - cols_before, 0);
+      const SentinelReport now = s.report();
+      EXPECT_EQ(now.leaves.at(1).abft_violations, before.leaves.at(1).abft_violations + 1);
+      EXPECT_EQ(now.leaves.at(1).reexecs, before.leaves.at(1).reexecs + 1);
+      for (const size_t i : {size_t{0}, size_t{2}})
+        EXPECT_EQ(now.leaves.at(i).abft_violations, 0) << now.leaves.at(i).path;
+    }
+  }
+}
+
+TEST(SentinelRowCheck, SignedStemKeepsTheColumnCheckForFaultsThatCancelInRows) {
+  // One weight fault in the stem, on a tap that reads +a at one output and
+  // −a at another (every other pixel 0). The closed-form product is odd in
+  // a, so the two columns' differences cancel in the row sum: a row check
+  // would miss this fault. The stem's input is signed, so the sentinel
+  // checks columns, flags the fault and repairs it.
+  const data::SyntheticCifar data = micro_data();
+  const approx::SignedMulTable tab(axmul::make_lut("trunc5"));
+  const auto ctx = nn::ExecContext::quant_approx(tab);
+  auto net = micro_net();
+  train::calibrate_model(*net, data.train, 60, 30, quant::Calibration::kMinPropQE);
+  auto& stem = dynamic_cast<nn::Conv2d&>(*nn::enumerate_gemm_leaves(*net).at(0).layer);
+  // Row 0's centre tap of channel 0 (weight index 4) reads pixel (2, 2) at
+  // output (2, 2) and pixel (5, 5) at output (5, 5).
+  Tensor image(Shape{1, 3, 8, 8});
+  const float a = 100.0f * stem.act_qparams().step;
+  image[2 * 8 + 2] = a;
+  image[5 * 8 + 5] = -a;
+  const Tensor clean = net->forward(image, ctx);
+
+  SentinelConfig cfg;
+  cfg.policy.degrade_after = 1000000;
+  Sentinel s(cfg);
+  s.calibrate_uniform(*net, "trunc5");
+  HookProbe probe(s, true);
+  probe.watch = &stem;
+  expect_bit_identical(clean, net->forward(image, ctx.with_monitor(probe)));
+  const std::vector<int32_t> clean_c = probe.watched_c;
+  negate_one_weight(stem, 4);
+
+  const Tensor repaired = net->forward(image, ctx.with_monitor(probe));
+  const SentinelReport rep = s.report();
+  EXPECT_EQ(rep.leaves.at(0).abft_violations, 1) << rep.summary();
+  EXPECT_EQ(rep.leaves.at(0).reexecs, 1);
+  expect_bit_identical(clean, repaired);
+  // The fault as the kernel computed it: columns differ, row sums do not.
+  const int64_t n = 64;
+  ASSERT_EQ(probe.watched_c.size(), clean_c.size());
+  EXPECT_LT(probe.watched_min_x, 0);
+  int64_t columns_changed = 0;
+  for (size_t i = 0; i < clean_c.size() / n; ++i) {
+    int64_t before = 0, after = 0;
+    for (size_t j = 0; j < n; ++j) {
+      before += clean_c[i * n + j];
+      after += probe.watched_c[i * n + j];
+      columns_changed += clean_c[i * n + j] != probe.watched_c[i * n + j] ? 1 : 0;
+    }
+    EXPECT_EQ(before, after) << "row " << i;
+  }
+  EXPECT_EQ(columns_changed, 2);
 }
 
 TEST_F(SentinelFixture, WeightFaultOnExactModeLeafRepairedFromGoldenCopy) {
