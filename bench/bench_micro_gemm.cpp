@@ -1,11 +1,11 @@
 // Kernel microbenchmarks (google-benchmark): float GEMM, approximate LUT
 // GEMM, im2col, the quantized conv prep, whole conv leaves on the cols and
-// plane paths, the sentinel's table checksum, fake-quant — the per-iteration
-// costs behind Table IV's overhead numbers. GEMM benches are parameterised
-// over the kernel backend (0 = naive golden reference, 1 = cache-blocked)
-// so `--benchmark_filter` can compare them directly; the ResNet20 conv
-// shape M=64, K=576, N=1024 is the acceptance shape for the blocked
-// kernels.
+// plane paths, the sentinel's table checksum and range scan, fake-quant —
+// the per-iteration costs behind Table IV's overhead numbers. GEMM benches
+// are parameterised over the kernel backend (0 = naive golden reference,
+// 1 = cache-blocked) so `--benchmark_filter` can compare them directly; the
+// ResNet20 conv shape M=64, K=576, N=1024 is the acceptance shape for the
+// blocked kernels.
 //
 // The *Telemetry variants run the same GEMMs with an obs::Collector
 // attached — their delta against the base benches is the telemetry
@@ -17,11 +17,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,11 +32,13 @@
 #include "axnn/axmul/registry.hpp"
 #include "axnn/core/profile.hpp"
 #include "axnn/ge/monte_carlo.hpp"
+#include "axnn/kernels/activations.hpp"
 #include "axnn/kernels/checksum.hpp"
 #include "axnn/kernels/int_gemm.hpp"
 #include "axnn/kernels/isa.hpp"
 #include "axnn/kernels/plan.hpp"
 #include "axnn/nn/im2col.hpp"
+#include "axnn/nn/qutils.hpp"
 #include "axnn/obs/report.hpp"
 #include "axnn/obs/telemetry.hpp"
 #include "axnn/quant/quantizer.hpp"
@@ -268,34 +272,90 @@ void BM_Im2col(benchmark::State& state) {
 }
 BENCHMARK(BM_Im2col)->Arg(8)->Arg(16);
 
-// The quantized conv's prep, float input to int8 columns (quantize_im2col),
-// at ResNet-20 (fast profile) conv inputs, batch 8: the stride-1 3x3 convs
-// (3x16x16 stem, then 4x16x16, 8x8x8 and 16x4x4 stages; pad 1), the two
-// stride-2 3x3 convs and the two stride-2 1x1 shortcuts (pad 0).
-void BM_QuantizeIm2colResNet20(benchmark::State& state) {
-  const int64_t c = state.range(0), hw = state.range(1);
-  const int64_t k = state.range(2), stride = state.range(3);
+// ResNet-20 (fast profile) conv leaves by input c, hw, kernel k and stride
+// s, batch 8: the stride-1 3x3 convs (3x16x16 stem, then 4x16x16, 8x8x8 and
+// 16x4x4 stages; pad 1), the two stride-2 3x3 convs and the two stride-2 1x1
+// shortcuts (pad 0).
+constexpr int64_t kPrepShapes[][4] = {{3, 16, 3, 1}, {4, 16, 3, 1}, {8, 8, 3, 1}, {16, 4, 3, 1},
+                                      {4, 16, 3, 2}, {8, 8, 3, 2},  {4, 16, 1, 2}, {8, 8, 1, 2}};
+
+/// The leaf's float input, with NaN and ±inf planted when `specials`.
+Tensor prep_input(const int64_t* shape, bool specials) {
   Rng rng(9);
-  const Tensor x = randn(Shape{8, c, hw, hw}, rng);
+  Tensor x = randn(Shape{8, shape[0], shape[1], shape[1]}, rng);
+  if (specials) {
+    const float inf = std::numeric_limits<float>::infinity();
+    const float planted[] = {std::numeric_limits<float>::quiet_NaN(), inf, -inf};
+    for (int64_t i = 5; i < x.numel(); i += 97) x[i] = planted[i % 3];
+    x[x.numel() - 1] = planted[0];
+  }
+  return x;
+}
+
+/// Selects kernels::quantize_i8's or abs_scan's tier for a bench: 0 the
+/// scalar tier, 1 the active ISA's (the same on a machine without AVX2).
+/// Restores the active ISA when it goes out of scope.
+struct TierScope {
+  kernels::Isa active = kernels::active_isa();
+  TierScope(benchmark::State& state, int64_t tier, const std::string& label) {
+    if (tier == 0) kernels::set_isa(kernels::Isa::kScalar);
+    state.SetLabel(label + " " + kernels::isa_name(kernels::active_isa()));
+  }
+  ~TierScope() { kernels::set_isa(active); }
+  TierScope(const TierScope&) = delete;
+  TierScope& operator=(const TierScope&) = delete;
+};
+
+// The quantized conv's prep at those leaves: float input to int8 columns
+// (quantize_im2col, plane 0) or, for the stride-1 leaves, to padded int8
+// planes (quantize_plane, plane 1, what a leaf that runs its GEMM from the
+// plane does), each on both tiers of kernels::quantize_i8.
+void BM_QuantizeIm2colResNet20(benchmark::State& state) {
+  const int64_t shape[] = {state.range(0), state.range(1), state.range(2), state.range(3)};
+  const bool plane = state.range(4) == 1;
+  const Tensor x = prep_input(shape, false);
   const quant::QuantParams p{1.0f / 32.0f, 8};
-  const nn::ConvGeom g = nn::ConvGeom::of(x.shape(), k, stride, k / 2);
+  const nn::ConvGeom g = nn::ConvGeom::of(x.shape(), shape[2], shape[3], shape[2] / 2);
+  const TierScope tier(state, state.range(5), plane ? "plane" : "cols");
   for (auto _ : state) {
-    TensorI8 cols = nn::quantize_im2col(x, g, p);
-    benchmark::DoNotOptimize(cols.data());
+    TensorI8 out = plane ? nn::quantize_plane(x, g, p) : nn::quantize_im2col(x, g, p);
+    benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * g.patch_rows() * g.out_cols());
+  state.SetItemsProcessed(state.iterations() *
+                          (plane ? x.numel() : g.patch_rows() * g.out_cols()));
+}
+/// Every kPrepShapes leaf on both tiers, plus the planes of the stride-1 ones.
+void prep_args(benchmark::internal::Benchmark* b) {
+  for (const auto& shape : kPrepShapes)
+    for (const int64_t plane : {0, 1})
+      for (const int64_t tier : {0, 1})
+        if (plane == 0 || shape[3] == 1)
+          b->Args({shape[0], shape[1], shape[2], shape[3], plane, tier});
 }
 BENCHMARK(BM_QuantizeIm2colResNet20)
-    ->Args({3, 16, 3, 1})
-    ->Args({4, 16, 3, 1})
-    ->Args({8, 8, 3, 1})
-    ->Args({16, 4, 3, 1})
-    ->Args({4, 16, 3, 2})
-    ->Args({8, 8, 3, 2})
-    ->Args({4, 16, 1, 2})
-    ->Args({8, 8, 1, 2})
-    ->ArgNames({"c", "hw", "k", "s"});
+    ->Apply(prep_args)
+    ->ArgNames({"c", "hw", "k", "s", "plane", "tier"});
+
+// The sentinel's range scan (kernels::abs_scan) over the same leaves'
+// inputs, on both tiers, against the quantization range of step 1/32.
+void BM_RangeScanResNet20(benchmark::State& state) {
+  const int64_t shape[] = {state.range(0), state.range(1), state.range(2), state.range(3)};
+  const Tensor x = prep_input(shape, false);
+  const uint32_t limit = std::bit_cast<uint32_t>(127.0f / 32.0f);
+  const TierScope tier(state, state.range(4), "scan");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kernels::abs_scan(x.data(), x.numel(), limit));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_RangeScanResNet20)
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      for (const auto& shape : kPrepShapes)
+        for (const int64_t tier : {0, 1}) b->Args({shape[0], shape[1], shape[2], shape[3], tier});
+    })
+    ->ArgNames({"c", "hw", "k", "s", "tier"});
 
 // One stride-1 3x3 conv leaf of ResNet-20 (fast profile) at batch 8, from
 // float input to int32 accumulators under trunc5, on the path it ships:
@@ -566,9 +626,10 @@ private:
 /// vector kernel switch), for the exact path and two tables: trunc5 (the
 /// closed-form kernel on AVX2) and evoa228 (the LUT kernels); then the
 /// conv-plane GEMM against the dense one, the closed-form checksum of the
-/// same leaves against the row checksum and the GEMM's column sums, and
-/// their row check against the GEMM's row sums on ReLU'd input (it must
-/// decline signed input). Returns false (and prints the first mismatch) on
+/// same leaves against the row checksum and the GEMM's column sums, their
+/// row check against the GEMM's row sums on ReLU'd input (it must decline
+/// signed input), and the quantize and range scan on the active ISA against
+/// their scalar tiers. Returns false (and prints the first mismatch) on
 /// divergence.
 bool verify_simd_bit_identity() {
   std::vector<Dims> shapes = {{64, 576, 1024}, {7, 13, 17}, {1, 576, 1024}, {33, 65, 31}};
@@ -716,6 +777,44 @@ bool verify_simd_bit_identity() {
         }
       }
     }
+  // The vector tiers of the quantize and the range scan against their scalar
+  // tiers, on every kPrepShapes leaf's input with NaN and ±inf planted: the
+  // whole tensor quantized (as weights are), its padded planes and columns,
+  // and the scan's max pattern and count.
+  const kernels::Isa isa = kernels::active_isa();
+  const uint32_t limit = std::bit_cast<uint32_t>(127.0f / 32.0f);
+  for (const auto& shape : kPrepShapes) {
+    const Tensor x = prep_input(shape, true);
+    const nn::ConvGeom g = nn::ConvGeom::of(x.shape(), shape[2], shape[3], shape[2] / 2);
+    TensorI8 whole[2], planes[2], cols[2];
+    kernels::AbsScan scan[2];
+    for (int tier = 0; tier < 2; ++tier) {
+      kernels::set_isa(tier == 0 ? kernels::Isa::kScalar : isa);
+      whole[tier] = nn::quantize_i8(x, p);
+      planes[tier] = nn::quantize_plane(x, g, p, &cols[tier]);
+      scan[tier] = kernels::abs_scan(x.data(), x.numel(), limit);
+    }
+    kernels::set_isa(isa);
+    const auto same = [](const TensorI8& a, const TensorI8& b) {
+      return a.shape() == b.shape() &&
+             std::equal(a.data(), a.data() + a.numel(), b.data());
+    };
+    if (!same(whole[0], whole[1]) || !same(planes[0], planes[1]) || !same(cols[0], cols[1]) ||
+        scan[0].max_bits != scan[1].max_bits || scan[0].above != scan[1].above) {
+      std::fprintf(stderr,
+                   "quantize/scan divergence: input 8x%lldx%lldx%lld k %lld s %lld isa=%s: "
+                   "whole %s, planes %s, cols %s, scan max %08x/%08x above %lld/%lld\n",
+                   static_cast<long long>(shape[0]), static_cast<long long>(shape[1]),
+                   static_cast<long long>(shape[1]), static_cast<long long>(shape[2]),
+                   static_cast<long long>(shape[3]), kernels::isa_name(isa),
+                   same(whole[0], whole[1]) ? "equal" : "differ",
+                   same(planes[0], planes[1]) ? "equal" : "differ",
+                   same(cols[0], cols[1]) ? "equal" : "differ", scan[0].max_bits,
+                   scan[1].max_bits, static_cast<long long>(scan[0].above),
+                   static_cast<long long>(scan[1].above));
+      return false;
+    }
+  }
   return true;
 }
 

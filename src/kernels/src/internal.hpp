@@ -18,6 +18,7 @@ class SignedMulTable;
 }
 
 namespace axnn::kernels {
+struct AbsScan;
 struct ChecksumTable;
 struct ConvPlane;
 struct GemmDesc;
@@ -186,6 +187,10 @@ bool avx2_plane_operand_sums(const int8_t* x, int64_t batch, int64_t channels, i
 void avx2_row_dot(const int32_t* coef, int64_t m, int64_t k, int32_t* v, int64_t* row_sums);
 // sums[i] = Σ_j c[i·n + j], exact (kernels::row_sums).
 void avx2_row_sums(const int32_t* c, int64_t m, int64_t n, int64_t* sums);
+// kernels::quantize_i8 and kernels::abs_scan, same results as their scalar
+// tiers for every input.
+void avx2_quantize_i8(const float* x, int8_t* q, int64_t n, float inv, int32_t lo, int32_t hi);
+AbsScan avx2_abs_scan(const float* x, int64_t n, uint32_t limit);
 #endif
 #if defined(AXNN_HAVE_NEON_TU)
 void neon_approx_cols(const uint8_t* wq, const int8_t* x, int32_t* c, int64_t m,

@@ -27,6 +27,7 @@
 
 #if defined(AXNN_HAVE_AVX2_TU)
 
+#include "axnn/kernels/activations.hpp"
 #include "axnn/kernels/checksum.hpp"
 
 #include <immintrin.h>
@@ -697,6 +698,112 @@ void avx2_row_sums(const int32_t* c, int64_t m, int64_t n, int64_t* sums) {
     }
     sums[i] = sum;
   }
+}
+
+namespace {
+
+/// quant::quantize_level of 8 floats as int32 lanes: the same float
+/// operations in the same order. The ordered compare zeroes NaN (+0, as the
+/// scalar v == v ? v : 0 does); vmaxps and vminps pick the bound unless v
+/// is past it, as std::max and std::min do (they differ only when both are
+/// equal, and so are the values); the add and subtract of 1.5·2^23 round
+/// half to even; the truncating convert meets an integer.
+inline __m256i quantize_levels(const float* x, __m256 inv, __m256 lo, __m256 hi) {
+  const __m256 shift = _mm256_set1_ps(12582912.0f);  // 1.5 * 2^23
+  __m256 v = _mm256_mul_ps(_mm256_loadu_ps(x), inv);
+  v = _mm256_and_ps(v, _mm256_cmp_ps(v, v, _CMP_ORD_Q));
+  v = _mm256_min_ps(_mm256_max_ps(v, lo), hi);
+  return _mm256_cvttps_epi32(_mm256_sub_ps(_mm256_add_ps(v, shift), shift));
+}
+
+/// 8 int32 lanes in [−128, 127] as 8 bytes, in order.
+inline __m128i narrow8(__m256i v) {
+  const __m128i w = _mm_packs_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1));
+  return _mm_packs_epi16(w, w);
+}
+
+}  // namespace
+
+void avx2_quantize_i8(const float* x, int8_t* q, int64_t n, float inv, int32_t lo, int32_t hi) {
+  const __m256 vinv = _mm256_set1_ps(inv);
+  const __m256 vlo = _mm256_set1_ps(static_cast<float>(lo));
+  const __m256 vhi = _mm256_set1_ps(static_cast<float>(hi));
+  // 32 levels per iteration: the two packs interleave the four vectors'
+  // 4-lane halves (a0-3 b0-3 c0-3 d0-3 | a4-7 b4-7 c4-7 d4-7), and the
+  // permute puts the dwords back in order.
+  const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+  int64_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    const __m256i ab = _mm256_packs_epi32(quantize_levels(x + i, vinv, vlo, vhi),
+                                          quantize_levels(x + i + 8, vinv, vlo, vhi));
+    const __m256i cd = _mm256_packs_epi32(quantize_levels(x + i + 16, vinv, vlo, vhi),
+                                          quantize_levels(x + i + 24, vinv, vlo, vhi));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(q + i),
+                        _mm256_permutevar8x32_epi32(_mm256_packs_epi16(ab, cd), order));
+  }
+  for (; i + 8 <= n; i += 8)
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(q + i),
+                     narrow8(quantize_levels(x + i, vinv, vlo, vhi)));
+  if (i < n) {  // the last n % 8 values, through a zero-padded copy
+    alignas(32) float pad[8] = {};
+    int8_t out[8];
+    std::memcpy(pad, x + i, static_cast<size_t>(n - i) * sizeof(float));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(out),
+                     narrow8(quantize_levels(pad, vinv, vlo, vhi)));
+    std::memcpy(q + i, out, static_cast<size_t>(n - i));
+  }
+}
+
+AbsScan avx2_abs_scan(const float* x, int64_t n, uint32_t limit) {
+  // Every pattern is below 2^31, so signed compares order them exactly; a
+  // limit at or past 2^31 − 1 has none above it.
+  const __m256i magnitude = _mm256_set1_epi32(0x7FFFFFFF);
+  const __m256i vlimit = _mm256_set1_epi32(static_cast<int32_t>(std::min(limit, 0x7FFFFFFFu)));
+  const auto bits = [&](const float* p) {
+    return _mm256_and_si256(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)), magnitude);
+  };
+  // Each int32 lane counts at most kBlock / 8 patterns before it is folded
+  // into the int64 count, so counts stay exact at any length.
+  constexpr int64_t kBlock = int64_t{1} << 30;
+  __m256i mx = _mm256_setzero_si256();
+  AbsScan s;
+  const auto fold = [&s](__m256i count) {
+    alignas(32) int32_t lanes[8];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), count);
+    for (const int32_t lane : lanes) s.above -= lane;  // lanes count down
+  };
+  const auto above = [&](__m256i a, __m256i b) {
+    return _mm256_add_epi32(_mm256_cmpgt_epi32(a, vlimit), _mm256_cmpgt_epi32(b, vlimit));
+  };
+  int64_t i = 0;
+  while (i + 8 <= n) {
+    const int64_t i1 = std::min(n, i + kBlock);
+    __m256i count = _mm256_setzero_si256();
+    for (; i + 32 <= i1; i += 32) {
+      const __m256i a = bits(x + i), b = bits(x + i + 8), c = bits(x + i + 16),
+                    d = bits(x + i + 24);
+      mx = _mm256_max_epu32(mx, _mm256_max_epu32(_mm256_max_epu32(a, b), _mm256_max_epu32(c, d)));
+      count = _mm256_add_epi32(count, _mm256_add_epi32(above(a, b), above(c, d)));
+    }
+    for (; i + 8 <= i1; i += 8) {
+      const __m256i a = bits(x + i);
+      mx = _mm256_max_epu32(mx, a);
+      count = _mm256_add_epi32(count, _mm256_cmpgt_epi32(a, vlimit));
+    }
+    fold(count);
+  }
+  if (i < n) {  // the last n % 8 values, zero-padded: +0 is above no limit
+    alignas(32) float pad[8] = {};
+    std::memcpy(pad, x + i, static_cast<size_t>(n - i) * sizeof(float));
+    const __m256i a = bits(pad);
+    mx = _mm256_max_epu32(mx, a);
+    fold(_mm256_cmpgt_epi32(a, vlimit));
+  }
+  __m128i m = _mm_max_epu32(_mm256_castsi256_si128(mx), _mm256_extracti128_si256(mx, 1));
+  m = _mm_max_epu32(m, _mm_shuffle_epi32(m, 0x4E));
+  m = _mm_max_epu32(m, _mm_shuffle_epi32(m, 0xB1));
+  s.max_bits = static_cast<uint32_t>(_mm_cvtsi128_si32(m));
+  return s;
 }
 
 }  // namespace axnn::kernels::detail

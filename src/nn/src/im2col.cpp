@@ -131,15 +131,17 @@ void lower(const Tensor& x, const ConvGeom& g, T* planes, T* cols, bool staged,
   });
 }
 
-/// lower() quantizing x with `p`; records quantize.clip_rate over x when a
-/// collector is attached, as quantize_i8(x, p) does.
+/// lower() quantizing x with `p` through kernels::quantize_i8, its tier
+/// picked once for the whole tensor; records quantize.clip_rate over x when
+/// a collector is attached, as quantize_i8(x, p) does.
 void quantize_lower(const Tensor& x, const ConvGeom& g, const quant::QuantParams& p,
                     int8_t* planes, int8_t* cols) {
   const float inv = 1.0f / p.step;
   const int32_t lo = p.qmin(), hi = p.qmax();
+  const kernels::Isa isa = kernels::active_isa();
   lower<int8_t>(x, g, planes, cols, true,
-                [inv, lo, hi](const float* src, int8_t* dst, int64_t len) {
-                  quantize_row_i8(src, dst, len, inv, lo, hi);
+                [inv, lo, hi, isa](const float* src, int8_t* dst, int64_t len) {
+                  kernels::quantize_i8(src, dst, len, inv, lo, hi, isa);
                 });
   if (obs::enabled()) quant::record_clip_rate(x, p);
 }

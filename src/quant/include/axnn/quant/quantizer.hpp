@@ -49,10 +49,10 @@ QuantParams params_for_max_abs(float max_abs, int bits);
 /// Rounds half to even like std::nearbyintf, without the libm call: for
 /// |c| <= 2^22, c + 1.5·2^23 lies in [2^23, 2^24), where floats are 1
 /// apart, so the add rounds c to an integer and the subtract is exact
-/// (|lo|, |hi| < 2^16). Loops over it vectorize (SSE2/NEON) when their
-/// trip count is a local (nn::quantize_row_i8). Only a zero's sign differs
-/// (-0 gives +0), which the integer cannot show; fake_quantize keeps
-/// nearbyintf for that reason.
+/// (|lo|, |hi| < 2^16). kernels::quantize_i8's scalar tier is a loop over
+/// it, and its AVX2 tier the same expression in each lane. Only a zero's
+/// sign differs (-0 gives +0), which the integer cannot show; fake_quantize
+/// keeps nearbyintf for that reason.
 inline int32_t quantize_level(float x, float inv, int32_t lo, int32_t hi) {
   constexpr float kShift = 12582912.0f;  // 1.5 * 2^23
   const float v = x * inv;

@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "axnn/axmul/registry.hpp"
+#include "axnn/kernels/activations.hpp"
 #include "axnn/kernels/checksum.hpp"
 #include "axnn/kernels/int_gemm.hpp"
 #include "axnn/kernels/plan.hpp"
@@ -261,26 +262,18 @@ void Sentinel::on_leaf_input(const nn::Layer& leaf, const Tensor& x) {
 
   // One pass over |x|'s bit patterns: their max and how many exceed the
   // quantization range. A NaN's pattern is above every bound.
-  const float* xd = x.data();
   const int64_t numel = x.numel();
-  const uint32_t qbits = st.qrange_bits;
-  uint32_t mx = 0;
-  int64_t clipped = 0;
-  for (int64_t i = 0; i < numel; ++i) {
-    const uint32_t a = abs_bits(xd[i]);
-    mx = std::max(mx, a);
-    clipped += a > qbits ? 1 : 0;
-  }
+  const kernels::AbsScan scan = kernels::abs_scan(x.data(), numel, st.qrange_bits);
   const double clip_rate =
-      numel > 0 ? static_cast<double>(clipped) / static_cast<double>(numel) : 0.0;
-  const bool over = mx > st.bound_bits;
+      numel > 0 ? static_cast<double>(scan.above) / static_cast<double>(numel) : 0.0;
+  const bool over = scan.max_bits > st.bound_bits;
   const bool bad = over || clip_rate > st.clip_limit;
 
   std::lock_guard<std::mutex> lk(mu_);
   ++st.stats.range_checks;
   if (bad) {
     ++st.stats.range_violations;
-    record_violation(st, "range", over ? std::bit_cast<float>(mx) : clip_rate,
+    record_violation(st, "range", over ? std::bit_cast<float>(scan.max_bits) : clip_rate,
                      over ? std::bit_cast<float>(st.bound_bits) : st.clip_limit);
   }
 }

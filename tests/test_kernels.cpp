@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -17,6 +18,7 @@
 #include "axnn/approx/approx_gemm.hpp"
 #include "axnn/axmul/adder.hpp"
 #include "axnn/axmul/registry.hpp"
+#include "axnn/kernels/activations.hpp"
 #include "axnn/kernels/checksum.hpp"
 #include "axnn/kernels/int_gemm.hpp"
 #include "axnn/kernels/isa.hpp"
@@ -959,6 +961,69 @@ TEST(RowChecksum, RowSumsOfCAreExactOnBothTiers) {
       kernels::row_sums(c.data(), m, n, got.data());
       EXPECT_EQ(want, got) << "n=" << n << " " << kernels::isa_name(isa);
     }
+  }
+}
+
+TEST(RangeScan, BothTiersGiveTheDefinitionsMaxAndCount) {
+  // The sentinel's range guard: the largest |x| bit pattern and how many
+  // exceed the limit, on both tiers, for every length 0-70 (the AVX2 tier's
+  // 32-wide body, 8-wide step and padded tail). Each special value is
+  // planted once in the first vector and once in the last element, which
+  // is in the tail unless the length is a multiple of 8.
+  const kernels::Isa vector_isa = kernels::active_isa();
+  struct Restore {
+    kernels::Isa isa;
+    ~Restore() { kernels::set_isa(isa); }
+  } restore{vector_isa};
+  const auto pattern = [](float v) { return std::bit_cast<uint32_t>(v) & 0x7FFFFFFFu; };
+  const auto from_bits = [](uint32_t b) { return std::bit_cast<float>(b); };
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float tiny = std::numeric_limits<float>::min();
+  const uint32_t limit = pattern(127.0f / 32.0f);
+  const float specials[] = {nan,
+                            -nan,
+                            from_bits(0x7FC12345u),  // NaN with a payload
+                            from_bits(0xFF800001u),  // negative signalling NaN
+                            inf,
+                            -inf,
+                            0.0f,
+                            -0.0f,
+                            denorm,
+                            -denorm,
+                            tiny - denorm,
+                            from_bits(limit),
+                            -from_bits(limit),
+                            from_bits(limit - 1),
+                            from_bits(limit + 1),
+                            -from_bits(limit + 1)};
+  Rng rng(31);
+  for (int64_t n = 0; n <= 70; ++n) {
+    std::vector<float> clean(static_cast<size_t>(n));
+    for (float& v : clean) v = static_cast<float>(rng.normal()) * 3.0f;
+    std::vector<std::vector<float>> inputs = {clean};
+    for (const float v : specials)
+      for (const int64_t at : {int64_t{5}, n - 1})
+        if (at >= 0 && at < n) {
+          inputs.push_back(clean);
+          inputs.back()[static_cast<size_t>(at)] = v;
+        }
+    for (const std::vector<float>& x : inputs)
+      for (const uint32_t lim : {limit, 0u, pattern(inf), 0x7FFFFFFFu, 0xFFFFFFFFu}) {
+        kernels::AbsScan want;
+        for (const float v : x) {
+          want.max_bits = std::max(want.max_bits, pattern(v));
+          want.above += pattern(v) > lim ? 1 : 0;
+        }
+        for (const kernels::Isa isa : {vector_isa, kernels::Isa::kScalar}) {
+          kernels::set_isa(isa);
+          const kernels::AbsScan got = kernels::abs_scan(x.data(), n, lim);
+          ASSERT_EQ(want.max_bits, got.max_bits) << kernels::isa_name(isa) << " n=" << n;
+          ASSERT_EQ(want.above, got.above)
+              << kernels::isa_name(isa) << " n=" << n << " limit=" << lim;
+        }
+      }
   }
 }
 

@@ -74,8 +74,15 @@ TEST(Im2col, Int8MatchesQuantizedFloatAndDirectTaps) {
   // copies, stride-2 widths 8 and 4 the fixed-width gathers, the others the
   // generic ones. Every third input is a special value (NaN, ±inf, ±1e30,
   // 3e9, exact half-steps, the saturation edge), so specials land both in
-  // the vectorized body of a quantized row and in its scalar tail (rows of
-  // up to 17 values; the whole plane is one row when there is no padding).
+  // the vectorized body of a quantized row and in its tail (rows of up to
+  // 17 values; the whole plane is one row when there is no padding). The
+  // planes and columns must be the same bytes on the scalar tier of
+  // kernels::quantize_i8 as on the active one.
+  const kernels::Isa vector_isa = kernels::active_isa();
+  struct Restore {
+    kernels::Isa isa;
+    ~Restore() { kernels::set_isa(isa); }
+  } restore{vector_isa};
   const quant::QuantParams qp{1.0f / 32.0f, 8};
   const float inf = std::numeric_limits<float>::infinity();
   const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
@@ -123,6 +130,17 @@ TEST(Im2col, Int8MatchesQuantizedFloatAndDirectTaps) {
             plane_im2col(kernels::ConvPlane{planes.data(), batch, 2, ph, ph, kernel, stride},
                          lowered.data());
             ASSERT_EQ(0, std::memcmp(ref.data(), lowered.data(), lowered.size()));
+            kernels::set_isa(kernels::Isa::kScalar);
+            TensorI8 scalar_cols;
+            const TensorI8 scalar_planes = quantize_plane(x, g, qp, &scalar_cols);
+            const TensorI8 scalar_qcols = quantize_im2col(x, g, qp);
+            kernels::set_isa(vector_isa);
+            ASSERT_EQ(0, std::memcmp(planes.data(), scalar_planes.data(),
+                                     static_cast<size_t>(planes.numel())));
+            ASSERT_EQ(0, std::memcmp(qcols.data(), scalar_qcols.data(),
+                                     static_cast<size_t>(qcols.numel())));
+            ASSERT_EQ(0, std::memcmp(qcols.data(), scalar_cols.data(),
+                                     static_cast<size_t>(qcols.numel())));
             ASSERT_EQ(planes.shape(), (Shape{batch, 2, ph, ph}));
             for (int64_t e = 0; e < planes.numel(); ++e) {
               const int64_t i = e / ph % ph - pad, j = e % ph - pad, nc = e / (ph * ph);

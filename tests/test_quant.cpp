@@ -7,6 +7,8 @@
 #include <limits>
 #include <vector>
 
+#include "axnn/kernels/activations.hpp"
+#include "axnn/kernels/isa.hpp"
 #include "axnn/nn/qutils.hpp"
 #include "axnn/quant/calibration.hpp"
 #include "axnn/quant/quantizer.hpp"
@@ -120,6 +122,31 @@ TEST(QuantizeLevel, MatchesNearbyintReference) {
                              std::numeric_limits<float>::quiet_NaN()};
   for (int i = -130 * 256; i <= 130 * 256; ++i) base.push_back(static_cast<float>(i) / 256.0f);
 
+  // kernels::quantize_i8 on both tiers, on the first 0-70 values from a
+  // start (the specials, or the ties at the end) and on all of them, at
+  // pointer offsets 0-3: the AVX2 tier's 32-wide body, 8-wide step and
+  // padded tail on unaligned data. Every byte must be quantize_level's, and
+  // none past n written.
+  const kernels::Isa vector_isa = kernels::active_isa();
+  struct Restore {
+    kernels::Isa isa;
+    ~Restore() { kernels::set_isa(isa); }
+  } restore{vector_isa};
+  std::vector<int8_t> q;
+  // The index of the first byte that differs, or -1.
+  const auto first_mismatch = [&q](const float* x, int64_t n, const QuantParams& p) {
+    constexpr int8_t kCanary = 0x5A;
+    const float inv = 1.0f / p.step;
+    q.assign(static_cast<size_t>(n + 8), kCanary);
+    kernels::quantize_i8(x, q.data(), n, inv, p.qmin(), p.qmax());
+    for (int64_t i = 0; i < n + 8; ++i) {
+      const int8_t want =
+          i < n ? static_cast<int8_t>(quantize_level(x[i], inv, p.qmin(), p.qmax())) : kCanary;
+      if (q[static_cast<size_t>(i)] != want) return i;
+    }
+    return int64_t{-1};
+  };
+
   for (const float step : {1.0f / 32.0f, 1.0f, 8.0f}) {
     // Ties and their neighbours sit at k + 0.5 in level space, i.e. at
     // (k + 0.5) * step in input space (exact: steps are powers of two).
@@ -129,7 +156,7 @@ TEST(QuantizeLevel, MatchesNearbyintReference) {
       for (const float t : {std::nextafter(tie, -inf), tie, std::nextafter(tie, inf)})
         xs.push_back(t * step);
     }
-    for (const int bits : {4, 8}) {
+    for (const int bits : {2, 4, 8}) {
       const QuantParams p{step, bits};
       const float inv = 1.0f / step;
       int64_t mismatches = 0;
@@ -141,6 +168,17 @@ TEST(QuantizeLevel, MatchesNearbyintReference) {
                         << " != " << want;
       }
       EXPECT_EQ(mismatches, 0) << "step " << step << " bits " << bits;
+      for (const kernels::Isa isa : {vector_isa, kernels::Isa::kScalar}) {
+        kernels::set_isa(isa);
+        for (const int64_t offset : {0, 1, 2, 3})
+          for (const int64_t start : {int64_t{0}, static_cast<int64_t>(xs.size()) - 80})
+            for (int64_t n = 0; n <= 71; ++n) {
+              const int64_t len = n <= 70 ? n : static_cast<int64_t>(xs.size()) - start - offset;
+              ASSERT_EQ(-1, first_mismatch(xs.data() + start + offset, len, p))
+                  << kernels::isa_name(isa) << " step " << step << " bits " << bits
+                  << " start " << start + offset << " n " << len;
+            }
+      }
     }
   }
 }

@@ -264,22 +264,34 @@ TEST_F(SentinelFixture, RangeGuardFlagsOutOfRangeActivations) {
 
 TEST_F(SentinelFixture, RangeGuardFlagsNonFiniteActivations) {
   // Corrupted floats are often NaN or ±inf; each, planted in one element of
-  // the first leaf's input, is a range violation there. The clean batch
+  // the first leaf's input (inside its first vector, or its last element),
+  // is a range violation there, on both tiers of the scan. The clean batch
   // raises none.
+  const kernels::Isa vector_isa = kernels::active_isa();
+  struct Restore {
+    kernels::Isa isa;
+    ~Restore() { kernels::set_isa(isa); }
+  } restore{vector_isa};
   const auto ctx = nn::ExecContext::quant_exact();
   Sentinel s;
   s.calibrate_uniform(*net_, "exact");
-  (void)net_->forward(batch_, ctx.with_monitor(s));
-  ASSERT_EQ(s.report().total_violations(), 0) << s.report().summary();
-  for (const float v : {std::numeric_limits<float>::quiet_NaN(),
-                        std::numeric_limits<float>::infinity(),
-                        -std::numeric_limits<float>::infinity()}) {
+  for (const kernels::Isa isa : {vector_isa, kernels::Isa::kScalar}) {
+    kernels::set_isa(isa);
     s.reset_counters();
-    Tensor bad = batch_;
-    bad[5] = v;
-    (void)net_->forward(bad, ctx.with_monitor(s));
-    const SentinelReport rep = s.report();
-    EXPECT_EQ(rep.leaves.at(0).range_violations, 1) << v << ": " << rep.summary();
+    (void)net_->forward(batch_, ctx.with_monitor(s));
+    ASSERT_EQ(s.report().total_violations(), 0) << s.report().summary();
+    for (const float v : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()})
+      for (const int64_t at : {int64_t{5}, batch_.numel() - 1}) {
+        s.reset_counters();
+        Tensor bad = batch_;
+        bad[at] = v;
+        (void)net_->forward(bad, ctx.with_monitor(s));
+        const SentinelReport rep = s.report();
+        EXPECT_EQ(rep.leaves.at(0).range_violations, 1)
+            << v << " at " << at << " " << kernels::isa_name(isa) << ": " << rep.summary();
+      }
   }
 }
 
