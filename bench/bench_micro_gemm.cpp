@@ -898,7 +898,7 @@ int main(int argc, char** argv) {
   report.write_jsonl("BENCH_micro_gemm.jsonl");
   std::printf("report: BENCH_micro_gemm.json\n");
   if (!identical) {
-    std::fprintf(stderr, "FAIL: blocked int kernels diverge from the naive reference\n");
+    std::fprintf(stderr, "FAIL: a vector kernel diverges from its reference\n");
     return 2;
   }
   return 0;
